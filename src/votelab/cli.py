@@ -2,7 +2,8 @@
 
 Output is stable, line-oriented ``key: value`` text so scripts can consume
 it.  Exit codes: 0 success, 2 parse or validation error, 3 search cap
-exceeded, 4 operation applied outside its uncertainty model.
+exceeded, 4 operation applied outside its uncertainty model, 5 a checked
+reduction biconditional fails.
 """
 
 from __future__ import annotations
@@ -305,6 +306,7 @@ def cmd_verify_reduction(args: argparse.Namespace) -> int:
     if sweep and (args.max_n is None or args.max_v is None):
         raise InvalidInstance("sweep mode needs both --max-n and --max-v")
 
+    failures = 0
     if not sweep:
         p = PartitionInstance.parse(args.bag)
         for kind in kinds:
@@ -314,9 +316,9 @@ def cmd_verify_reduction(args: argparse.Namespace) -> int:
             _print_bool("decision", report.decision)
             _print_bool("partition", report.partition)
             print(f"biconditional: {'holds' if report.holds else 'fails'}")
-        return 0
+            failures += not report.holds
+        return 5 if failures else 0
 
-    failures = 0
     for kind in kinds:
         checked = 0
         broken = 0
@@ -331,7 +333,7 @@ def cmd_verify_reduction(args: argparse.Namespace) -> int:
         print(f"failures: {broken}")
         failures += broken
     print(f"biconditional: {'holds' if failures == 0 else 'fails'}")
-    return 0
+    return 5 if failures else 0
 
 
 def _print_bool(key: str, value: bool) -> None:

@@ -166,12 +166,20 @@ def reduction_from_preference_manipulation(
     perfectly correlated unit agents inside each scenario.  With r = 0 and
     ties favouring the target, the query is true exactly when some
     completion elects the target, i.e. when the manipulation succeeds.
+
+    ``cap`` bounds both the scenario count and the unit ballots built over
+    all scenarios (scenarios times total weight).
     """
     if inst.is_coalition:
         raise ModelMismatch("the reduction starts from a preference-model instance")
     profile = inst.profile
     groups = completion_groups(profile, locked_only=True, cap=cap)
     count = check_cap(groups, cap)
+    units = count * profile.total_weight
+    if cap is not None and units > cap:
+        raise CapExceeded(
+            f"the unit split builds {units} unit ballots, above the cap of {cap}", units
+        )
     share = Fraction(1, count)
     unit_cache: dict[Order, WeightedBallot] = {}
     scenarios = tuple(

@@ -15,6 +15,7 @@ All structures are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence, Union
 
 from .errors import CapExceeded, InvalidProfile, NotCompletableSP
@@ -203,11 +204,8 @@ class Profile:
         if self.unknown_weight < 0 or self.unknown_weight > MAX_WEIGHT:
             raise InvalidProfile("unknown_weight out of range")
         universe = set(range(m))
-        seen: set = set()
-        for ballot in self.ballots:
-            if ballot in seen:  # identical ballots need only one check
-                continue
-            seen.add(ballot)
+        # a ballot object shared by several slots needs only one check
+        for ballot in dict(zip(map(id, self.ballots), self.ballots)).values():
             if isinstance(ballot, WeightedBallot):
                 if set(ballot.order) != universe:
                     raise InvalidProfile(
@@ -230,11 +228,14 @@ class Profile:
     def m(self) -> int:
         return len(self.candidates)
 
-    @property
+    # Aggregates are cached in the instance __dict__; the fields they read
+    # are frozen, so a cached value never goes stale.
+
+    @cached_property
     def total_weight(self) -> int:
         return sum(b.weight for b in self.ballots) + self.unknown_weight
 
-    @property
+    @cached_property
     def is_complete(self) -> bool:
         """True when every ballot is a full ranking and nothing is unknown."""
         return self.unknown_weight == 0 and all(
@@ -251,12 +252,24 @@ class Profile:
         raise InvalidProfile(f"no candidate labelled {label!r}")
 
     def complete_arrays(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """(orders, weights) arrays for a complete profile; error otherwise."""
+        """(orders, weights) arrays for a complete profile; error otherwise.
+
+        Identical orders are merged: each distinct order appears once, in
+        first-seen order, weighted by the sum of its ballots' weights.  Every
+        rule tallies linearly in weight and ignores ballot order, so the
+        merged arrays elect exactly as the ballots do.  They are computed
+        once per profile.
+        """
         if not self.is_complete:
             raise InvalidProfile("operation requires a complete profile")
-        orders = tuple(b.order for b in self.ballots)  # type: ignore[union-attr]
-        weights = tuple(b.weight for b in self.ballots)
-        return orders, weights
+        return self._merged_arrays
+
+    @cached_property
+    def _merged_arrays(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        merged: dict[tuple[int, ...], int] = {}
+        for b in self.ballots:
+            merged[b.order] = merged.get(b.order, 0) + b.weight  # type: ignore[union-attr]
+        return tuple(merged), tuple(merged.values())
 
 
 def candidates_from_labels(labels: Sequence[str]) -> tuple[Candidate, ...]:

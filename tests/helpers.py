@@ -52,6 +52,15 @@ def counts_of(orders: Sequence[Order], weights: Sequence[int], m: int) -> list[l
     return counts
 
 
+def raw_arrays(profile: Profile) -> tuple[tuple[Order, ...], tuple[int, ...]]:
+    """(orders, weights) of a complete profile, one entry per ballot, unmerged."""
+    assert profile.is_complete
+    return (
+        tuple(b.order for b in profile.ballots),
+        tuple(b.weight for b in profile.ballots),
+    )
+
+
 def condorcet_of(completion: Profile) -> int | None:
     """Candidate id beating every rival by strict majority, or None."""
     orders, weights = completion.complete_arrays()

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from votelab import TieBreak, parse_profile, parse_rule, winner
+from votelab import ReductionReport, TieBreak, parse_profile, parse_rule, winner
 from votelab.cli import main
 
 from helpers import condorcet_of
@@ -269,6 +269,34 @@ class TestReductionVerbs:
             "checked: 18",
             "failures: 0",
             "biconditional: holds",
+        ]
+
+    def test_failed_biconditional_exits_5(self, capsys, monkeypatch):
+        def broken(kind, p, *, cap):
+            return ReductionReport(kind, p.numbers, True, True, holds=kind != "cup-manip")
+
+        monkeypatch.setattr("votelab.cli.verify_reduction", broken)
+        code, out, _ = run(capsys, "verify-reduction", "--kind", "all", "--bag", "1,1")
+        assert code == 5
+        lines = out.splitlines()
+        assert len(lines) == 20
+        assert lines.count("biconditional: fails") == 1
+        assert lines[lines.index("kind: cup-manip") + 4] == "biconditional: fails"
+
+        code, out, err = run(
+            capsys, "verify-reduction", "--kind", "cup-manip", "--max-n", "2", "--max-v", "2"
+        )
+        assert code == 5
+        assert out.splitlines() == [
+            "kind: cup-manip",
+            "checked: 3",
+            "failures: 3",
+            "biconditional: fails",
+        ]
+        assert err.splitlines() == [
+            "# fails: cup-manip bag 2",
+            "# fails: cup-manip bag 1 1",
+            "# fails: cup-manip bag 2 2",
         ]
 
     def test_bag_and_sweep_are_exclusive(self, capsys):

@@ -193,6 +193,22 @@ class TestReduction:
         assert query.r == 0
         assert query.tb == TieBreak.favor(0)
 
+    def test_cap_bounds_the_unit_ballots(self, monkeypatch):
+        locked = PartialBallot({(0, 1)}, 2, locked={(0, 1)})
+        p = Profile(cands(3), (locked, vote((2, 1, 0), 3)))
+        inst = ManipulationInstance(plurality(), 0, p)
+        dist, _ = reduction_from_preference_manipulation(inst, cap=15)
+        assert sum(len(profile.ballots) for profile, _ in dist.scenarios) == 15
+
+        def unexpected(*args):
+            raise AssertionError("unit ballots built past the cap")
+
+        monkeypatch.setattr("votelab.evaluation._unit_split", unexpected)
+        # 3 scenarios fit a cap of 14; their 3 * 5 unit ballots do not
+        with pytest.raises(CapExceeded) as exc:
+            reduction_from_preference_manipulation(inst, cap=14)
+        assert exc.value.estimate == 15
+
     def test_query_decides_exactly_like_the_search(self):
         rng = random.Random(107)
         agree = {True: 0, False: 0}

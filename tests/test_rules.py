@@ -33,7 +33,7 @@ from votelab import (
     veto,
     winner,
 )
-from votelab.rules import pairwise_counts, sign_matrix
+from votelab.rules import _achievable_ids, pairwise_counts, sign_matrix
 
 import helpers as H
 from helpers import cands, vote
@@ -352,16 +352,46 @@ class TestRuleValidationAtCall:
         st.tuples(st.permutations(range(3)).map(tuple), st.integers(1, 5)),
         min_size=1,
         max_size=4,
-    )
+    ),
+    st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=4),
+    st.permutations(range(3)),
 )
 @settings(deadline=None, max_examples=150)
-def test_winner_is_always_achievable(entries):
-    ballots = tuple(vote(o, w) for o, w in entries)
-    p = Profile(cands(3), ballots, strict_odd=False)
-    for rule in (plurality(), borda(), Copeland(), Copeland2(), Stv(), Runoff()):
+def test_winner_is_always_achievable(entries, repeats, perm):
+    # Repeats duplicate an order, either as the very same ballot object or as
+    # an equal fresh one; the merged tally must elect as the raw ballots do.
+    ballots = [vote(o, w) for o, w in entries]
+    for idx, shared in repeats:
+        ballot = ballots[idx % len(entries)]
+        ballots.append(ballot if shared else vote(ballot.order, ballot.weight))
+    p = Profile(cands(3), tuple(ballots), strict_odd=False)
+    orders, weights = H.raw_arrays(p)
+    total = sum(weights)
+    left, right, bye = perm
+    rules = (
+        plurality(),
+        veto(),
+        borda(),
+        Scoring(vector=(5, 2, 0)),
+        Copeland(),
+        Copeland2(),
+        Runoff(),
+        Stv(),
+        Cup(((left, right), bye)),
+        Hybrid(Pairing(((left, right),), bye=bye)),
+    )
+    for rule in rules:
+        branched = _achievable_ids(rule, orders, weights, 3, total, branch=True)
+        lex = _achievable_ids(rule, orders, weights, 3, total, branch=False)
         possible = achievable_winners(rule, p)
+        assert {w.id for w in possible} == branched, rule
         assert winner(rule, p) in possible
+        assert winner(rule, p).id == min(lex), rule
         for c in range(3):
             favored = winner(rule, p, TieBreak.favor(c))
             assert favored in possible
             assert (favored.id == c) == (p.candidates[c] in possible)
+            assert favored.id == (c if c in branched else min(branched)), rule
+            rest = branched - {c}
+            against = winner(rule, p, TieBreak.against(c))
+            assert against.id == (min(rest) if rest else c), rule

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votelab import (
     Axis,
+    InvalidDistribution,
     InvalidProfile,
     PartialBallot,
     Profile,
@@ -188,3 +191,55 @@ vote w=3 B>A
         text = "candidates: A B\nscenario p=1\nvote w=1 A>B\naxis: A B\n"
         bare = "candidates: A B\nscenario p=1\nvote w=1 A>B\n"
         assert parse_distribution(text) == parse_distribution(bare)
+
+
+# Token soup for the fuzz test: directive keywords, labels, weights and
+# probabilities (zero, negative, huge, junk), pair lists, comments, newlines.
+_KEYWORDS = st.sampled_from(
+    ["candidates:", "vote", "partial", "unknown", "axis:", "scenario", "#"]
+)
+_LABELS = st.sampled_from(["A", "B", "C", "Z", ""])
+_NUMBERS = st.sampled_from(
+    ["0", "1", "2", "3", "-1", "-4", str(2**63 - 1), str(2**63), str(2**70),
+     "1/2", "2/3", "1/0", "-1/2", "0.5", "1e3", "x", "", "=", "1=2"]
+)
+_PAIRS = st.lists(st.tuples(_LABELS, _LABELS).map(">".join), max_size=3).map(",".join)
+_TOKENS = st.one_of(
+    _KEYWORDS,
+    st.sampled_from(["\n", "\n\n"]),
+    _LABELS,
+    _NUMBERS.map("w=".__add__),
+    _NUMBERS.map("p=".__add__),
+    _PAIRS,
+    _PAIRS.map("pairs=".__add__),
+    _PAIRS.map("locked=".__add__),
+    st.lists(_LABELS, min_size=1, max_size=4).map(">".join),
+)
+_ORDERS = st.permutations(["A", "B", "C"]).map(">".join)
+# Besides free soup, lines take the shape of a directive with fuzzed values,
+# so that many texts parse far enough to reach profile and distribution
+# validation.
+_LINES = st.one_of(
+    st.lists(_TOKENS, max_size=6).map(" ".join),
+    st.tuples(_KEYWORDS, st.lists(_TOKENS, max_size=3)).map(lambda t: " ".join([t[0], *t[1]])),
+    st.builds("vote w={} {}".format, _NUMBERS, _ORDERS),
+    st.builds("partial w={} pairs={} locked={}".format, _NUMBERS, _PAIRS, _PAIRS),
+    st.builds("unknown w={}".format, _NUMBERS),
+    st.builds("scenario p={}".format, _NUMBERS),
+)
+
+
+@given(
+    st.sampled_from(["", "candidates: A B C\n", "candidates: A B C\nscenario p=1\n"]),
+    st.lists(_LINES, max_size=8),
+    st.booleans(),
+)
+@settings(deadline=None, max_examples=400)
+def test_parsers_fail_only_with_library_errors(header, lines, strict_odd):
+    """Any text parses, or fails with a library error and nothing else."""
+    text = header + "\n".join(lines)
+    for parse in (parse_profile, parse_distribution):
+        try:
+            parse(text, strict_odd=strict_odd)
+        except (ProfileParseError, InvalidProfile, InvalidDistribution):
+            pass
