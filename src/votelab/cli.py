@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
 
@@ -27,11 +26,8 @@ from .constructions import (
 from .elicitation import (
     coarse_elicitation_over,
     condorcet_winner_fixed,
-    cup3_fine_over,
-    cup_single_peaked_over,
     fine_elicitation_over,
     fine_sp_elicitation_over,
-    hybrid_coarse_over,
     possible_winners,
 )
 from .errors import (
@@ -42,7 +38,7 @@ from .errors import (
     ProfileParseError,
     VotelabError,
 )
-from .evaluation import EvaluationQuery, evaluate, win_probability
+from .evaluation import EvaluationQuery, win_probability
 from .manipulation import (
     ManipulationInstance,
     coalition_manipulate,
@@ -50,8 +46,8 @@ from .manipulation import (
     preference_manipulate,
 )
 from .profiles import Axis, Candidate, Profile, WeightedBallot
-from .rules import Copeland, Cup, Hybrid, TieBreak, format_agenda, parse_rule, winner
-from .textio import format_profile, parse_distribution, parse_profile
+from .rules import Copeland, TieBreak, format_agenda, parse_rule, winner
+from .textio import format_profile, parse_distribution, parse_profile, parse_rational
 
 
 def _read_text(path: str) -> str:
@@ -101,22 +97,14 @@ def cmd_winner(args: argparse.Namespace) -> int:
 def cmd_coarse_over(args: argparse.Namespace) -> int:
     profile, _ = _load_profile(args)
     rule = parse_rule(args.rule, profile.candidates)
-    if isinstance(rule, Hybrid):
-        result = hybrid_coarse_over(rule.pairing, profile)
-    else:
-        result = coarse_elicitation_over(rule, profile, cap=args.cap)
-    _answer(result)
+    _answer(coarse_elicitation_over(rule, profile, cap=args.cap))
     return 0
 
 
 def cmd_fine_over(args: argparse.Namespace) -> int:
     profile, _ = _load_profile(args)
     rule = parse_rule(args.rule, profile.candidates)
-    if isinstance(rule, Cup) and profile.m <= 3:
-        result = cup3_fine_over(rule.agenda, profile)
-    else:
-        result = fine_elicitation_over(rule, profile, cap=args.cap)
-    _answer(result)
+    _answer(fine_elicitation_over(rule, profile, cap=args.cap))
     return 0
 
 
@@ -125,11 +113,7 @@ def cmd_fine_sp_over(args: argparse.Namespace) -> int:
     if axis is None:
         raise ProfileParseError("the profile file must carry an axis: line")
     rule = parse_rule(args.rule, profile.candidates)
-    if isinstance(rule, Cup):
-        result = cup_single_peaked_over(profile, axis)
-    else:
-        result = fine_sp_elicitation_over(rule, profile, axis, cap=args.cap)
-    _answer(result)
+    _answer(fine_sp_elicitation_over(rule, profile, axis, cap=args.cap))
     return 0
 
 
@@ -222,12 +206,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     rule = parse_rule(args.rule, cands)
     tb = _parse_tb(args.tb, by_label)
     try:
-        threshold = Fraction(args.r)
+        threshold = parse_rational(args.r)
     except (ValueError, ZeroDivisionError):
         raise ProfileParseError(f"bad threshold {args.r!r}; expected a rational like 1/2")
     query = EvaluationQuery(target=target, r=threshold, rule=rule, tb=tb)
-    _answer(evaluate(dist, query))
-    print(f"probability: {win_probability(dist, rule, target, tb)}")
+    probability = win_probability(dist, rule, target, tb)
+    _answer(probability > query.r)
+    print(f"probability: {probability}")
     return 0
 
 

@@ -10,14 +10,19 @@ pool is one group of unit agents.  This never changes the set of reachable
 elections, only how often each is visited, so decision procedures built on
 the stream are unaffected.  The completion cap is checked against the
 merged count before enumeration begins; nothing is ever truncated.
+
+``search`` is the one completion-search loop: it scores every joint
+completion with the rule and yields the winners it can reach.  Possible
+winners, elicitation and both manipulation models differ only in when they
+stop it, and in which ballots they leave free (``fixed_view``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .errors import CapExceeded, NotCompletableSP
 from .profiles import (
@@ -31,6 +36,7 @@ from .profiles import (
     single_peaked_extensions,
     single_peaked_orders,
 )
+from .rules import Rule, _achievable_ids
 
 Order = tuple[int, ...]
 
@@ -178,24 +184,13 @@ def iter_assignments(
     return walk(0)
 
 
-def fixed_arrays(profile: Profile) -> tuple[tuple[Order, ...], tuple[int, ...]]:
-    """(orders, weights) of the profile's complete ballots."""
-    orders = []
-    weights = []
-    for ballot in profile.ballots:
-        if isinstance(ballot, WeightedBallot):
-            orders.append(ballot.order)
-            weights.append(ballot.weight)
-    return tuple(orders), tuple(weights)
-
-
 def completed_arrays(
     profile: Profile,
     groups: Sequence[OptionGroup],
     assignment: Sequence[tuple[Order, ...]],
 ) -> tuple[tuple[Order, ...], tuple[int, ...]]:
     """Assemble the full (orders, weights) arrays of one joint completion."""
-    orders, weights = fixed_arrays(profile)
+    orders, weights = profile.fixed_arrays
     orders_list = list(orders)
     weights_list = list(weights)
     for group, combo in zip(groups, assignment):
@@ -203,6 +198,49 @@ def completed_arrays(
             orders_list.append(order)
             weights_list.append(group.weight)
     return tuple(orders_list), tuple(weights_list)
+
+
+def search(
+    rule: Rule,
+    profile: Profile,
+    groups: Sequence[OptionGroup],
+    cap: int | None,
+    stv_branch_bound: int,
+) -> Iterator[tuple[tuple[tuple[Order, ...], ...], frozenset[int]]]:
+    """Yield (assignment, achievable winner ids) for every joint completion.
+
+    Raises CapExceeded before the first item when the merged space is larger
+    than ``cap``.  Callers stop the stream as soon as they have their answer.
+    """
+    check_cap(groups, cap)
+    m = profile.m
+    total = profile.total_weight
+    for assignment in iter_assignments(groups):
+        orders, weights = completed_arrays(profile, groups, assignment)
+        yield assignment, _achievable_ids(
+            rule, orders, weights, m, total, stv_branch_bound=stv_branch_bound
+        )
+
+
+def fixed_view(profile: Profile, free: Collection[int] = ()) -> Profile:
+    """The profile with the ballots at ``free`` indices blanked to full
+    freedom and every other total partial ballot cast as its order.
+
+    Completions and winners are unchanged, and the view's ``fixed_arrays``
+    cover every total ballot outside ``free``.  Returns the profile itself
+    when nothing changes.
+    """
+    m = profile.m
+    ballots = []
+    for idx, ballot in enumerate(profile.ballots):
+        if idx in free:
+            ballot = PartialBallot(frozenset(), ballot.weight)
+        elif isinstance(ballot, PartialBallot) and ballot.is_total(m):
+            ballot = WeightedBallot(ballot.to_order(m), ballot.weight)
+        ballots.append(ballot)
+    if all(new is old for new, old in zip(ballots, profile.ballots)):
+        return profile
+    return replace(profile, ballots=tuple(ballots))
 
 
 def completed_profile(

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .completions import (
-    OptionGroup,
-    check_cap,
-    completed_arrays,
-    completion_groups,
-    fixed_arrays,
-    iter_assignments,
-)
+from .completions import OptionGroup, completion_groups, fixed_view, search
 from .errors import CapExceeded, InvalidProfile, ModelMismatch
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
@@ -43,7 +36,6 @@ from .rules import (
     Hybrid,
     Pairing,
     Rule,
-    _achievable_ids,
     _argmax_set,
     _top_tallies,
     copeland2_keys_from_sign,
@@ -99,8 +91,7 @@ def _pairwise_possible_ids(
     """
     m = profile.m
     total = profile.total_weight
-    base_orders, base_weights = fixed_arrays(profile)
-    base = pairwise_counts(base_orders, base_weights, m)
+    base = pairwise_counts(*profile.fixed_arrays, m)
 
     all_pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     group_pos = [
@@ -195,14 +186,9 @@ def _possible_ids(
     groups = completion_groups(profile, axis=axis, cap=cap)
     if isinstance(rule, (Cup, Copeland, Copeland2)):
         return _pairwise_possible_ids(rule, profile, groups, cap, stop_at)
-    check_cap(groups, cap)
-    total = profile.total_weight
     found: set[int] = set()
-    for assignment in iter_assignments(groups):
-        orders, weights = completed_arrays(profile, groups, assignment)
-        found |= _achievable_ids(
-            rule, orders, weights, m, total, stv_branch_bound=stv_branch_bound
-        )
+    for _, ids in search(rule, profile, groups, cap, stv_branch_bound):
+        found |= ids
         if len(found) == m or (stop_at is not None and len(found) >= stop_at):
             break
     return frozenset(found)
@@ -234,22 +220,30 @@ def fine_elicitation_over(
     """True iff every joint completion of the profile elects one candidate.
 
     Accepts any mix of complete ballots, partial ballots and wholly unknown
-    weight.  The search stops as soon as two distinct possible winners are
-    seen.
+    weight.  A cup over at most 3 candidates is answered by the polynomial
+    ``cup3_fine_over``; otherwise the search stops as soon as two distinct
+    possible winners are seen.
     """
+    if isinstance(rule, Cup) and profile.m <= 3:
+        return cup3_fine_over(rule.agenda, profile)
     ids = _possible_ids(
         rule, profile, cap=cap, stop_at=2, stv_branch_bound=stv_branch_bound
     )
     return len(ids) == 1
 
 
-def _require_whole_ballot_model(profile: Profile) -> None:
+def _require_whole_ballot_model(profile: Profile) -> Profile:
+    """The profile with every cast ballot as a ``WeightedBallot``.
+
+    Raises ModelMismatch if a cast ballot is genuinely partial.
+    """
     for ballot in profile.ballots:
         if isinstance(ballot, PartialBallot) and not ballot.is_total(profile.m):
             raise ModelMismatch(
                 "whole-ballot elicitation requires every cast ballot to be a "
                 "total order; found a genuinely partial ballot"
             )
+    return fixed_view(profile)
 
 
 def coarse_elicitation_over(
@@ -263,11 +257,13 @@ def coarse_elicitation_over(
 
     The profile's only uncertainty may be wholly unknown agents
     (``unknown_weight``); a partial ballot that is not a total order raises
-    ModelMismatch.
+    ModelMismatch.  A hybrid rule is answered by the polynomial
+    ``hybrid_coarse_over``.
     """
-    _require_whole_ballot_model(profile)
+    if isinstance(rule, Hybrid):
+        return hybrid_coarse_over(rule.pairing, profile)
     return fine_elicitation_over(
-        rule, profile, cap=cap, stv_branch_bound=stv_branch_bound
+        rule, _require_whole_ballot_model(profile), cap=cap, stv_branch_bound=stv_branch_bound
     )
 
 
@@ -354,8 +350,7 @@ def cup3_fine_over(agenda: Agenda, profile: Profile) -> bool:
     group_pos = [
         [_positions(order, m) for order in group.options] for group in groups
     ]
-    base_orders, base_weights = fixed_arrays(profile)
-    base = pairwise_counts(base_orders, base_weights, m)
+    base = pairwise_counts(*profile.fixed_arrays, m)
     total = profile.total_weight
     need = (total + 1) // 2
 
@@ -446,7 +441,12 @@ def fine_sp_elicitation_over(
 
     Raises NotCompletableSP if some ballot admits no single-peaked
     completion (including complete ballots that already violate the axis).
+    A cup with odd total weight is answered by the polynomial
+    ``cup_single_peaked_over``.
     """
+    if isinstance(rule, Cup) and profile.total_weight % 2:
+        validate_rule_for(rule, profile.m)
+        return cup_single_peaked_over(profile, axis)
     ids = _possible_ids(
         rule,
         profile,
@@ -519,14 +519,14 @@ def hybrid_coarse_over(pairing: Pairing, profile: Profile) -> bool:
     unknown weight closes every tally gap.  Over iff one possible winner
     remains.  Raises ModelMismatch if a cast ballot is genuinely partial.
     """
-    _require_whole_ballot_model(profile)
+    profile = _require_whole_ballot_model(profile)
     m = profile.m
     validate_rule_for(Hybrid(pairing), m)
     if m == 1:
         return True
     unknown = profile.unknown_weight
     total = profile.total_weight
-    cast_orders, cast_weights = _cast_arrays(profile)
+    cast_orders, cast_weights = profile.fixed_arrays
     counts = pairwise_counts(cast_orders, cast_weights, m)
 
     choices: list[tuple[int, ...]] = []
@@ -550,16 +550,3 @@ def hybrid_coarse_over(pairing: Pairing, profile: Profile) -> bool:
             return False
     return len(found) == 1
 
-
-def _cast_arrays(profile: Profile) -> tuple[tuple, tuple]:
-    """(orders, weights) of all cast ballots, completing total partials."""
-    orders = []
-    weights = []
-    m = profile.m
-    for ballot in profile.ballots:
-        if isinstance(ballot, PartialBallot):
-            orders.append(ballot.to_order(m))
-        else:
-            orders.append(ballot.order)
-        weights.append(ballot.weight)
-    return tuple(orders), tuple(weights)

@@ -49,6 +49,12 @@ def _as_probability(p) -> Fraction:
     return frac
 
 
+def _brief(frac: Fraction) -> str:
+    """The rational as text, or its size when it is too long to print."""
+    bits = abs(frac.numerator).bit_length() + frac.denominator.bit_length()
+    return str(frac) if bits <= 256 else f"a rational of {bits} bits"
+
+
 @dataclass(frozen=True)
 class ScenarioDistribution:
     """Complete profiles with exact probabilities summing to one."""
@@ -62,7 +68,7 @@ class ScenarioDistribution:
         for profile, p in self.scenarios:
             frac = _as_probability(p)
             if frac <= 0:
-                raise InvalidDistribution(f"probability {frac} is not positive")
+                raise InvalidDistribution(f"probability {_brief(frac)} is not positive")
             if not profile.is_complete:
                 raise InvalidDistribution("scenario profiles must be complete")
             normalized.append((profile, frac))
@@ -75,7 +81,7 @@ class ScenarioDistribution:
                 raise InvalidDistribution("scenarios disagree on the total weight")
         mass = sum(p for _, p in self.scenarios)
         if mass != 1:
-            raise InvalidDistribution(f"probabilities sum to {mass}, not 1")
+            raise InvalidDistribution(f"probabilities sum to {_brief(mass)}, not 1")
 
     @property
     def candidates(self) -> tuple[Candidate, ...]:
@@ -95,7 +101,7 @@ class EvaluationQuery:
         r = _as_probability(self.r)
         object.__setattr__(self, "r", r)
         if not 0 <= r <= 1:
-            raise InvalidDistribution(f"threshold {r} is outside [0, 1]")
+            raise InvalidDistribution(f"threshold {_brief(r)} is outside [0, 1]")
 
 
 def win_probability(
@@ -217,7 +223,7 @@ def product_distribution(
             raise InvalidDistribution("an agent's marginal cannot be empty")
         mass = sum(_as_probability(p) for _, p in marginal)
         if mass != 1:
-            raise InvalidDistribution(f"an agent's marginal sums to {mass}, not 1")
+            raise InvalidDistribution(f"an agent's marginal sums to {_brief(mass)}, not 1")
         size *= len(marginal)
     if cap is not None and size > cap:
         raise CapExceeded(

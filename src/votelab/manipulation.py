@@ -13,14 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .completions import (
-    check_cap,
-    completed_arrays,
-    completed_profile,
-    completion_groups,
-    fixed_arrays,
-    iter_assignments,
-)
+from .completions import completed_profile, completion_groups, fixed_view, search
 from .errors import InvalidInstance, ModelMismatch
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
@@ -33,7 +26,6 @@ from .rules import (
     Agenda,
     Cup,
     Rule,
-    _achievable_ids,
     pairwise_counts,
     validate_rule_for,
 )
@@ -91,7 +83,12 @@ class ManipulationInstance:
         return self.coalition is not None
 
 
-def _require_coalition(inst: ManipulationInstance) -> None:
+def _probe_profile(inst: ManipulationInstance) -> Profile:
+    """Check the coalition model; the profile with coalition ballots blanked.
+
+    Outside the coalition every ballot of the probe is a ``WeightedBallot``,
+    so its ``fixed_arrays`` are the fixed side of the election.
+    """
     if not inst.is_coalition:
         raise ModelMismatch("this operation needs a coalition-model instance")
     if inst.profile.unknown_weight:
@@ -108,33 +105,7 @@ def _require_coalition(inst: ManipulationInstance) -> None:
                 f"non-coalition ballot {idx} is partial; outside the "
                 "coalition every vote must be a total order"
             )
-
-
-def _fixed_side(profile: Profile, coalition: frozenset[int]) -> tuple[tuple, tuple]:
-    """(orders, weights) of the non-coalition ballots."""
-    m = profile.m
-    orders = []
-    weights = []
-    for idx, ballot in enumerate(profile.ballots):
-        if idx in coalition:
-            continue
-        order = ballot.to_order(m) if isinstance(ballot, PartialBallot) else ballot.order
-        orders.append(order)
-        weights.append(ballot.weight)
-    return tuple(orders), tuple(weights)
-
-
-def _probe_profile(profile: Profile, coalition: frozenset[int]) -> Profile:
-    """The profile with every coalition ballot blanked to full freedom."""
-    ballots = list(profile.ballots)
-    for idx in coalition:
-        ballots[idx] = PartialBallot(frozenset(), profile.ballots[idx].weight)
-    return Profile(
-        candidates=profile.candidates,
-        ballots=tuple(ballots),
-        unknown_weight=0,
-        strict_odd=profile.strict_odd,
-    )
+    return fixed_view(inst.profile, inst.coalition)
 
 
 # ---------------------------------------------------------------------------
@@ -154,43 +125,30 @@ def coalition_manipulate(
     target.  Cup elections use a polynomial bracket argument; other rules
     search the coalition's joint ballot space (guarded by ``cap``).
     """
-    _require_coalition(inst)
-    profile = inst.profile
-    m = profile.m
-    validate_rule_for(inst.rule, m)
+    probe = _probe_profile(inst)
+    validate_rule_for(inst.rule, probe.m)
     target = inst.target.id
-    coalition = inst.coalition
 
     if isinstance(inst.rule, Cup):
-        order = _cup_coalition_order(inst.rule.agenda, profile, coalition, target)
-        return None if order is None else {idx: order for idx in sorted(coalition)}
+        order = _cup_coalition_order(inst.rule.agenda, probe, inst.coalition, target)
+        return None if order is None else {idx: order for idx in sorted(inst.coalition)}
 
-    probe = _probe_profile(profile, coalition)
     groups = completion_groups(
-        probe,
-        locked_only=True,
-        option_key=lambda order: (order.index(target), order),
-        cap=cap,
+        probe, option_key=lambda order: (order.index(target), order), cap=cap
     )
-    check_cap(groups, cap)
-    total = probe.total_weight
-    for assignment in iter_assignments(groups):
-        orders, weights = completed_arrays(probe, groups, assignment)
-        ids = _achievable_ids(
-            inst.rule, orders, weights, m, total, stv_branch_bound=stv_branch_bound
-        )
+    for assignment, ids in search(inst.rule, probe, groups, cap, stv_branch_bound):
         if target in ids:
-            out: dict[int, Order] = {}
-            for group, combo in zip(groups, assignment):
-                for idx, order in zip(group.indices, combo):
-                    out[idx] = order
-            return out
+            return {
+                idx: order
+                for group, combo in zip(groups, assignment)
+                for idx, order in zip(group.indices, combo)
+            }
     return None
 
 
 def _cup_coalition_order(
     agenda: Agenda,
-    profile: Profile,
+    probe: Profile,
     coalition: frozenset[int],
     target: int,
 ) -> Order | None:
@@ -203,11 +161,10 @@ def _cup_coalition_order(
     order listing conquerors before conquered realizes every needed boost
     simultaneously, and all coalition members can cast it identically.
     """
-    m = profile.m
-    coalition_weight = sum(profile.ballots[i].weight for i in coalition)
-    orders, weights = _fixed_side(profile, coalition)
-    counts = pairwise_counts(orders, weights, m)
-    total = profile.total_weight
+    m = probe.m
+    coalition_weight = sum(probe.ballots[i].weight for i in coalition)
+    counts = pairwise_counts(*probe.fixed_arrays, m)
+    total = probe.total_weight
 
     witness: dict[tuple, dict[int, tuple[int, int]]] = {}
 
@@ -263,14 +220,12 @@ def condorcet_coalition_manipulate(
     whole coalition weight strictly beats half the total against every
     rival.  Returned orders place the target first, the rest by id.
     """
-    _require_coalition(inst)
-    profile = inst.profile
-    m = profile.m
+    probe = _probe_profile(inst)
+    m = probe.m
     target = inst.target.id
-    coalition_weight = sum(profile.ballots[i].weight for i in inst.coalition)
-    orders, weights = _fixed_side(profile, inst.coalition)
-    counts = pairwise_counts(orders, weights, m)
-    total = profile.total_weight
+    coalition_weight = sum(probe.ballots[i].weight for i in inst.coalition)
+    counts = pairwise_counts(*probe.fixed_arrays, m)
+    total = probe.total_weight
     for j in range(m):
         if j != target and 2 * (counts[target][j] + coalition_weight) <= total:
             return None
@@ -308,13 +263,7 @@ def preference_manipulate(
         option_key=lambda order: (order.index(target), order),
         cap=cap,
     )
-    check_cap(groups, cap)
-    total = profile.total_weight
-    for assignment in iter_assignments(groups):
-        orders, weights = completed_arrays(profile, groups, assignment)
-        ids = _achievable_ids(
-            inst.rule, orders, weights, m, total, stv_branch_bound=stv_branch_bound
-        )
+    for assignment, ids in search(inst.rule, profile, groups, cap, stv_branch_bound):
         if target in ids:
             return completed_profile(profile, groups, assignment)
     return None

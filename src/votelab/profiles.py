@@ -254,20 +254,28 @@ class Profile:
     def complete_arrays(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """(orders, weights) arrays for a complete profile; error otherwise.
 
-        Identical orders are merged: each distinct order appears once, in
-        first-seen order, weighted by the sum of its ballots' weights.  Every
-        rule tallies linearly in weight and ignores ballot order, so the
-        merged arrays elect exactly as the ballots do.  They are computed
-        once per profile.
+        The same arrays as ``fixed_arrays``, which for a complete profile
+        cover every ballot.
         """
         if not self.is_complete:
             raise InvalidProfile("operation requires a complete profile")
-        return self._merged_arrays
+        return self.fixed_arrays
 
     @cached_property
-    def _merged_arrays(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    def fixed_arrays(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """(orders, weights) of the complete (``WeightedBallot``) ballots.
+
+        Identical orders are merged: each distinct order appears once, in
+        first-seen order, weighted by the sum of its ballots' weights.  Every
+        rule tallies linearly in weight and ignores ballot order, so the
+        merged arrays elect exactly as the ballots do.  Partial ballots and
+        unknown weight are left out.
+        """
+        ballots = self.ballots if self.is_complete else [
+            b for b in self.ballots if isinstance(b, WeightedBallot)
+        ]
         merged: dict[tuple[int, ...], int] = {}
-        for b in self.ballots:
+        for b in ballots:
             merged[b.order] = merged.get(b.order, 0) + b.weight  # type: ignore[union-attr]
         return tuple(merged), tuple(merged.values())
 

@@ -234,6 +234,18 @@ def format_profile(profile: Profile, axis: Axis | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_rational(text: str) -> Fraction:
+    """An exact rational written as an integer, ``a/b`` or a decimal.
+
+    Exponent notation is refused, because ``Fraction`` expands it in full:
+    ``1e999999999`` would build a billion-digit integer.  Bad syntax raises
+    ValueError or ZeroDivisionError, as ``Fraction`` does.
+    """
+    if "e" in text.lower():
+        raise ValueError(f"exponent notation in {text!r}")
+    return Fraction(text)
+
+
 def parse_distribution(text: str, *, strict_odd: bool = True) -> ScenarioDistribution:
     """Parse a scenario distribution: shared candidates, scenario blocks."""
     lines = _content_lines(text)
@@ -267,7 +279,7 @@ def parse_distribution(text: str, *, strict_odd: bool = True) -> ScenarioDistrib
                 _fail(line_no, "expected: scenario p=<rational>")
             close_block()
             try:
-                prob = Fraction(tokens[1][2:])
+                prob = parse_rational(tokens[1][2:])
             except (ValueError, ZeroDivisionError):
                 _fail(line_no, f"bad probability {tokens[1][2:]!r}")
             builder = _ProfileBuilder()

@@ -160,16 +160,31 @@ def brute_condorcet_classify(profile: Profile) -> tuple[str, int | None]:
     return ("false", None) if only is None else ("true", only)
 
 
+def cast_ballots(profile: Profile) -> list:
+    """The ballots with every total partial ballot read as its order."""
+    m = profile.m
+    return [
+        WeightedBallot(b.to_order(m), b.weight)
+        if isinstance(b, PartialBallot) and b.is_total(m)
+        else b
+        for b in profile.ballots
+    ]
+
+
 def brute_coalition_possible(
     rule: Rule, profile: Profile, coalition: Sequence[int], target: int
 ) -> bool:
-    """Can the coalition elect the target under ties in its favour?"""
+    """Can the coalition elect the target under ties in its favour?
+
+    Ballots outside the coalition must be total; a partial one is read as
+    its order.
+    """
     m = profile.m
     indices = sorted(coalition)
     perms = sorted(permutations(range(m)))
     tb = TieBreak.favor(target)
     for combo in product(perms, repeat=len(indices)):
-        ballots = list(profile.ballots)
+        ballots = cast_ballots(profile)
         for idx, order in zip(indices, combo):
             ballots[idx] = WeightedBallot(order, profile.ballots[idx].weight)
         trial = Profile(

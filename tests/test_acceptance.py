@@ -27,6 +27,7 @@ from votelab import (
     WeightedBallot,
     achievable_winners,
     borda,
+    coarse_elicitation_over,
     condorcet_coalition_manipulate,
     condorcet_winner_fixed,
     cup3_fine_over,
@@ -99,7 +100,9 @@ def test_criterion_02_cup3_fine_termination_matches_brute_force():
             ballots.append(vote(H.rand_order(rng, 3), 1))
         p = Profile(cands(3), tuple(ballots), unknown_weight=unknown)
         agenda = H.rand_agenda(rng, range(3))
-        assert cup3_fine_over(agenda, p) == H.brute_fine_over(Cup(agenda), p)
+        expected = H.brute_fine_over(Cup(agenda), p)
+        assert cup3_fine_over(agenda, p) == expected
+        assert fine_elicitation_over(Cup(agenda), p) == expected
 
 
 def test_criterion_03_condorcet_fixedness_matches_brute_force():
@@ -179,7 +182,9 @@ def test_criterion_06_hybrid_coarse_termination_matches_brute_force():
         if total == 0 or total % 2 == 0:
             ballots.append(vote(H.rand_order(rng, m), 1 + total % 2))
         p = Profile(cands(m), tuple(ballots), unknown_weight=unknown)
-        assert hybrid_coarse_over(pairing, p) == H.brute_fine_over(Hybrid(pairing), p)
+        expected = H.brute_fine_over(Hybrid(pairing), p)
+        assert hybrid_coarse_over(pairing, p) == expected
+        assert coarse_elicitation_over(Hybrid(pairing), p) == expected
 
 
 def _check_witness(inst, witness):

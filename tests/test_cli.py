@@ -105,6 +105,20 @@ class TestElicitationVerbs:
         assert code == 0
         assert out == "answer: true\n"  # median peak pinned at B whatever the rest
 
+    def test_fine_sp_over_cup_even_total_takes_the_general_path(self, capsys, write):
+        # the median-peak shortcut needs an odd total; the search does not
+        path = write("candidates: A B C\naxis: A B C\nvote w=1 B>A>C\npartial w=1\n")
+        code, out, err = run(
+            capsys, "fine-sp-over", path, "--rule", "cup:((A,B),C)", "--no-strict-odd"
+        )
+        assert (code, out, err) == (0, "answer: false\n", "")
+
+    def test_fine_sp_over_cup_agenda_must_cover_the_candidates(self, capsys, write):
+        path = write("candidates: A B C\naxis: A B C\nvote w=3 B>A>C\npartial w=2\n")
+        code, out, err = run(capsys, "fine-sp-over", path, "--rule", "cup:(A,B)")
+        assert (code, out) == (2, "")
+        assert "agenda must cover" in err
+
     def test_condorcet_fixed_statuses(self, capsys, write):
         cases = [
             ("candidates: A B C\nvote w=1 B>A>C\n", "answer: true\nwinner: B\n"),
@@ -144,6 +158,15 @@ class TestManipulationVerbs:
             capsys,
             "manipulate-coalition", path,
             "--rule", "plurality", "--target", "B", "--coalition", "1",
+        )
+        assert (code, out) == (0, "answer: false\n")
+
+    def test_coalition_keeps_a_total_partial_ballot_outside_fixed(self, capsys, write):
+        path = write("candidates: A B\npartial w=3 pairs=B>A\nvote w=1 B>A\nvote w=1 B>A\n")
+        code, out, _ = run(
+            capsys,
+            "manipulate-coalition", path,
+            "--rule", "plurality", "--target", "A", "--coalition", "1",
         )
         assert (code, out) == (0, "answer: false\n")
 
@@ -199,10 +222,37 @@ class TestEvaluate:
         )
         assert (code, out) == (0, "answer: false\nprobability: 2/3\n")
 
+    def test_each_scenario_is_scored_once(self, capsys, write, monkeypatch):
+        import votelab.evaluation as evaluation
+
+        calls = []
+        real = evaluation.winner
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "winner", counting)
+        path = write(self.DIST, "dist.txt")
+        code, out, _ = run(
+            capsys, "evaluate", path, "--rule", "plurality", "--target", "B", "--r", "1/4"
+        )
+        assert (code, out) == (0, "answer: true\nprobability: 1/3\n")
+        assert len(calls) == 2
+
     def test_bad_threshold(self, capsys, write):
         path = write(self.DIST, "dist.txt")
         code, _, err = run(
             capsys, "evaluate", path, "--rule", "plurality", "--target", "A", "--r", "lots"
+        )
+        assert code == 2
+        assert "bad threshold" in err
+
+    def test_exponent_threshold_rejected(self, capsys, write):
+        path = write(self.DIST, "dist.txt")
+        code, _, err = run(
+            capsys, "evaluate", path, "--rule", "plurality", "--target", "A",
+            "--r", "1e999999999",
         )
         assert code == 2
         assert "bad threshold" in err

@@ -135,11 +135,20 @@ class TestCup3:
             if total == 0:
                 ballots.append(vote(H.rand_order(rng, 3), 1))
                 total = 1
-            if total % 2 == 0:
+            if total % 2 == 0 and rng.random() < 0.5:
                 ballots.append(vote(H.rand_order(rng, 3), 1))
-            p = Profile(cands(3), tuple(ballots), unknown_weight=unknown)
+            p = Profile(cands(3), tuple(ballots), unknown_weight=unknown, strict_odd=False)
             agenda = rng.choice(agendas)
-            assert cup3_fine_over(agenda, p) == H.brute_fine_over(Cup(agenda), p)
+            expected = H.brute_fine_over(Cup(agenda), p)
+            assert cup3_fine_over(agenda, p) == expected
+            assert fine_elicitation_over(Cup(agenda), p) == expected
+
+    def test_entry_point_needs_no_completion_cap(self):
+        # 41 unknown agents hold far more than 1000 merged completions
+        p = Profile(cands(3), (), unknown_weight=41)
+        with pytest.raises(CapExceeded):
+            possible_winners(Cup(((0, 1), 2)), p, cap=1000)
+        assert not fine_elicitation_over(Cup(((0, 1), 2)), p, cap=1000)
 
 
 class TestCondorcetFixed:
@@ -277,13 +286,17 @@ class TestCupSinglePeaked:
                 ballots.append(H.rand_sp_partial(rng, m, axis, rng.randint(1, 2)))
             unknown = rng.randint(0, 2)
             total = sum(b.weight for b in ballots) + unknown
-            if total == 0 or total % 2 == 0:
+            if total == 0 or (total % 2 == 0 and rng.random() < 0.7):
                 ballots.append(vote(rng.choice(sp_orders), 1 + total % 2))
-            p = Profile(cands(m), tuple(ballots), unknown_weight=unknown)
-            shortcut = cup_single_peaked_over(p, axis)
+            p = Profile(cands(m), tuple(ballots), unknown_weight=unknown, strict_odd=False)
+            shortcut = (
+                cup_single_peaked_over(p, axis) if p.total_weight % 2 else None
+            )
             for _ in range(3):
                 agenda = H.rand_agenda(rng, range(m))
-                assert shortcut == fine_sp_elicitation_over(Cup(agenda), p, axis)
+                expected = H.brute_fine_over(Cup(agenda), p, axis=axis)
+                assert fine_sp_elicitation_over(Cup(agenda), p, axis) == expected
+                assert shortcut in (None, expected)
 
 
 class TestHybridCoarse:
@@ -319,9 +332,9 @@ class TestHybridCoarse:
                 ballots.append(vote(H.rand_order(rng, m), rng.randint(1, 5)))
             unknown = rng.randint(0, unknown_limit[m])
             total = sum(b.weight for b in ballots) + unknown
-            if total == 0 or total % 2 == 0:
+            if total == 0 or (total % 2 == 0 and rng.random() < 0.5):
                 ballots.append(vote(H.rand_order(rng, m), 1 + total % 2))
-            p = Profile(cands(m), tuple(ballots), unknown_weight=unknown)
-            assert hybrid_coarse_over(pairing, p) == H.brute_fine_over(
-                Hybrid(pairing), p
-            )
+            p = Profile(cands(m), tuple(ballots), unknown_weight=unknown, strict_odd=False)
+            expected = H.brute_fine_over(Hybrid(pairing), p)
+            assert hybrid_coarse_over(pairing, p) == expected
+            assert coarse_elicitation_over(Hybrid(pairing), p) == expected

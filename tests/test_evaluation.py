@@ -52,6 +52,14 @@ class TestScenarioDistribution:
         with pytest.raises(InvalidDistribution, match="sum"):
             ScenarioDistribution(((A_WINS, Fraction(1, 2)),))
 
+    def test_unprintable_probability_is_still_a_library_error(self):
+        # 5001 digits pass Python's int-to-str limit; the message must not try
+        tiny = Fraction(1, 10**5000)
+        with pytest.raises(InvalidDistribution, match="sum"):
+            ScenarioDistribution(((A_WINS, tiny),))
+        with pytest.raises(InvalidDistribution, match="not positive"):
+            ScenarioDistribution(((A_WINS, -tiny), (B_WINS, Fraction(1))))
+
     def test_nonpositive_probability_rejected(self):
         with pytest.raises(InvalidDistribution):
             ScenarioDistribution(((A_WINS, Fraction(0)), (B_WINS, Fraction(1))))

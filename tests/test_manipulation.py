@@ -27,7 +27,7 @@ from helpers import cands, vote
 
 
 def replay_coalition(inst, assignment):
-    ballots = list(inst.profile.ballots)
+    ballots = H.cast_ballots(inst.profile)
     for idx, order in assignment.items():
         ballots[idx] = WeightedBallot(order, inst.profile.ballots[idx].weight)
     return Profile(
@@ -145,13 +145,31 @@ class TestGenericCoalition:
         inst = ManipulationInstance(plurality(), 1, p, coalition=frozenset({1}))
         assert coalition_manipulate(inst) is None
 
+    # A ballot outside the coalition stored as an unlocked total partial
+    # ballot is a known vote, not a free one.
+    SPLIT_TOTALS = (
+        PartialBallot.from_order((1, 0), 3),
+        vote((1, 0), 1),
+        vote((1, 0), 1),
+    )
+
+    def test_unlocked_total_ballot_outside_the_coalition_stays_fixed(self):
+        p = Profile(cands(2), self.SPLIT_TOTALS)
+        for rule in (plurality(), Copeland(), Stv(), Cup((0, 1))):
+            inst = ManipulationInstance(rule, 0, p, coalition=frozenset({1}))
+            assert coalition_manipulate(inst) is None
+            assert not H.brute_coalition_possible(rule, p, {1}, 0)
+
     def test_agrees_with_brute_force(self):
         rng = random.Random(89)
         for _ in range(100):
             m = rng.randint(2, 3)
             n = rng.randint(2, 4)
             ballots = tuple(
-                vote(H.rand_order(rng, m), rng.randint(1, 3)) for _ in range(n)
+                (vote if rng.random() < 0.6 else PartialBallot.from_order)(
+                    H.rand_order(rng, m), rng.randint(1, 3)
+                )
+                for _ in range(n)
             )
             p = Profile(cands(m), ballots, strict_odd=False)
             coalition = frozenset(rng.sample(range(n), rng.randint(1, min(2, n))))

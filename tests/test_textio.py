@@ -201,7 +201,8 @@ _KEYWORDS = st.sampled_from(
 _LABELS = st.sampled_from(["A", "B", "C", "Z", ""])
 _NUMBERS = st.sampled_from(
     ["0", "1", "2", "3", "-1", "-4", str(2**63 - 1), str(2**63), str(2**70),
-     "1/2", "2/3", "1/0", "-1/2", "0.5", "1e3", "x", "", "=", "1=2"]
+     "1/2", "2/3", "1/0", "-1/2", "0.5", "1e3", "1e-5000", "1e999999999",
+     "x", "", "=", "1=2"]
 )
 _PAIRS = st.lists(st.tuples(_LABELS, _LABELS).map(">".join), max_size=3).map(",".join)
 _TOKENS = st.one_of(
