@@ -38,7 +38,7 @@ from .errors import (
     ProfileParseError,
     VotelabError,
 )
-from .evaluation import EvaluationQuery, win_probability
+from .evaluation import EvaluationQuery, parse_rational, win_probability
 from .manipulation import (
     ManipulationInstance,
     coalition_manipulate,
@@ -47,7 +47,7 @@ from .manipulation import (
 )
 from .profiles import Axis, Candidate, Profile, WeightedBallot
 from .rules import Copeland, TieBreak, format_agenda, parse_rule, winner
-from .textio import format_profile, parse_distribution, parse_profile, parse_rational
+from .textio import format_profile, parse_distribution, parse_profile
 
 
 def _read_text(path: str) -> str:

@@ -13,6 +13,7 @@ is over exactly when a single possible winner remains.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -221,11 +222,12 @@ def fine_elicitation_over(
 
     Accepts any mix of complete ballots, partial ballots and wholly unknown
     weight.  A cup over at most 3 candidates is answered by the polynomial
-    ``cup3_fine_over``; otherwise the search stops as soon as two distinct
-    possible winners are seen.
+    ``cup3_fine_over`` unless its subset-sum work exceeds ``cap``; otherwise
+    the search stops as soon as two distinct possible winners are seen.
     """
     if isinstance(rule, Cup) and profile.m <= 3:
-        return cup3_fine_over(rule.agenda, profile)
+        with suppress(CapExceeded):  # the search below has the same cap
+            return cup3_fine_over(rule.agenda, profile, cap=cap)
     ids = _possible_ids(
         rule, profile, cap=cap, stop_at=2, stv_branch_bound=stv_branch_bound
     )
@@ -271,22 +273,30 @@ def coarse_elicitation_over(
 # Three-candidate cup: polynomial termination test
 
 
-def _subset_sums(weights: Sequence[int]) -> int:
-    """Bitmask of reachable subset sums (bit k set iff some subset sums to k)."""
-    bits = 1
-    for w in weights:
-        bits |= bits << w
-    return bits
+def _subset_sum_in(weights: Sequence[int], lo: int, hi: int, cap: int | None) -> bool:
+    """Does some sub-multiset of ``weights`` sum to a value in [lo, hi]?
 
-
-def _reachable_in(bits: int, lo: int, hi: int) -> bool:
-    if lo > hi:
-        return False
+    Sums above ``hi`` are dropped.  They are kept as a bitmask when hi + 1
+    bits are no more than the 2**len(weights) sums a set can hold, else as a
+    set.  Work charged to ``cap``: per weight, the bitmask's 64-bit words or
+    the set's size.
+    """
     lo = max(lo, 0)
     if lo > hi:
         return False
-    window = (bits >> lo) & ((1 << (hi - lo + 1)) - 1)
-    return window != 0
+    weights = [w for w in weights if w <= hi]
+    bitmask = len(weights) >= hi.bit_length()
+    mask = (1 << (hi + 1)) - 1 if bitmask else 0
+    sums, bits, work = {0}, 1, 0
+    for w in weights:
+        work += hi // 64 + 1 if bitmask else len(sums)
+        if cap is not None and work > cap:
+            raise CapExceeded(f"subset-sum scan exceeded the cap of {cap}", work)
+        if bitmask:
+            bits |= (bits << w) & mask
+        else:
+            sums |= {s + w for s in sums if s + w <= hi}
+    return bits >> lo != 0 if bitmask else max(sums) >= lo
 
 
 def _two_front_feasible(
@@ -296,6 +306,7 @@ def _two_front_feasible(
     total: int,
     p: tuple[int, int],
     q: tuple[int, int],
+    cap: int | None,
 ) -> bool:
     """Can some completion push both pairs ``p`` and ``q`` to at least half?
 
@@ -325,10 +336,12 @@ def _two_front_feasible(
     pool = sum(swing)
     lo = need - sum_p
     hi = sum_q + pool - need
-    return _reachable_in(_subset_sums(swing), lo, min(hi, pool))
+    return _subset_sum_in(swing, lo, min(hi, pool), cap)
 
 
-def cup3_fine_over(agenda: Agenda, profile: Profile) -> bool:
+def cup3_fine_over(
+    agenda: Agenda, profile: Profile, *, cap: int | None = None
+) -> bool:
     """Polynomial termination test for cup elections over at most 3 candidates.
 
     With three candidates the agenda is one semifinal plus a bye.  A
@@ -337,7 +350,8 @@ def cup3_fine_over(agenda: Agenda, profile: Profile) -> bool:
     never conflict inside one ballot.  The bye candidate must beat whichever
     semifinalist reaches the final, so each semifinalist is tried as the
     helper, splitting the weight of genuinely torn ballots exactly.
-    Elicitation is over iff one possible winner remains.
+    Elicitation is over iff one possible winner remains.  The cap bounds
+    that split's subset-sum work (CapExceeded beyond it); None is unbounded.
     """
     m = profile.m
     if m > 3:
@@ -378,7 +392,7 @@ def cup3_fine_over(agenda: Agenda, profile: Profile) -> bool:
             possible.add(c)
     for helper, rival in ((x, y), (y, x)):
         if _two_front_feasible(
-            groups, group_pos, base, total, (bye, helper), (helper, rival)
+            groups, group_pos, base, total, (bye, helper), (helper, rival), cap
         ):
             possible.add(bye)
             break

@@ -37,16 +37,27 @@ __all__ = [
 ]
 
 
+def parse_rational(text: str) -> Fraction:
+    """An exact rational written as an integer, ``a/b`` or a decimal.
+
+    Exponent notation is refused, because ``Fraction`` expands it in full:
+    ``1e999999999`` would build a billion-digit integer.  Bad syntax raises
+    ValueError or ZeroDivisionError, as ``Fraction`` does.
+    """
+    if "e" in text.lower():
+        raise ValueError(f"exponent notation in {text!r}")
+    return Fraction(text)
+
+
 def _as_probability(p) -> Fraction:
     if isinstance(p, float):
         raise InvalidDistribution(
             f"probability {p!r} is a float; supply an exact rational"
         )
     try:
-        frac = Fraction(p)
-    except (TypeError, ValueError) as exc:
+        return parse_rational(p) if isinstance(p, str) else Fraction(p)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidDistribution(f"bad probability {p!r}") from exc
-    return frac
 
 
 def _brief(frac: Fraction) -> str:

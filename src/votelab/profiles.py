@@ -271,12 +271,10 @@ class Profile:
         merged arrays elect exactly as the ballots do.  Partial ballots and
         unknown weight are left out.
         """
-        ballots = self.ballots if self.is_complete else [
-            b for b in self.ballots if isinstance(b, WeightedBallot)
-        ]
         merged: dict[tuple[int, ...], int] = {}
-        for b in ballots:
-            merged[b.order] = merged.get(b.order, 0) + b.weight  # type: ignore[union-attr]
+        for b in self.ballots:
+            if isinstance(b, WeightedBallot):
+                merged[b.order] = merged.get(b.order, 0) + b.weight
         return tuple(merged), tuple(merged.values())
 
 

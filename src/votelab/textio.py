@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import NoReturn, Sequence
 
 from .errors import InvalidProfile, ProfileParseError
-from .evaluation import ScenarioDistribution
+from .evaluation import ScenarioDistribution, parse_rational
 from .profiles import (
     Axis,
     Candidate,
@@ -232,18 +232,6 @@ def format_profile(profile: Profile, axis: Axis | None = None) -> str:
     if axis is not None:
         lines.append("axis: " + " ".join(cands[i].label for i in axis.order))
     return "\n".join(lines) + "\n"
-
-
-def parse_rational(text: str) -> Fraction:
-    """An exact rational written as an integer, ``a/b`` or a decimal.
-
-    Exponent notation is refused, because ``Fraction`` expands it in full:
-    ``1e999999999`` would build a billion-digit integer.  Bad syntax raises
-    ValueError or ZeroDivisionError, as ``Fraction`` does.
-    """
-    if "e" in text.lower():
-        raise ValueError(f"exponent notation in {text!r}")
-    return Fraction(text)
 
 
 def parse_distribution(text: str, *, strict_odd: bool = True) -> ScenarioDistribution:

@@ -1,6 +1,7 @@
 """Termination predicates for coarse, fine and single-peaked elicitation."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -149,6 +150,31 @@ class TestCup3:
         with pytest.raises(CapExceeded):
             possible_winners(Cup(((0, 1), 2)), p, cap=1000)
         assert not fine_elicitation_over(Cup(((0, 1), 2)), p, cap=1000)
+
+    def test_heavy_torn_ballots_stay_within_the_cap(self):
+        # a bitmask as wide as the torn weight would need 2**41 bits
+        torn = PartialBallot(frozenset({(1, 2)}), 2**40)
+        p = Profile(cands(3), (torn, torn, vote((2, 1, 0), 1)))
+        tracemalloc.start()
+        try:
+            answer = fine_elicitation_over(Cup(((0, 1), 2)), p, cap=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert answer == H.brute_fine_over(Cup(((0, 1), 2)), p)
+
+    def test_capped_shortcut_falls_back_to_the_search(self):
+        torn = [PartialBallot(frozenset({(1, 2)}), 5000) for _ in range(20)]
+        p = Profile(
+            cands(3), (*torn, vote((2, 1, 0), 1), vote((0, 1, 2), 1)), strict_odd=False
+        )
+        with pytest.raises(CapExceeded):
+            cup3_fine_over(((0, 1), 2), p, cap=6000)
+        expected = cup3_fine_over(((0, 1), 2), p)
+        assert fine_elicitation_over(Cup(((0, 1), 2)), p, cap=6000) == expected
+        with pytest.raises(CapExceeded):
+            fine_elicitation_over(Cup(((0, 1), 2)), p, cap=2000)
 
 
 class TestCondorcetFixed:

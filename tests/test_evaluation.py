@@ -60,6 +60,14 @@ class TestScenarioDistribution:
         with pytest.raises(InvalidDistribution, match="not positive"):
             ScenarioDistribution(((A_WINS, -tiny), (B_WINS, Fraction(1))))
 
+    def test_exponent_strings_refused_before_expansion(self):
+        with pytest.raises(InvalidDistribution, match="bad probability"):
+            ScenarioDistribution(((A_WINS, "1e999999999"),))
+        with pytest.raises(InvalidDistribution, match="bad probability"):
+            ScenarioDistribution(((A_WINS, "1/0"),))
+        with pytest.raises(InvalidDistribution, match="bad probability"):
+            EvaluationQuery(C2[0], "1e-5000", plurality())
+
     def test_nonpositive_probability_rejected(self):
         with pytest.raises(InvalidDistribution):
             ScenarioDistribution(((A_WINS, Fraction(0)), (B_WINS, Fraction(1))))
