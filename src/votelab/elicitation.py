@@ -16,7 +16,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .completions import OptionGroup, completion_groups, fixed_view, search
 from .errors import CapExceeded, InvalidProfile, ModelMismatch
@@ -85,10 +85,15 @@ def _pairwise_possible_ids(
 
     Instead of walking whole joint completions, this projects every ballot
     option onto the pairs whose majority sign is still undecided and sums the
-    projections with deduplication.  Two completions with the same projected
-    sums produce the same sign matrix, so the reachable matrices (and hence
-    the possible winners) are preserved exactly.  The cap bounds the summing
-    work actually performed, which never exceeds the raw completion count.
+    projections with deduplication.  Sums only grow, and once a pair's sum
+    reaches ``(total - 2*base)//2 + 1`` its majority sign is +1 for good, so
+    every running sum is clamped there: the clamped sums keep every reachable
+    sign matrix.  Within a group of interchangeable ballots the summing stops
+    at a fixpoint, when one more ballot adds no new clamped sum.  The rule is
+    then evaluated once per distinct sign pattern, not once per sum vector,
+    so the possible winners are preserved exactly.  The cap bounds the
+    summing work actually performed, which never exceeds the raw completion
+    count.
     """
     m = profile.m
     total = profile.total_weight
@@ -114,12 +119,9 @@ def _pairwise_possible_ids(
         else:
             open_pairs.append((i, j))
 
-    def achievable(sums: Sequence[int]) -> frozenset[int]:
+    def achievable(open_signs: Sequence[int]) -> frozenset[int]:
         sign = [[0] * m for _ in range(m)]
-        for (i, j), s in forced.items():
-            sign[i][j], sign[j][i] = s, -s
-        for (i, j), add in zip(open_pairs, sums):
-            s = _sgn(2 * (base[i][j] + add) - total)
+        for (i, j), s in (*forced.items(), *zip(open_pairs, open_signs)):
             sign[i][j], sign[j][i] = s, -s
         if isinstance(rule, Cup):
             return cup_achievable_from_sign(rule.agenda, sign)
@@ -131,41 +133,44 @@ def _pairwise_possible_ids(
         return achievable(())
 
     zero = (0,) * len(open_pairs)
+    sat = [(total - 2 * base[i][j]) // 2 + 1 for i, j in open_pairs]
     work = 0
-    totals: set[tuple[int, ...]] = {zero}
-    for group, positions in zip(groups, group_pos):
-        scaled = sorted(
-            {
-                tuple(
-                    group.weight if pos[i] < pos[j] else 0 for i, j in open_pairs
-                )
-                for pos in positions
-            }
-        )
-        sums: set[tuple[int, ...]] = {zero}
-        for _ in range(group.count):
-            work += len(sums) * len(scaled)
-            if cap is not None and work > cap:
-                raise CapExceeded(
-                    f"pairwise-projection search exceeded the cap of {cap}", work
-                )
-            sums = {
-                tuple(a + b for a, b in zip(vec, opt))
-                for vec in sums
-                for opt in scaled
-            }
-        work += len(totals) * len(sums)
+
+    def add_clamped(
+        vecs: set[tuple[int, ...]], adds: Collection[tuple[int, ...]]
+    ) -> set[tuple[int, ...]]:
+        nonlocal work
+        work += len(vecs) * len(adds)
         if cap is not None and work > cap:
             raise CapExceeded(
                 f"pairwise-projection search exceeded the cap of {cap}", work
             )
-        totals = {
-            tuple(a + b for a, b in zip(vec, add)) for vec in totals for add in sums
+        return {
+            tuple([a + b if a + b < s else s for a, b, s in zip(vec, add, sat)])
+            for vec in vecs
+            for add in adds
         }
 
+    totals: set[tuple[int, ...]] = {zero}
+    for group, positions in zip(groups, group_pos):
+        scaled = {
+            tuple(group.weight if pos[i] < pos[j] else 0 for i, j in open_pairs)
+            for pos in positions
+        }
+        sums: set[tuple[int, ...]] = {zero}
+        for _ in range(group.count):
+            sums, before = add_clamped(sums, scaled), sums
+            if sums == before:
+                break
+        totals = add_clamped(totals, sums)
+
+    margins = [2 * base[i][j] - total for i, j in open_pairs]
+    patterns = {
+        tuple([_sgn(2 * a + d) for a, d in zip(vec, margins)]) for vec in totals
+    }
     found: set[int] = set()
-    for sums_vec in sorted(totals):
-        found |= achievable(sums_vec)
+    for open_signs in sorted(patterns):
+        found |= achievable(open_signs)
         if len(found) == m or (stop_at is not None and len(found) >= stop_at):
             break
     return frozenset(found)

@@ -10,6 +10,7 @@ exact; no floats enter any decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -55,7 +56,10 @@ def _as_probability(p) -> Fraction:
             f"probability {p!r} is a float; supply an exact rational"
         )
     try:
-        return parse_rational(p) if isinstance(p, str) else Fraction(p)
+        # a Decimal is read as its text, so its exponent is refused as well
+        if isinstance(p, (str, Decimal)):
+            return parse_rational(str(p))
+        return Fraction(p)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidDistribution(f"bad probability {p!r}") from exc
 

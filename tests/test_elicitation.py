@@ -9,6 +9,7 @@ from votelab import (
     Axis,
     CapExceeded,
     Copeland,
+    Copeland2,
     Cup,
     Hybrid,
     InvalidProfile,
@@ -86,6 +87,40 @@ class TestPossibleWinners:
         # the sign projection collapses interchangeable unknown agents
         p = Profile(cands(3), (vote((0, 1, 2), 100),), unknown_weight=31)
         assert plabels(possible_winners(Copeland(), p)) == ["A"]
+
+    def test_saturated_sums_fit_a_small_cap(self):
+        # heavy torn ballots push the open pair past its majority at once;
+        # clamped sums reach a fixpoint in 169 work units, unclamped need 405
+        torn = [PartialBallot(frozenset({(1, 2)}), 5000) for _ in range(8)]
+        p = Profile(
+            cands(3),
+            (*torn, vote((2, 1, 0), 1), vote((0, 1, 2), 1), vote((1, 0, 2), 3)),
+            strict_odd=False,
+        )
+        expected = H.brute_possible(Copeland(), p)
+        assert plabels(expected) == ["A", "B"]
+        assert possible_winners(Copeland(), p, cap=300) == expected
+        cup = Cup(((0, 1), 2))
+        assert possible_winners(cup, p, cap=300) == H.brute_possible(cup, p)
+
+    def test_heavy_weights_match_brute_reference(self):
+        # weights far above the unit counts, so the clamp fires on open pairs
+        rng = random.Random(47)
+        for _ in range(60):
+            m = rng.randint(3, 4)
+            ballots = [vote(H.rand_order(rng, m), rng.randint(1, 500))]
+            for _ in range(rng.randint(1, 2)):
+                ballots.append(H.rand_partial(rng, m, rng.randint(1, 500)))
+            p = Profile(
+                cands(m),
+                tuple(ballots),
+                unknown_weight=rng.randint(0, 1),
+                strict_odd=False,
+            )
+            for rule in (Copeland(), Copeland2(), Cup(H.rand_agenda(rng, range(m)))):
+                expected = H.brute_possible(rule, p)
+                assert possible_winners(rule, p) == expected
+                assert fine_elicitation_over(rule, p) == (len(expected) == 1)
 
 
 class TestCoarse:
@@ -173,8 +208,10 @@ class TestCup3:
             cup3_fine_over(((0, 1), 2), p, cap=6000)
         expected = cup3_fine_over(((0, 1), 2), p)
         assert fine_elicitation_over(Cup(((0, 1), 2)), p, cap=6000) == expected
+        # the saturating projection answers in 1,170 work units
+        assert fine_elicitation_over(Cup(((0, 1), 2)), p, cap=2000) == expected
         with pytest.raises(CapExceeded):
-            fine_elicitation_over(Cup(((0, 1), 2)), p, cap=2000)
+            fine_elicitation_over(Cup(((0, 1), 2)), p, cap=1000)
 
 
 class TestCondorcetFixed:

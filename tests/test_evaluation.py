@@ -1,6 +1,7 @@
 """Scenario distributions, win probabilities, and the threshold query."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,15 @@ class TestScenarioDistribution:
             ScenarioDistribution(((A_WINS, "1/0"),))
         with pytest.raises(InvalidDistribution, match="bad probability"):
             EvaluationQuery(C2[0], "1e-5000", plurality())
+
+    def test_decimal_probabilities_read_as_text(self):
+        dist = ScenarioDistribution(((A_WINS, Decimal("0.25")), (B_WINS, "3/4")))
+        assert dist.scenarios[0][1] == Fraction(1, 4)
+        for bad in (Decimal("1e-999999999"), Decimal("NaN")):
+            with pytest.raises(InvalidDistribution, match="bad probability"):
+                ScenarioDistribution(((A_WINS, bad),))
+        with pytest.raises(InvalidDistribution, match="bad probability"):
+            EvaluationQuery(C2[0], Decimal("1e-999999999"), plurality())
 
     def test_nonpositive_probability_rejected(self):
         with pytest.raises(InvalidDistribution):
