@@ -205,21 +205,19 @@ def search(
     profile: Profile,
     groups: Sequence[OptionGroup],
     cap: int | None,
-    stv_branch_bound: int,
 ) -> Iterator[tuple[tuple[tuple[Order, ...], ...], frozenset[int]]]:
     """Yield (assignment, achievable winner ids) for every joint completion.
 
     Raises CapExceeded before the first item when the merged space is larger
-    than ``cap``.  Callers stop the stream as soon as they have their answer.
+    than ``cap``, and while scoring a completion whose STV elimination search
+    passes it.  Callers stop the stream as soon as they have their answer.
     """
     check_cap(groups, cap)
     m = profile.m
     total = profile.total_weight
     for assignment in iter_assignments(groups):
         orders, weights = completed_arrays(profile, groups, assignment)
-        yield assignment, _achievable_ids(
-            rule, orders, weights, m, total, stv_branch_bound=stv_branch_bound
-        )
+        yield assignment, _achievable_ids(rule, orders, weights, m, total, cap=cap)
 
 
 def fixed_view(profile: Profile, free: Collection[int] = ()) -> Profile:

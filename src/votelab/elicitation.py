@@ -29,7 +29,6 @@ from .profiles import (
     majority_matrix,
 )
 from .rules import (
-    DEFAULT_STV_BRANCH_BOUND,
     Agenda,
     Copeland,
     Copeland2,
@@ -183,7 +182,6 @@ def _possible_ids(
     axis: Axis | None = None,
     cap: int | None = DEFAULT_COMPLETION_CAP,
     stop_at: int | None = None,
-    stv_branch_bound: int = DEFAULT_STV_BRANCH_BOUND,
 ) -> frozenset[int]:
     m = profile.m
     validate_rule_for(rule, m)
@@ -193,7 +191,7 @@ def _possible_ids(
     if isinstance(rule, (Cup, Copeland, Copeland2)):
         return _pairwise_possible_ids(rule, profile, groups, cap, stop_at)
     found: set[int] = set()
-    for _, ids in search(rule, profile, groups, cap, stv_branch_bound):
+    for _, ids in search(rule, profile, groups, cap):
         found |= ids
         if len(found) == m or (stop_at is not None and len(found) >= stop_at):
             break
@@ -205,14 +203,15 @@ def possible_winners(
     profile: Profile,
     *,
     cap: int | None = DEFAULT_COMPLETION_CAP,
-    stv_branch_bound: int = DEFAULT_STV_BRANCH_BOUND,
 ) -> frozenset[Candidate]:
     """Candidates that win some joint completion under ties in their favour.
 
     Raises CapExceeded rather than returning a truncated answer when the
-    completion space (after symmetry merging) is larger than ``cap``.
+    completion space (after symmetry merging) is larger than ``cap``, or
+    when one completion's STV elimination search reaches more than ``cap``
+    candidate sets.
     """
-    ids = _possible_ids(rule, profile, cap=cap, stv_branch_bound=stv_branch_bound)
+    ids = _possible_ids(rule, profile, cap=cap)
     return frozenset(profile.candidates[i] for i in ids)
 
 
@@ -221,7 +220,6 @@ def fine_elicitation_over(
     profile: Profile,
     *,
     cap: int | None = DEFAULT_COMPLETION_CAP,
-    stv_branch_bound: int = DEFAULT_STV_BRANCH_BOUND,
 ) -> bool:
     """True iff every joint completion of the profile elects one candidate.
 
@@ -233,10 +231,7 @@ def fine_elicitation_over(
     if isinstance(rule, Cup) and profile.m <= 3:
         with suppress(CapExceeded):  # the search below has the same cap
             return cup3_fine_over(rule.agenda, profile, cap=cap)
-    ids = _possible_ids(
-        rule, profile, cap=cap, stop_at=2, stv_branch_bound=stv_branch_bound
-    )
-    return len(ids) == 1
+    return len(_possible_ids(rule, profile, cap=cap, stop_at=2)) == 1
 
 
 def _require_whole_ballot_model(profile: Profile) -> Profile:
@@ -258,7 +253,6 @@ def coarse_elicitation_over(
     profile: Profile,
     *,
     cap: int | None = DEFAULT_COMPLETION_CAP,
-    stv_branch_bound: int = DEFAULT_STV_BRANCH_BOUND,
 ) -> bool:
     """Whole-ballot termination: cast votes decide the winner already.
 
@@ -269,9 +263,7 @@ def coarse_elicitation_over(
     """
     if isinstance(rule, Hybrid):
         return hybrid_coarse_over(rule.pairing, profile)
-    return fine_elicitation_over(
-        rule, _require_whole_ballot_model(profile), cap=cap, stv_branch_bound=stv_branch_bound
-    )
+    return fine_elicitation_over(rule, _require_whole_ballot_model(profile), cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +446,6 @@ def fine_sp_elicitation_over(
     axis: Axis,
     *,
     cap: int | None = DEFAULT_COMPLETION_CAP,
-    stv_branch_bound: int = DEFAULT_STV_BRANCH_BOUND,
 ) -> bool:
     """Termination when every completion must be single-peaked on ``axis``.
 
@@ -466,15 +457,7 @@ def fine_sp_elicitation_over(
     if isinstance(rule, Cup) and profile.total_weight % 2:
         validate_rule_for(rule, profile.m)
         return cup_single_peaked_over(profile, axis)
-    ids = _possible_ids(
-        rule,
-        profile,
-        axis=axis,
-        cap=cap,
-        stop_at=2,
-        stv_branch_bound=stv_branch_bound,
-    )
-    return len(ids) == 1
+    return len(_possible_ids(rule, profile, axis=axis, cap=cap, stop_at=2)) == 1
 
 
 def _peak_positions(profile: Profile, axis: Axis) -> list[tuple[int, int, int]]:

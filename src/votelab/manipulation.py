@@ -22,7 +22,6 @@ from .profiles import (
     Profile,
 )
 from .rules import (
-    DEFAULT_STV_BRANCH_BOUND,
     Agenda,
     Cup,
     Rule,
@@ -116,7 +115,6 @@ def coalition_manipulate(
     inst: ManipulationInstance,
     *,
     cap: int | None = DEFAULT_COMPLETION_CAP,
-    stv_branch_bound: int = DEFAULT_STV_BRANCH_BOUND,
 ) -> dict[int, Order] | None:
     """Total orders for the coalition that make the target win, or None.
 
@@ -136,7 +134,7 @@ def coalition_manipulate(
     groups = completion_groups(
         probe, option_key=lambda order: (order.index(target), order), cap=cap
     )
-    for assignment, ids in search(inst.rule, probe, groups, cap, stv_branch_bound):
+    for assignment, ids in search(inst.rule, probe, groups, cap):
         if target in ids:
             return {
                 idx: order
@@ -241,7 +239,6 @@ def preference_manipulate(
     inst: ManipulationInstance,
     *,
     cap: int | None = DEFAULT_COMPLETION_CAP,
-    stv_branch_bound: int = DEFAULT_STV_BRANCH_BOUND,
 ) -> Profile | None:
     """A completion of the unlocked content electing the target, or None.
 
@@ -263,7 +260,7 @@ def preference_manipulate(
         option_key=lambda order: (order.index(target), order),
         cap=cap,
     )
-    for assignment, ids in search(inst.rule, profile, groups, cap, stv_branch_bound):
+    for assignment, ids in search(inst.rule, profile, groups, cap):
         if target in ids:
             return completed_profile(profile, groups, assignment)
     return None

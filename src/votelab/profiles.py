@@ -451,10 +451,16 @@ def single_peaked_extensions(
     axis: Axis,
     cap: int | None = DEFAULT_COMPLETION_CAP,
 ) -> Iterator[tuple[int, ...]]:
-    """Linear extensions of the ballot that are single-peaked on the axis."""
+    """Linear extensions of the ballot that are single-peaked on the axis.
+
+    Filters the 2^(m-1) single-peaked orders by the ballot's commitments and
+    yields them in lexicographic candidate-id order, as ``linear_extensions``
+    does.
+    """
     produced = 0
-    for order in linear_extensions(ballot, m, cap=None):
-        if is_single_peaked(order, axis):
+    for order in sorted(single_peaked_orders(axis)):
+        pos = {cand: i for i, cand in enumerate(order)}
+        if all(pos[a] < pos[b] for a, b in ballot.pairs):
             produced += 1
             if cap is not None and produced > cap:
                 raise CapExceeded(

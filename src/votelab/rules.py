@@ -13,19 +13,22 @@ resolution globally:
 * ``TieBreak.lex()`` resolves every tie toward the lower candidate id
   (in elimination rounds the higher id is the one eliminated).
 
-Exact elimination-tie branching in STV is only attempted up to a candidate
-bound (default 6); above it ties fall back to the lexicographic resolution.
+STV elimination ties are branched exactly for every candidate count: each
+round depends only on the surviving candidates, so the branches share at
+most 2^m candidate sets, each tallied once and charged to ``cap``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CapExceeded, InvalidProfile
-from .profiles import Candidate, Profile
+from .profiles import DEFAULT_COMPLETION_CAP, Candidate, Profile
 
-DEFAULT_STV_BRANCH_BOUND = 6
+#: Deepest cup agenda accepted; the tree walks recurse once per level.
+MAX_AGENDA_DEPTH = 500
 
 Agenda = Union[int, tuple]  # leaf: candidate id; node: (Agenda, Agenda)
 
@@ -126,7 +129,11 @@ class Cup(object):
     agenda: Agenda
 
     def __post_init__(self) -> None:
-        agenda_leaves(self.agenda)  # validates shape and uniqueness
+        depth = max(d for _, d in _leaf_depths(self.agenda))  # validates the tree
+        if depth > MAX_AGENDA_DEPTH:
+            raise InvalidProfile(
+                f"cup agenda is {depth} levels deep, above the limit of {MAX_AGENDA_DEPTH}"
+            )
 
 
 @dataclass(frozen=True)
@@ -197,37 +204,31 @@ def borda() -> Scoring:
     return Scoring(name="borda")
 
 
-def agenda_leaves(agenda: Agenda) -> tuple[int, ...]:
-    """Leaf candidate ids in left-to-right order; validates the tree."""
-    out: list[int] = []
-
-    def walk(node: Agenda) -> None:
+def _leaf_depths(agenda: Agenda) -> list[tuple[int, int]]:
+    """(leaf id, depth) pairs in left-to-right order; validates the tree."""
+    out: list[tuple[int, int]] = []
+    stack: list[tuple[Agenda, int]] = [(agenda, 0)]
+    while stack:
+        node, d = stack.pop()
         if isinstance(node, int):
-            out.append(node)
+            out.append((node, d))
         elif isinstance(node, tuple) and len(node) == 2:
-            walk(node[0])
-            walk(node[1])
+            stack += ((node[1], d + 1), (node[0], d + 1))
         else:
             raise InvalidProfile(f"malformed agenda node {node!r}")
-
-    walk(agenda)
-    if len(set(out)) != len(out):
+    if len({c for c, _ in out}) != len(out):
         raise InvalidProfile("agenda repeats a candidate")
-    return tuple(out)
+    return out
+
+
+def agenda_leaves(agenda: Agenda) -> tuple[int, ...]:
+    """Leaf candidate ids in left-to-right order; validates the tree."""
+    return tuple(c for c, _ in _leaf_depths(agenda))
 
 
 def is_balanced(agenda: Agenda) -> bool:
     """True when leaf depths differ by at most one."""
-    depths: list[int] = []
-
-    def walk(node: Agenda, d: int) -> None:
-        if isinstance(node, int):
-            depths.append(d)
-        else:
-            walk(node[0], d + 1)
-            walk(node[1], d + 1)
-
-    walk(agenda, 0)
+    depths = [d for _, d in _leaf_depths(agenda)]
     return max(depths) - min(depths) <= 1
 
 
@@ -301,6 +302,13 @@ def format_agenda(agenda: Agenda, candidates: Sequence[Candidate]) -> str:
 
 
 def _parse_agenda(text: str, candidates: Sequence[Candidate]) -> Agenda:
+    depth = 0
+    for ch in text:  # bound the recursion below before it starts
+        depth += (ch == "(") - (ch == ")")
+        if depth > MAX_AGENDA_DEPTH:
+            raise InvalidProfile(
+                f"agenda nests deeper than the limit of {MAX_AGENDA_DEPTH} levels"
+            )
     by_label = {c.label: c.id for c in candidates}
     pos = 0
 
@@ -464,28 +472,38 @@ def _stv_winners(
     m: int,
     total: int,
     branch: bool,
+    cap: int | None,
 ) -> frozenset[int]:
-    """Winner set of STV; branches elimination ties only when ``branch``.
+    """Winner set of STV, one elimination level at a time.
 
-    The lexicographic resolution eliminates the highest-id candidate among
-    those tied for the lowest top-choice weight.
+    The frontier holds the distinct sets of surviving candidates after the
+    same number of eliminations; each is tallied once.  With ``branch`` every
+    candidate tied for the lowest top-choice weight is eliminated in its own
+    branch; the lexicographic resolution eliminates only the highest id.
+    Raises CapExceeded when more than ``cap`` sets would be tallied.
     """
-
-    def round_(alive: frozenset[int]) -> frozenset[int]:
-        tally = _top_tallies(orders, weights, m, alive)
-        for cand in alive:
-            if 2 * tally[cand] > total:
-                return frozenset((cand,))
-        least = min(tally[c] for c in alive)
-        tied = [c for c in alive if tally[c] == least]
-        if branch:
-            out: set[int] = set()
-            for cand in tied:
-                out |= round_(alive - {cand})
-            return frozenset(out)
-        return round_(alive - {max(tied)})
-
-    return round_(frozenset(range(m)))
+    out: set[int] = set()
+    frontier = {frozenset(range(m))}
+    states = 0
+    while frontier:
+        states += len(frontier)
+        if cap is not None and states > cap:
+            raise CapExceeded(
+                f"STV elimination reaches more than {cap} candidate sets", states
+            )
+        following: set[frozenset[int]] = set()
+        for alive in frontier:
+            tally = _top_tallies(orders, weights, m, alive)
+            leader = max(alive, key=tally.__getitem__)
+            if 2 * tally[leader] > total:
+                out.add(leader)
+                continue
+            least = min(tally[c] for c in alive)
+            tied = [c for c in alive if tally[c] == least]
+            for cand in tied if branch else (max(tied),):
+                following.add(alive - {cand})
+        frontier = following
+    return frozenset(out)
 
 
 def _runoff_winners(
@@ -553,24 +571,14 @@ def _hybrid_winners(
         choice_sets.append((pairing.bye,))
 
     out: set[int] = set()
-
-    def explore(idx: int, survivors: list[int]) -> None:
-        if idx == len(choice_sets):
-            alive = frozenset(survivors)
-            tally = _top_tallies(orders, weights, m, alive)
-            best = max(tally[c] for c in alive)
-            winners = [c for c in alive if tally[c] == best]
-            if branch:
-                out.update(winners)
-            else:
-                out.add(min(winners))
-            return
-        for cand in choice_sets[idx]:
-            survivors.append(cand)
-            explore(idx + 1, survivors)
-            survivors.pop()
-
-    explore(0, [])
+    for survivors in product(*choice_sets):
+        tally = _top_tallies(orders, weights, m, frozenset(survivors))
+        best = max(tally[c] for c in survivors)
+        winners = [c for c in survivors if tally[c] == best]
+        if branch:
+            out.update(winners)
+        else:
+            out.add(min(winners))
     return frozenset(out)
 
 
@@ -582,9 +590,12 @@ def _achievable_ids(
     total: int,
     *,
     branch: bool = True,
-    stv_branch_bound: int = DEFAULT_STV_BRANCH_BOUND,
+    cap: int | None = DEFAULT_COMPLETION_CAP,
 ) -> frozenset[int]:
-    """Winner ids achievable over tie resolutions (or the lex singleton)."""
+    """Winner ids achievable over tie resolutions (or the lex singleton).
+
+    ``cap`` bounds the candidate sets STV's elimination search may tally.
+    """
     if m == 1:
         return frozenset((0,))
     if isinstance(rule, Scoring):
@@ -608,7 +619,7 @@ def _achievable_ids(
             return cup_achievable_from_sign(rule.agenda, sign)
         return frozenset((cup_lex_from_sign(rule.agenda, sign),))
     if isinstance(rule, Stv):
-        return _stv_winners(orders, weights, m, total, branch and m <= stv_branch_bound)
+        return _stv_winners(orders, weights, m, total, branch, cap)
     if isinstance(rule, Runoff):
         return _runoff_winners(orders, weights, m, total, branch)
     if isinstance(rule, Hybrid):
@@ -628,28 +639,15 @@ def _complete_arrays(profile: Profile) -> tuple[Orders, Weights, int, int]:
     return orders, weights, profile.m, total
 
 
-def achievable_winners(
-    rule: Rule,
-    profile: Profile,
-    *,
-    stv_branch_bound: int = DEFAULT_STV_BRANCH_BOUND,
-) -> frozenset[Candidate]:
+def achievable_winners(rule: Rule, profile: Profile) -> frozenset[Candidate]:
     """All candidates that win under some resolution of internal ties."""
     orders, weights, m, total = _complete_arrays(profile)
     validate_rule_for(rule, m)
-    ids = _achievable_ids(
-        rule, orders, weights, m, total, branch=True, stv_branch_bound=stv_branch_bound
-    )
+    ids = _achievable_ids(rule, orders, weights, m, total, branch=True)
     return frozenset(profile.candidates[i] for i in ids)
 
 
-def winner(
-    rule: Rule,
-    profile: Profile,
-    tb: TieBreak | None = None,
-    *,
-    stv_branch_bound: int = DEFAULT_STV_BRANCH_BOUND,
-) -> Candidate:
+def winner(rule: Rule, profile: Profile, tb: TieBreak | None = None) -> Candidate:
     """The unique winner with every internal tie resolved by the policy.
 
     Favor(c) resolves ties the way most helpful to c winning overall;
@@ -660,13 +658,9 @@ def winner(
     orders, weights, m, total = _complete_arrays(profile)
     validate_rule_for(rule, m)
     if tb.kind == "lex":
-        ids = _achievable_ids(
-            rule, orders, weights, m, total, branch=False, stv_branch_bound=stv_branch_bound
-        )
+        ids = _achievable_ids(rule, orders, weights, m, total, branch=False)
         return profile.candidates[min(ids)]
-    ids = _achievable_ids(
-        rule, orders, weights, m, total, branch=True, stv_branch_bound=stv_branch_bound
-    )
+    ids = _achievable_ids(rule, orders, weights, m, total, branch=True)
     if tb.candidate is None or tb.candidate not in range(m):
         raise InvalidProfile("tie-break candidate outside the profile")
     if tb.kind == "favor":

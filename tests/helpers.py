@@ -24,7 +24,6 @@ from votelab import (
     candidates_from_labels,
     is_single_peaked,
     linear_extensions,
-    single_peaked_extensions,
     single_peaked_orders,
     winner,
 )
@@ -92,7 +91,11 @@ def _slot_options(
         if axis is None:
             options = list(linear_extensions(source, m, cap=None))
         else:
-            options = list(single_peaked_extensions(source, m, axis, cap=None))
+            options = [
+                order
+                for order in linear_extensions(source, m, cap=None)
+                if is_single_peaked(order, axis)
+            ]
         slots.append((ballot.weight, options))
     if axis is None:
         pool = sorted(permutations(range(m)))
@@ -225,6 +228,41 @@ def brute_preference_possible(rule: Rule, profile: Profile, target: int) -> bool
         if winner(rule, trial, tb).id == target:
             return True
     return False
+
+
+def brute_stv(
+    orders: Sequence[Order], weights: Sequence[int], m: int, *, branch: bool = True
+) -> set[int]:
+    """STV winners straight off the elimination tie tree, with no memo.
+
+    With ``branch`` every candidate tied for the lowest top-choice weight is
+    eliminated in turn; otherwise only the highest id is (the lex policy).
+    """
+    total = sum(weights)
+
+    def round_(alive: frozenset[int]) -> set[int]:
+        tally = dict.fromkeys(alive, 0)
+        for order, w in zip(orders, weights):
+            tally[next(c for c in order if c in alive)] += w
+        for c in alive:
+            if 2 * tally[c] > total:
+                return {c}
+        least = min(tally.values())
+        tied = sorted(c for c in alive if tally[c] == least)
+        out: set[int] = set()
+        for c in tied if branch else tied[-1:]:
+            out |= round_(alive - {c})
+        return out
+
+    return round_(frozenset(range(m)))
+
+
+def cyclic_profile(m: int) -> Profile:
+    """One weight-1 ballot per candidate c, ranking c, c+1, ... mod m."""
+    return Profile(
+        cands(m), tuple(vote([(c + k) % m for k in range(m)]) for c in range(m)),
+        strict_odd=False,
+    )
 
 
 def bracket_achievable(

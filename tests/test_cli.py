@@ -397,6 +397,24 @@ class TestExitCodes:
         code, _, err = run(capsys, "fine-sp-over", path, "--rule", "stv")
         assert code == 4 and "error:" in err
 
+    def test_stv_elimination_states_count_against_the_cap(self, capsys, write):
+        # 12 candidates in a cycle: STV tallies 3,951 candidate sets in all
+        labels = "ABCDEFGHIJKL"
+        votes = "".join(f"vote w=1 {'>'.join(labels[i:] + labels[:i])}\n" for i in range(12))
+        path = write(f"candidates: {' '.join(labels)}\n{votes}")
+        argv = ("possible-winners", path, "--rule", "stv", "--no-strict-odd", "--cap")
+        code, _, err = run(capsys, *argv, "1000")
+        assert code == 3 and "STV elimination" in err
+        code, out, _ = run(capsys, *argv, "10000")
+        assert (code, out) == (0, f"possible: {' '.join(labels)}\n")
+
+    def test_deep_agenda_is_a_usage_error(self, capsys, write):
+        labels = [f"c{i}" for i in range(1500)]
+        agenda = "(" * 1499 + "c0," + "),".join(labels[1:]) + ")"
+        path = write(f"candidates: {' '.join(labels)}\nvote w=1 {'>'.join(labels)}\n")
+        code, _, err = run(capsys, "winner", path, "--rule", f"cup:{agenda}")
+        assert code == 2 and "deeper" in err
+
     def test_missing_axis(self, capsys, write):
         path = write("candidates: A B C\nvote w=1 A>B>C\n")
         code, _, err = run(capsys, "fine-sp-over", path, "--rule", "stv")

@@ -1,5 +1,7 @@
 """Ballot, profile and single-peakedness primitives."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from votelab import (
     transitive_closure,
 )
 
+import helpers as H
 from helpers import cands, vote
 
 orders3 = st.permutations(range(3)).map(tuple)
@@ -245,6 +248,15 @@ class TestSinglePeaked:
             (0, 1, 2),
             (1, 0, 2),
         }
+
+    def test_extensions_match_the_filtered_linear_extensions(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            m = rng.randint(2, 6)
+            axis = Axis(tuple(rng.sample(range(m), m)))
+            b = H.rand_partial(rng, m, 1)
+            expect = [o for o in linear_extensions(b, m, cap=None) if is_single_peaked(o, axis)]
+            assert list(single_peaked_extensions(b, m, axis, cap=None)) == expect
 
     def test_sp_completable(self):
         assert sp_completable(PartialBallot(frozenset(), 1), 3, self.AXIS)

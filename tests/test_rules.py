@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votelab import (
+    CapExceeded,
     Copeland,
     Copeland2,
     Cup,
@@ -22,6 +23,7 @@ from votelab import (
     achievable_winners,
     agenda_leaves,
     borda,
+    candidates_from_labels,
     copeland_score,
     cup_winner,
     format_agenda,
@@ -30,10 +32,11 @@ from votelab import (
     is_balanced,
     parse_rule,
     plurality,
+    possible_winners,
     veto,
     winner,
 )
-from votelab.rules import _achievable_ids, pairwise_counts, sign_matrix
+from votelab.rules import MAX_AGENDA_DEPTH, _achievable_ids, pairwise_counts, sign_matrix
 
 import helpers as H
 from helpers import cands, vote
@@ -43,6 +46,22 @@ C4 = cands(4)
 
 def labels(cs):
     return sorted(c.label for c in cs)
+
+
+def chain_agenda(n):
+    """The agenda ((..((0,1),2)..),n-1): n-1 levels deep."""
+    agenda = 0
+    for c in range(1, n):
+        agenda = (agenda, c)
+    return agenda
+
+
+def chain_text(n):
+    return "(" * (n - 1) + "c0," + "),".join(f"c{c}" for c in range(1, n)) + ")"
+
+
+def chain_cands(n):
+    return candidates_from_labels([f"c{c}" for c in range(n)])
 
 
 class TestTieBreak:
@@ -91,6 +110,24 @@ class TestRuleValidation:
         assert agenda_leaves(((0, 1), (2, 3))) == (0, 1, 2, 3)
         with pytest.raises(InvalidProfile):
             agenda_leaves(((0, 0), 1))
+
+    def test_deep_agenda_rejected_with_a_typed_error(self):
+        deep = chain_agenda(1500)
+        assert agenda_leaves(deep) == tuple(range(1500))
+        with pytest.raises(InvalidProfile):
+            Cup(deep)
+        with pytest.raises(InvalidProfile):
+            parse_rule("cup:" + chain_text(1500), chain_cands(1500))
+
+    def test_agenda_at_the_depth_limit_is_evaluated(self):
+        n = MAX_AGENDA_DEPTH + 1
+        rule = parse_rule("cup:" + chain_text(n), chain_cands(n))
+        assert rule == Cup(chain_agenda(n))
+        with pytest.raises(InvalidProfile):
+            Cup(chain_agenda(n + 1))
+        p = Profile(chain_cands(n), (vote(range(n - 1, -1, -1)),))
+        assert winner(rule, p).id == n - 1
+        assert {c.id for c in achievable_winners(rule, p)} == {n - 1}
 
     def test_is_balanced(self):
         # a single bye (depth gap of one) still counts as balanced
@@ -274,13 +311,46 @@ class TestEliminationRules:
         assert winner(Stv(), p).label == "B"  # lex eliminates the higher id
         assert winner(Stv(), p, TieBreak.favor(2)).label == "C"
 
-    def test_stv_branch_bound_disables_branching(self):
-        p = Profile(
-            cands(3),
-            (vote((0, 1, 2), 3), vote((1, 2, 0), 2), vote((2, 1, 0), 2)),
-        )
-        only = achievable_winners(Stv(), p, stv_branch_bound=2)
-        assert labels(only) == ["B"]  # lex elimination only
+    def test_stv_branches_every_tie_above_six_candidates(self):
+        p = H.cyclic_profile(7)
+        assert labels(achievable_winners(Stv(), p)) == list("ABCDEFG")
+        assert winner(Stv(), p).label == "A"
+
+    def test_stv_matches_the_unmemoised_tie_tree(self):
+        rng = random.Random(71)
+        for m in range(3, 8):
+            for _ in range(12 if m < 7 else 4):
+                ballots = tuple(
+                    vote(H.rand_order(rng, m), rng.randint(1, 2))
+                    for _ in range(rng.randint(m - 1, m + 2))
+                )
+                p = Profile(cands(m), ballots, strict_odd=False)
+                orders, weights = H.raw_arrays(p)
+                tree = H.brute_stv(orders, weights, m)
+                assert {c.id for c in achievable_winners(Stv(), p)} == tree
+                lex = H.brute_stv(orders, weights, m, branch=False)
+                assert winner(Stv(), p).id == min(lex)
+                for c in range(m):
+                    favored = winner(Stv(), p, TieBreak.favor(c)).id
+                    assert favored == (c if c in tree else min(tree))
+                    rest = tree - {c}
+                    against = winner(Stv(), p, TieBreak.against(c)).id
+                    assert against == (min(rest) if rest else c)
+
+    def test_stv_elimination_states_count_against_the_cap(self):
+        p = H.cyclic_profile(12)
+        with pytest.raises(CapExceeded):
+            possible_winners(Stv(), p, cap=1000)
+        assert labels(possible_winners(Stv(), p, cap=10**4)) == list(H.LABELS[:12])
+
+    def test_stv_lex_runs_two_thousand_eliminations_deep(self):
+        # ballot i tops candidate i with weight i+1; eliminated ballots flow
+        # to candidate 1, which reaches a majority after about 1400 rounds
+        n = 2000
+        ids = list(range(n))
+        ballots = tuple(vote((i, *ids[:i], *ids[i + 1 :]), i + 1) for i in range(n))
+        p = Profile(candidates_from_labels([f"c{i}" for i in ids]), ballots, strict_odd=False)
+        assert winner(Stv(), p).label == "c1"
 
     def test_runoff_vs_stv_three_candidates(self):
         rng = random.Random(5)
