@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from itertools import combinations_with_replacement
 from typing import Sequence
 
@@ -45,7 +46,7 @@ from .manipulation import (
     condorcet_coalition_manipulate,
     preference_manipulate,
 )
-from .profiles import Axis, Candidate, Profile, WeightedBallot
+from .profiles import Axis, Profile, WeightedBallot
 from .rules import Copeland, TieBreak, format_agenda, parse_rule, winner
 from .textio import format_profile, parse_distribution, parse_profile
 
@@ -165,14 +166,8 @@ def cmd_manipulate_coalition(args: argparse.Namespace) -> int:
     ballots = list(profile.ballots)
     for idx, order in result.items():
         ballots[idx] = WeightedBallot(order, profile.ballots[idx].weight)
-    completed = Profile(
-        candidates=profile.candidates,
-        ballots=tuple(ballots),
-        unknown_weight=profile.unknown_weight,
-        strict_odd=profile.strict_odd,
-    )
     _answer(True)
-    _print_witness(completed)
+    _print_witness(replace(profile, ballots=tuple(ballots)))
     return 0
 
 
@@ -194,16 +189,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     dist = parse_distribution(
         _read_text(args.distribution), strict_odd=not args.no_strict_odd
     )
-    cands = dist.candidates
-
-    def by_label(label: str) -> Candidate:
-        for cand in cands:
-            if cand.label == label:
-                return cand
-        raise ProfileParseError(f"no candidate labelled {label!r}")
-
+    by_label = dist.scenarios[0][0].by_label
     target = by_label(args.target)
-    rule = parse_rule(args.rule, cands)
+    rule = parse_rule(args.rule, dist.candidates)
     tb = _parse_tb(args.tb, by_label)
     try:
         threshold = parse_rational(args.r)

@@ -14,17 +14,18 @@ merged count before enumeration begins; nothing is ever truncated.
 ``search`` is the one completion-search loop: it scores every joint
 completion with the rule and yields the winners it can reach.  Possible
 winners, elicitation and both manipulation models differ only in when they
-stop it, and in which ballots they leave free (``fixed_view``).
+stop it, and in which ballots they leave free: ``fixed_view`` is the one
+place that encodes an uncertainty model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from typing import Collection, Iterator, Sequence
 
-from .errors import CapExceeded, NotCompletableSP
+from .errors import CapExceeded, ModelMismatch, NotCompletableSP
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
     Axis,
@@ -57,27 +58,28 @@ class OptionGroup:
 
 
 def _ballot_options(
-    ballot: PartialBallot,
-    m: int,
-    axis: Axis | None,
-    locked_only: bool,
-    cap: int | None,
+    ballot: PartialBallot, m: int, axis: Axis | None, cap: int | None
 ) -> tuple[Order, ...]:
-    source = ballot.locked_only() if locked_only else ballot
     if axis is None:
-        options = tuple(linear_extensions(source, m, cap=cap))
-    else:
-        options = tuple(single_peaked_extensions(source, m, axis, cap=cap))
-        if not options:
-            raise NotCompletableSP(
-                f"ballot with pairs {sorted(ballot.pairs)} has no single-peaked completion"
-            )
+        return tuple(linear_extensions(ballot, m, cap=cap))
+    options = tuple(single_peaked_extensions(ballot, m, axis, cap=cap))
+    if not options:
+        raise NotCompletableSP(
+            f"ballot with pairs {sorted(ballot.pairs)} has no single-peaked completion"
+        )
     return options
 
 
-def _unknown_options(m: int, axis: Axis | None) -> tuple[Order, ...]:
+def _unknown_options(m: int, axis: Axis | None, cap: int | None) -> tuple[Order, ...]:
+    """Every order an unknown agent may cast; CapExceeded, before any is
+    built, when there are more than ``cap`` (as for an empty ballot)."""
+    count = math.factorial(m) if axis is None else 2 ** (m - 1)
+    if cap is not None and count > cap:
+        raise CapExceeded(
+            f"an unknown agent admits {count} orders, above the cap of {cap}", count
+        )
     if axis is None:
-        return tuple(sorted(permutations(range(m))))
+        return tuple(permutations(range(m)))
     return tuple(sorted(single_peaked_orders(axis)))
 
 
@@ -85,25 +87,23 @@ def completion_groups(
     profile: Profile,
     *,
     axis: Axis | None = None,
-    locked_only: bool = False,
-    option_key=None,
     cap: int | None = DEFAULT_COMPLETION_CAP,
 ) -> tuple[OptionGroup, ...]:
     """Build the option groups of a profile's joint-completion space.
 
+    Every partial ballot is completed from all its commitments; the view
+    from ``fixed_view`` decides which ballots are free and how far.
+
     Args:
         axis: restrict every completion to be single-peaked on this axis.
-        locked_only: complete partial ballots from their locked pairs only
-            (the preference-manipulation view) instead of all commitments.
-        option_key: optional sort key applied to each group's options
-            (used to steer search order); options are lexicographic by
-            candidate id otherwise.
-        cap: per-ballot guard against enormous option lists.
+        cap: per-ballot guard against enormous option lists; the unknown
+            pool counts as one ballot.
 
-    Groups are ordered by descending ballot weight.
+    Options are lexicographic by candidate id, and groups are ordered by
+    descending ballot weight.
     """
     m = profile.m
-    raw: list[tuple[int, int, tuple[Order, ...]]] = []
+    grouped: dict[tuple[int, tuple[Order, ...]], list[int]] = {}
     for idx, ballot in enumerate(profile.ballots):
         if isinstance(ballot, WeightedBallot):
             if axis is not None and not is_single_peaked(ballot.order, axis):
@@ -111,24 +111,17 @@ def completion_groups(
                     f"complete ballot {ballot.order} is not single-peaked on the axis"
                 )
             continue
-        options = _ballot_options(ballot, m, axis, locked_only, cap)
-        if option_key is not None:
-            options = tuple(sorted(options, key=option_key))
-        raw.append((idx, ballot.weight, options))
-
-    grouped: dict[tuple[int, tuple[Order, ...]], list[int]] = {}
-    for idx, weight, options in raw:
-        grouped.setdefault((weight, options), []).append(idx)
+        options = _ballot_options(ballot, m, axis, cap)
+        grouped.setdefault((ballot.weight, options), []).append(idx)
 
     groups = [
         OptionGroup(weight, len(indices), options, tuple(indices))
         for (weight, options), indices in grouped.items()
     ]
     if profile.unknown_weight > 0:
-        options = _unknown_options(m, axis)
-        if option_key is not None:
-            options = tuple(sorted(options, key=option_key))
-        groups.append(OptionGroup(1, profile.unknown_weight, options, ()))
+        groups.append(
+            OptionGroup(1, profile.unknown_weight, _unknown_options(m, axis, cap), ())
+        )
     groups.sort(key=lambda g: (-g.weight, g.indices))
     return tuple(groups)
 
@@ -157,7 +150,8 @@ def iter_assignments(
 
     Within a group the options assigned to its interchangeable ballots form
     a non-decreasing sequence of option indices, so each multiset appears
-    exactly once.  The stream is deterministic.
+    exactly once.  The stream is deterministic, and each group's
+    combinations are produced only as the walk reaches them.
     """
     chosen: list[tuple[Order, ...]] = []
 
@@ -166,20 +160,10 @@ def iter_assignments(
             yield tuple(chosen)
             return
         group = groups[gi]
-        combo: list[Order] = []
-
-        def fill(slot: int, start: int) -> Iterator[tuple[tuple[Order, ...], ...]]:
-            if slot == group.count:
-                chosen.append(tuple(combo))
-                yield from walk(gi + 1)
-                chosen.pop()
-                return
-            for oi in range(start, len(group.options)):
-                combo.append(group.options[oi])
-                yield from fill(slot + 1, oi)
-                combo.pop()
-
-        yield from fill(0, 0)
+        for combo in combinations_with_replacement(group.options, group.count):
+            chosen.append(combo)
+            yield from walk(gi + 1)
+            chosen.pop()
 
     return walk(0)
 
@@ -221,19 +205,27 @@ def search(
 
 
 def fixed_view(profile: Profile, free: Collection[int] = ()) -> Profile:
-    """The profile with the ballots at ``free`` indices blanked to full
-    freedom and every other total partial ballot cast as its order.
+    """The profile under one uncertainty model: only the ballots at ``free``
+    indices stay open.
 
-    Completions and winners are unchanged, and the view's ``fixed_arrays``
-    cover every total ballot outside ``free``.  Returns the profile itself
-    when nothing changes.
+    A free ballot is cut back to its locked pairs; a coalition ballot has
+    none, so it is blanked to full freedom.  Every other ballot must be a
+    total order, else ModelMismatch, and is cast as that order, so the
+    view's ``fixed_arrays`` cover every ballot outside ``free``.  Returns
+    the profile itself when nothing changes.
     """
     m = profile.m
     ballots = []
     for idx, ballot in enumerate(profile.ballots):
         if idx in free:
-            ballot = PartialBallot(frozenset(), ballot.weight)
-        elif isinstance(ballot, PartialBallot) and ballot.is_total(m):
+            locked = ballot.locked if isinstance(ballot, PartialBallot) else frozenset()
+            ballot = PartialBallot(locked, ballot.weight, locked)
+        elif isinstance(ballot, PartialBallot):
+            if not ballot.is_total(m):
+                raise ModelMismatch(
+                    f"ballot {idx} is genuinely partial; outside the free "
+                    "ballots every vote must be a total order"
+                )
             ballot = WeightedBallot(ballot.to_order(m), ballot.weight)
         ballots.append(ballot)
     if all(new is old for new, old in zip(ballots, profile.ballots)):

@@ -234,20 +234,6 @@ def fine_elicitation_over(
     return len(_possible_ids(rule, profile, cap=cap, stop_at=2)) == 1
 
 
-def _require_whole_ballot_model(profile: Profile) -> Profile:
-    """The profile with every cast ballot as a ``WeightedBallot``.
-
-    Raises ModelMismatch if a cast ballot is genuinely partial.
-    """
-    for ballot in profile.ballots:
-        if isinstance(ballot, PartialBallot) and not ballot.is_total(profile.m):
-            raise ModelMismatch(
-                "whole-ballot elicitation requires every cast ballot to be a "
-                "total order; found a genuinely partial ballot"
-            )
-    return fixed_view(profile)
-
-
 def coarse_elicitation_over(
     rule: Rule,
     profile: Profile,
@@ -263,7 +249,7 @@ def coarse_elicitation_over(
     """
     if isinstance(rule, Hybrid):
         return hybrid_coarse_over(rule.pairing, profile)
-    return fine_elicitation_over(rule, _require_whole_ballot_model(profile), cap=cap)
+    return fine_elicitation_over(rule, fixed_view(profile), cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +507,7 @@ def hybrid_coarse_over(pairing: Pairing, profile: Profile) -> bool:
     unknown weight closes every tally gap.  Over iff one possible winner
     remains.  Raises ModelMismatch if a cast ballot is genuinely partial.
     """
-    profile = _require_whole_ballot_model(profile)
+    profile = fixed_view(profile)
     m = profile.m
     validate_rule_for(Hybrid(pairing), m)
     if m == 1:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .completions import check_cap, completed_profile, completion_groups, iter_assignments
+from .completions import check_cap, completed_arrays, completion_groups, iter_assignments
 from .errors import CapExceeded, InvalidDistribution, ModelMismatch
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
@@ -24,7 +24,7 @@ from .profiles import (
     WeightedBallot,
 )
 from .rules import Rule, TieBreak, winner
-from .manipulation import ManipulationInstance
+from .manipulation import ManipulationInstance, _preference_view
 
 Order = tuple[int, ...]
 
@@ -157,17 +157,23 @@ def evaluate(dist: ScenarioDistribution, query: EvaluationQuery) -> bool:
     return acc > query.r
 
 
-def _unit_split(profile: Profile, _cache: dict[Order, WeightedBallot]) -> Profile:
-    """Each weight-k ballot as k identical unit ballots (same election).
+def _unit_split(
+    profile: Profile,
+    orders: Sequence[Order],
+    weights: Sequence[int],
+    _cache: dict[Order, WeightedBallot],
+) -> Profile:
+    """The election (orders, weights) over the profile's candidates, each
+    weight-k order cast as k identical unit ballots.
 
     Unit ballots are immutable, so scenarios share one object per order.
     """
     ballots: list[WeightedBallot] = []
-    for b in profile.ballots:
-        unit = _cache.get(b.order)
+    for order, weight in zip(orders, weights):
+        unit = _cache.get(order)
         if unit is None:
-            unit = _cache[b.order] = WeightedBallot(b.order, 1)
-        ballots.extend([unit] * b.weight)
+            unit = _cache[order] = WeightedBallot(order, 1)
+        ballots.extend([unit] * weight)
     return Profile(
         candidates=profile.candidates,
         ballots=tuple(ballots),
@@ -193,10 +199,10 @@ def reduction_from_preference_manipulation(
     """
     if inst.is_coalition:
         raise ModelMismatch("the reduction starts from a preference-model instance")
-    profile = inst.profile
-    groups = completion_groups(profile, locked_only=True, cap=cap)
+    view = _preference_view(inst.profile)
+    groups = completion_groups(view, cap=cap)
     count = check_cap(groups, cap)
-    units = count * profile.total_weight
+    units = count * view.total_weight
     if cap is not None and units > cap:
         raise CapExceeded(
             f"the unit split builds {units} unit ballots, above the cap of {cap}", units
@@ -204,7 +210,7 @@ def reduction_from_preference_manipulation(
     share = Fraction(1, count)
     unit_cache: dict[Order, WeightedBallot] = {}
     scenarios = tuple(
-        (_unit_split(completed_profile(profile, groups, assignment), unit_cache), share)
+        (_unit_split(view, *completed_arrays(view, groups, assignment), unit_cache), share)
         for assignment in iter_assignments(groups)
     )
     dist = ScenarioDistribution(scenarios)
@@ -233,26 +239,31 @@ def product_distribution(
     if not agents:
         raise InvalidDistribution("need at least one agent")
     size = 1
-    for _, marginal in agents:
+    options = []
+    for weight, marginal in agents:
         if not marginal:
             raise InvalidDistribution("an agent's marginal cannot be empty")
-        mass = sum(_as_probability(p) for _, p in marginal)
+        probs = [_as_probability(p) for _, p in marginal]
+        mass = sum(probs)
         if mass != 1:
             raise InvalidDistribution(f"an agent's marginal sums to {_brief(mass)}, not 1")
+        options.append(
+            [(WeightedBallot(order, weight), p) for (order, _), p in zip(marginal, probs)]
+        )
         size *= len(marginal)
     if cap is not None and size > cap:
         raise CapExceeded(
             f"the product distribution holds {size} scenarios, above {cap}", size
         )
     scenarios = []
-    for combo in product(*(marginal for _, marginal in agents)):
+    for combo in product(*options):
         prob = Fraction(1)
-        ballots = []
-        for (weight, _), (order, p) in zip(agents, combo):
-            prob *= _as_probability(p)
-            ballots.append(WeightedBallot(order, weight))
+        for _, p in combo:
+            prob *= p
         scenario = Profile(
-            candidates=candidates, ballots=tuple(ballots), strict_odd=strict_odd
+            candidates=candidates,
+            ballots=tuple(ballot for ballot, _ in combo),
+            strict_odd=strict_odd,
         )
         scenarios.append((scenario, prob))
     return ScenarioDistribution(tuple(scenarios))

@@ -11,9 +11,16 @@ the target wins under tie-breaking for the target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
-from .completions import completed_profile, completion_groups, fixed_view, search
+from .completions import (
+    OptionGroup,
+    completed_profile,
+    completion_groups,
+    fixed_view,
+    search,
+)
 from .errors import InvalidInstance, ModelMismatch
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
@@ -83,7 +90,7 @@ class ManipulationInstance:
 
 
 def _probe_profile(inst: ManipulationInstance) -> Profile:
-    """Check the coalition model; the profile with coalition ballots blanked.
+    """Check the coalition model; the view with coalition ballots blanked.
 
     Outside the coalition every ballot of the probe is a ``WeightedBallot``,
     so its ``fixed_arrays`` are the fixed side of the election.
@@ -95,16 +102,23 @@ def _probe_profile(inst: ManipulationInstance) -> Profile:
             "coalition manipulation needs every non-coalition vote known; "
             "the profile still has wholly unknown weight"
         )
-    m = inst.profile.m
-    for idx, ballot in enumerate(inst.profile.ballots):
-        if idx in inst.coalition:
-            continue
-        if isinstance(ballot, PartialBallot) and not ballot.is_total(m):
-            raise ModelMismatch(
-                f"non-coalition ballot {idx} is partial; outside the "
-                "coalition every vote must be a total order"
-            )
     return fixed_view(inst.profile, inst.coalition)
+
+
+def _preference_view(profile: Profile) -> Profile:
+    """The preference model: every partial ballot is free up to its locked pairs."""
+    free = {i for i, b in enumerate(profile.ballots) if isinstance(b, PartialBallot)}
+    return fixed_view(profile, free)
+
+
+def _target_first(
+    groups: Sequence[OptionGroup], target: int
+) -> tuple[OptionGroup, ...]:
+    """The groups with target-topmost options first, so witnesses surface early."""
+    return tuple(
+        replace(g, options=tuple(sorted(g.options, key=lambda o: (o.index(target), o))))
+        for g in groups
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +145,7 @@ def coalition_manipulate(
         order = _cup_coalition_order(inst.rule.agenda, probe, inst.coalition, target)
         return None if order is None else {idx: order for idx in sorted(inst.coalition)}
 
-    groups = completion_groups(
-        probe, option_key=lambda order: (order.index(target), order), cap=cap
-    )
+    groups = _target_first(completion_groups(probe, cap=cap), target)
     for assignment, ids in search(inst.rule, probe, groups, cap):
         if target in ids:
             return {
@@ -250,17 +262,11 @@ def preference_manipulate(
     """
     if inst.is_coalition:
         raise ModelMismatch("this operation needs a preference-model instance")
-    profile = inst.profile
-    m = profile.m
-    validate_rule_for(inst.rule, m)
+    view = _preference_view(inst.profile)
+    validate_rule_for(inst.rule, view.m)
     target = inst.target.id
-    groups = completion_groups(
-        profile,
-        locked_only=True,
-        option_key=lambda order: (order.index(target), order),
-        cap=cap,
-    )
-    for assignment, ids in search(inst.rule, profile, groups, cap):
+    groups = _target_first(completion_groups(view, cap=cap), target)
+    for assignment, ids in search(inst.rule, view, groups, cap):
         if target in ids:
-            return completed_profile(profile, groups, assignment)
+            return completed_profile(view, groups, assignment)
     return None

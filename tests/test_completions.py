@@ -7,15 +7,18 @@ import pytest
 from votelab import (
     Axis,
     CapExceeded,
+    ModelMismatch,
     NotCompletableSP,
     PartialBallot,
     Profile,
+    WeightedBallot,
     completion_groups,
     completed_profile,
     iter_assignments,
     space_size,
 )
-from votelab.completions import check_cap, completed_arrays
+from votelab.completions import OptionGroup, check_cap, completed_arrays, fixed_view
+from votelab.manipulation import _preference_view
 
 import helpers as H
 from helpers import cands, vote
@@ -97,6 +100,28 @@ class TestAssignments:
             brute = {election_key(c) for c in H.iter_completions(p)}
             assert merged == brute
 
+    def test_stream_order_is_pinned(self):
+        # witnesses are the first winning assignment, so the order matters
+        a, b, c = (0, 1, 2), (1, 0, 2), (2, 1, 0)
+        groups = (
+            OptionGroup(3, 2, (a, b, c), (0, 2)),
+            OptionGroup(2, 0, (a, b), ()),
+            OptionGroup(1, 2, (b, c), ()),  # a unit pool
+        )
+        name = {a: "a", b: "b", c: "c"}
+        stream = [
+            "|".join("".join(name[o] for o in combo) for combo in assignment)
+            for assignment in iter_assignments(groups)
+        ]
+        assert stream == [
+            "aa||bb", "aa||bc", "aa||cc",
+            "ab||bb", "ab||bc", "ab||cc",
+            "ac||bb", "ac||bc", "ac||cc",
+            "bb||bb", "bb||bc", "bb||cc",
+            "bc||bb", "bc||bc", "bc||cc",
+            "cc||bb", "cc||bc", "cc||cc",
+        ]
+
     def test_completed_profile_preserves_positions(self):
         partial = PartialBallot({(1, 0)}, 2)
         p = Profile(cands(2), (vote((0, 1), 2), partial), unknown_weight=1)
@@ -129,13 +154,37 @@ class TestLockedView:
         b = PartialBallot({(0, 1), (1, 2)}, 1, locked={(0, 1)})
         p = Profile(cands(3), (b,))
         (committed,) = completion_groups(p)
-        (free,) = completion_groups(p, locked_only=True)
+        (free,) = completion_groups(_preference_view(p))
         assert set(committed.options) == {(0, 1, 2)}
         assert set(free.options) == {(0, 1, 2), (0, 2, 1), (2, 0, 1)}
 
     def test_complete_ballots_stay_fixed(self):
         p = Profile(cands(2), (vote((1, 0), 1),))
-        assert completion_groups(p, locked_only=True) == ()
+        assert completion_groups(_preference_view(p)) == ()
+
+
+class TestFixedView:
+    def test_free_ballots_keep_only_their_locked_pairs(self):
+        b = PartialBallot({(0, 1), (1, 2)}, 2, locked={(0, 1)})
+        total = PartialBallot.from_order((2, 0, 1), 1)
+        p = Profile(
+            cands(3),
+            (b, vote((0, 2, 1), 1), total, vote((1, 0, 2), 1)),
+            strict_odd=False,
+        )
+        view = fixed_view(p, {0, 1})
+        assert view.ballots[0] == PartialBallot({(0, 1)}, 2, locked={(0, 1)})
+        assert view.ballots[1] == PartialBallot(frozenset(), 1)
+        assert view.ballots[2] == WeightedBallot((2, 0, 1), 1)
+        assert view.ballots[3] is p.ballots[3]
+
+    def test_partial_ballot_outside_free_raises(self):
+        b = PartialBallot({(0, 1)}, 1, locked={(0, 1)})
+        p = Profile(cands(3), (b, vote((2, 1, 0), 2)))
+        with pytest.raises(ModelMismatch):
+            fixed_view(p)
+        with pytest.raises(ModelMismatch):
+            fixed_view(p, {1})
 
 
 class TestAxis:
@@ -179,6 +228,10 @@ class TestCaps:
         assert exc.value.estimate == 6 * 21  # 6 extensions x C(6+2-1, 2)
 
     def test_per_ballot_option_cap(self):
-        p = Profile(cands(4), (PartialBallot(frozenset(), 1),))
-        with pytest.raises(CapExceeded):
-            completion_groups(p, cap=10)
+        for p, axis in (
+            (Profile(cands(4), (PartialBallot(frozenset(), 1),)), None),
+            (Profile(cands(4), (), unknown_weight=1), None),  # the unknown pool
+            (Profile(cands(5), (), unknown_weight=1), Axis(tuple(range(5)))),
+        ):
+            with pytest.raises(CapExceeded):
+                completion_groups(p, axis=axis, cap=10)

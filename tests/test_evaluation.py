@@ -26,6 +26,7 @@ from votelab import (
     win_probability,
     winner,
 )
+from votelab import evaluation
 
 import helpers as H
 from helpers import cands, vote
@@ -197,6 +198,24 @@ class TestProductDistribution:
         agent = (1, [((0, 1), Fraction(1, 2)), ((1, 0), Fraction(1, 2))])
         with pytest.raises(CapExceeded):
             product_distribution(C2, [agent] * 21, strict_odd=False, cap=10**6)
+
+    def test_each_marginal_entry_is_parsed_once(self, monkeypatch):
+        parse = evaluation.parse_rational
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(evaluation, "parse_rational", counting)
+        third = [((0, 1, 2), "1/3"), ((1, 2, 0), "1/3"), ((2, 0, 1), "1/3")]
+        half = [((0, 1, 2), "1/2"), ((2, 1, 0), "0.5")]
+        dist = product_distribution(cands(3), [(1, third)] * 5 + [(2, half)])
+        assert len(calls) == 5 * 3 + 2
+        assert len(dist.scenarios) == 3**5 * 2
+        assert dist.scenarios[0][1] == Fraction(1, 486)
+        assert dist.scenarios[-1][0].ballots[-1] == vote((2, 1, 0), 2)
+        assert sum(p for _, p in dist.scenarios) == 1
 
 
 class TestReduction:
