@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 from itertools import combinations_with_replacement
 from typing import Sequence
 
@@ -317,7 +318,9 @@ def _print_bool(key: str, value: bool) -> None:
 # Parser
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--no-strict-odd",

@@ -14,8 +14,10 @@ All structures are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
+from operator import is_not, mul, sub
 from typing import Iterator, Sequence, Union
 
 from .errors import CapExceeded, InvalidProfile, NotCompletableSP
@@ -51,13 +53,13 @@ class Axis:
         return self.order.index(cand)
 
 
-def _check_weight(weight: int) -> None:
+def _check_weight(weight: int, what: str = "weight", least: int = 1) -> None:
     if not isinstance(weight, int) or isinstance(weight, bool):
-        raise InvalidProfile(f"weight must be an integer, got {weight!r}")
-    if weight < 1:
-        raise InvalidProfile(f"weight must be positive, got {weight}")
+        raise InvalidProfile(f"{what} must be an integer, got {weight!r}")
+    if weight < least:
+        raise InvalidProfile(f"{what} must be at least {least}, got {weight}")
     if weight > MAX_WEIGHT:
-        raise InvalidProfile(f"weight {weight} exceeds the 64-bit bound")
+        raise InvalidProfile(f"{what} {weight} exceeds the 64-bit bound")
 
 
 def transitive_closure(pairs: Sequence[Pair]) -> frozenset[Pair]:
@@ -201,11 +203,10 @@ class Profile:
         labels = [c.label for c in self.candidates]
         if len(set(labels)) != m:
             raise InvalidProfile("candidate labels must be unique")
-        if self.unknown_weight < 0 or self.unknown_weight > MAX_WEIGHT:
-            raise InvalidProfile("unknown_weight out of range")
+        _check_weight(self.unknown_weight, "unknown_weight", 0)
         universe = set(range(m))
-        # a ballot object shared by several slots needs only one check
-        for ballot in dict(zip(map(id, self.ballots), self.ballots)).values():
+        # a ballot object filling a run of slots needs only one check
+        for ballot in self.runs[0]:
             if isinstance(ballot, WeightedBallot):
                 if set(ballot.order) != universe:
                     raise InvalidProfile(
@@ -232,14 +233,32 @@ class Profile:
     # are frozen, so a cached value never goes stale.
 
     @cached_property
+    def runs(self) -> tuple[Sequence[Ballot], Sequence[int]]:
+        """The ballots as runs, in slot order: (heads, counts).
+
+        ``heads[k]`` is the ballot object that fills ``counts[k]`` adjacent
+        slots, and each run is maximal, so adjacent heads are distinct
+        objects.  Runs are found by identity, not equality.  Without an
+        adjacent repeat the heads are ``ballots`` itself.  Every aggregate
+        reads a run once, as ``counts[k]`` slots of weight ``heads[k].weight``.
+        """
+        b = self.ballots
+        n = len(b)
+        starts = [0, *compress(range(1, n), map(is_not, b[1:], b))] if n else []
+        if len(starts) == n:
+            return b, (1,) * n
+        return [b[i] for i in starts], list(map(sub, starts[1:] + [n], starts))
+
+    @cached_property
     def total_weight(self) -> int:
-        return sum(b.weight for b in self.ballots) + self.unknown_weight
+        heads, counts = self.runs
+        return sum(map(mul, [b.weight for b in heads], counts)) + self.unknown_weight
 
     @cached_property
     def is_complete(self) -> bool:
         """True when every ballot is a full ranking and nothing is unknown."""
         return self.unknown_weight == 0 and all(
-            isinstance(b, WeightedBallot) for b in self.ballots
+            map(isinstance, self.runs[0], repeat(WeightedBallot))
         )
 
     def candidate(self, cand_id: int) -> Candidate:
@@ -272,9 +291,9 @@ class Profile:
         unknown weight are left out.
         """
         merged: dict[tuple[int, ...], int] = {}
-        for b in self.ballots:
+        for b, k in zip(*self.runs):
             if isinstance(b, WeightedBallot):
-                merged[b.order] = merged.get(b.order, 0) + b.weight
+                merged[b.order] = merged.get(b.order, 0) + b.weight * k
         return tuple(merged), tuple(merged.values())
 
 
@@ -317,15 +336,16 @@ def majority_matrix(profile: Profile) -> MajorityMatrix:
     """Aggregate committed pairwise weight; unknown weight is wholly free."""
     m = profile.m
     fixed = [[0] * m for _ in range(m)]
-    for ballot in profile.ballots:
+    for ballot, k in zip(*profile.runs):
+        weight = ballot.weight * k
         if isinstance(ballot, WeightedBallot):
             o = ballot.order
             for i in range(m):
                 for j in range(i + 1, m):
-                    fixed[o[i]][o[j]] += ballot.weight
+                    fixed[o[i]][o[j]] += weight
         else:
             for a, b in ballot.pairs:
-                fixed[a][b] += ballot.weight
+                fixed[a][b] += weight
     total = profile.total_weight
     free = [
         [0 if i == j else total - fixed[i][j] - fixed[j][i] for j in range(m)]

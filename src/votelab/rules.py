@@ -21,6 +21,7 @@ most 2^m candidate sets, each tallied once and charged to ``cap``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Sequence, Union
 
@@ -135,6 +136,11 @@ class Cup(object):
                 f"cup agenda is {depth} levels deep, above the limit of {MAX_AGENDA_DEPTH}"
             )
 
+    @cached_property
+    def leaf_set(self) -> frozenset[int]:
+        """The candidate ids at the agenda's leaves."""
+        return frozenset(agenda_leaves(self.agenda))
+
 
 @dataclass(frozen=True)
 class Copeland:
@@ -237,7 +243,7 @@ def validate_rule_for(rule: Rule, m: int) -> None:
     if isinstance(rule, Scoring) and m >= 2:
         rule.vector_for(m)
     elif isinstance(rule, Cup):
-        if set(agenda_leaves(rule.agenda)) != set(range(m)):
+        if rule.leaf_set != frozenset(range(m)):
             raise InvalidProfile("cup agenda must cover the candidate set exactly")
     elif isinstance(rule, Hybrid):
         if rule.pairing.members() != frozenset(range(m)):

@@ -60,6 +60,29 @@ def raw_arrays(profile: Profile) -> tuple[tuple[Order, ...], tuple[int, ...]]:
     )
 
 
+def slot_aggregates(profile: Profile):
+    """(total_weight, is_complete, fixed_arrays, committed pairwise weight) of
+    a profile, computed one ballot slot at a time with no run or identity
+    shortcut.  The committed weight is ``majority_matrix(profile).fixed``."""
+    m = profile.m
+    total = profile.unknown_weight
+    complete = profile.unknown_weight == 0
+    merged: dict[Order, int] = {}
+    fixed = [[0] * m for _ in range(m)]
+    for ballot in profile.ballots:
+        total += ballot.weight
+        if isinstance(ballot, WeightedBallot):
+            merged[ballot.order] = merged.get(ballot.order, 0) + ballot.weight
+            pairs = ballot.pairs()
+        else:
+            complete = False
+            pairs = ballot.pairs
+        for a, b in pairs:
+            fixed[a][b] += ballot.weight
+    arrays = (tuple(merged), tuple(merged.values()))
+    return total, complete, arrays, tuple(map(tuple, fixed))
+
+
 def condorcet_of(completion: Profile) -> int | None:
     """Candidate id beating every rival by strict majority, or None."""
     orders, weights = completion.complete_arrays()

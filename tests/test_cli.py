@@ -284,12 +284,13 @@ class TestReductionVerbs:
         assert axis is not None
 
     def test_gen_to_file(self, capsys, tmp_path):
-        dest = str(tmp_path / "inst.txt")
+        path = tmp_path / "inst.txt"
+        dest = str(path)
         code, out, _ = run(
             capsys, "gen-reduction", "--kind", "cup-elicit", "--bag", "1,1,2", "-o", dest
         )
         assert (code, out) == (0, f"wrote: {dest}\n")
-        profile, _ = parse_profile(open(dest).read())
+        profile, _ = parse_profile(path.read_text())
         assert profile.total_weight == 15
 
     def test_balanced_limited_to_cup_elicit(self, capsys):

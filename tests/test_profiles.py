@@ -160,6 +160,68 @@ class TestProfile:
         p = Profile(cands(2), (vote((0, 1), 2),), unknown_weight=1)
         assert not p.is_complete
 
+    @pytest.mark.parametrize("unknown", [2.5, "3", True, False, 2**63])
+    def test_unknown_weight_must_be_an_in_range_int(self, unknown):
+        with pytest.raises(InvalidProfile, match="unknown_weight"):
+            Profile(cands(2), (vote((0, 1), 1),), unknown_weight=unknown, strict_odd=False)
+
+
+class TestRuns:
+    """Aggregates read each run of one shared ballot object once."""
+
+    @staticmethod
+    def _slots(rng: random.Random, m: int) -> list:
+        """Ballot slots drawn as runs over a small pool of objects.
+
+        The pool holds complete and partial ballots and, for some orders, two
+        equal but distinct objects; a run repeats one object 1-6 times, and
+        objects recur in non-adjacent runs.
+        """
+        pool: list = []
+        for _ in range(rng.randint(1, 4)):
+            order = H.rand_order(rng, m)
+            w = rng.randint(1, 5)
+            pool.append(vote(order, w))
+            if rng.random() < 0.5:
+                pool.append(vote(order, w))  # equal, not identical
+        for _ in range(rng.randint(0, 2)):
+            pool.append(H.rand_partial(rng, m, rng.randint(1, 5), lock=True))
+        slots: list = []
+        for _ in range(rng.randint(0, 8)):
+            slots += [rng.choice(pool)] * rng.randint(1, 6)
+        return slots
+
+    def test_aggregates_match_the_slot_referee(self):
+        rng = random.Random(20261018)
+        for _ in range(400):
+            m = rng.randint(2, 4)
+            slots = self._slots(rng, m)
+            p = Profile(cands(m), tuple(slots), rng.choice([0, 0, 1, 3]), strict_odd=False)
+            heads, counts = p.runs
+            assert sum(counts) == len(slots)
+            assert all(a is not b for a, b in zip(heads, heads[1:]))
+            expanded = [b for b, k in zip(heads, counts) for _ in range(k)]
+            assert all(a is b for a, b in zip(expanded, slots))
+            total, complete, arrays, fixed = H.slot_aggregates(p)
+            assert p.total_weight == total
+            assert p.is_complete == complete
+            assert p.fixed_arrays == arrays
+            assert majority_matrix(p).fixed == fixed
+
+    def test_distinct_slots_are_their_own_runs(self):
+        ballots = tuple(vote((i % 2, 1 - i % 2), 1) for i in range(5))
+        p = Profile(cands(2), ballots)
+        assert p.runs == (ballots, (1,) * 5)
+        assert Profile(cands(2), unknown_weight=1).runs == ((), ())
+
+    @pytest.mark.parametrize(
+        "bad", [vote((0, 1), 1), PartialBallot({(0, 3)}, 1)], ids=["short", "undeclared"]
+    )
+    def test_invalid_ballot_after_a_long_shared_run(self, bad):
+        unit = vote((0, 1, 2), 1)
+        with pytest.raises(InvalidProfile):
+            Profile(cands(3), (unit,) * 10**5 + (bad,), strict_odd=False)
+
 
 class TestMajorityMatrix:
     def test_fixed_free_partition_the_total(self):

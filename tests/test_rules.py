@@ -111,6 +111,20 @@ class TestRuleValidation:
         with pytest.raises(InvalidProfile):
             agenda_leaves(((0, 0), 1))
 
+    def test_cup_walks_its_agenda_once(self, monkeypatch):
+        import votelab.rules as rules_mod
+
+        rule = Cup(((0, 1), 2))
+        walks = []
+        real = rules_mod.agenda_leaves
+        monkeypatch.setattr(rules_mod, "agenda_leaves", lambda a: walks.append(a) or real(a))
+        p = Profile(candidates_from_labels("ABC"), (vote((2, 0, 1), 1),))
+        for _ in range(3):
+            assert winner(rule, p).id == 2
+        assert rule.leaf_set == frozenset({0, 1, 2}) and len(walks) == 1
+        with pytest.raises(InvalidProfile, match="cover"):
+            winner(rule, Profile(candidates_from_labels("AB"), (vote((0, 1), 1),)))
+
     def test_deep_agenda_rejected_with_a_typed_error(self):
         deep = chain_agenda(1500)
         assert agenda_leaves(deep) == tuple(range(1500))
