@@ -15,7 +15,6 @@ All structures are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, repeat
 from operator import is_not, mul, sub
 from typing import Iterator, Sequence, Union
@@ -29,6 +28,30 @@ DEFAULT_COMPLETION_CAP = 10**6
 MAX_WEIGHT = 2**63 - 1
 
 Pair = tuple[int, int]
+
+
+class cached_attribute:
+    """``functools.cached_property`` without its lock.
+
+    The first read computes the value and stores it in the instance
+    ``__dict__`` under the attribute's name; later reads find it there,
+    before this non-data descriptor.  This is what ``cached_property`` does
+    from Python 3.12 on.  Under 3.11 it takes an ``RLock`` on every first
+    read, which no caller here needs.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -232,7 +255,7 @@ class Profile:
     # Aggregates are cached in the instance __dict__; the fields they read
     # are frozen, so a cached value never goes stale.
 
-    @cached_property
+    @cached_attribute
     def runs(self) -> tuple[Sequence[Ballot], Sequence[int]]:
         """The ballots as runs, in slot order: (heads, counts).
 
@@ -249,12 +272,12 @@ class Profile:
             return b, (1,) * n
         return [b[i] for i in starts], list(map(sub, starts[1:] + [n], starts))
 
-    @cached_property
+    @cached_attribute
     def total_weight(self) -> int:
         heads, counts = self.runs
         return sum(map(mul, [b.weight for b in heads], counts)) + self.unknown_weight
 
-    @cached_property
+    @cached_attribute
     def is_complete(self) -> bool:
         """True when every ballot is a full ranking and nothing is unknown."""
         return self.unknown_weight == 0 and all(
@@ -280,7 +303,7 @@ class Profile:
             raise InvalidProfile("operation requires a complete profile")
         return self.fixed_arrays
 
-    @cached_property
+    @cached_attribute
     def fixed_arrays(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """(orders, weights) of the complete (``WeightedBallot``) ballots.
 

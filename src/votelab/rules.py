@@ -21,12 +21,11 @@ most 2^m candidate sets, each tallied once and charged to ``cap``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CapExceeded, InvalidProfile
-from .profiles import DEFAULT_COMPLETION_CAP, Candidate, Profile
+from .profiles import DEFAULT_COMPLETION_CAP, Candidate, Profile, cached_attribute
 
 #: Deepest cup agenda accepted; the tree walks recurse once per level.
 MAX_AGENDA_DEPTH = 500
@@ -136,7 +135,7 @@ class Cup(object):
                 f"cup agenda is {depth} levels deep, above the limit of {MAX_AGENDA_DEPTH}"
             )
 
-    @cached_property
+    @cached_attribute
     def leaf_set(self) -> frozenset[int]:
         """The candidate ids at the agenda's leaves."""
         return frozenset(agenda_leaves(self.agenda))

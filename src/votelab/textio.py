@@ -15,6 +15,11 @@ free single agent.  Repeated ``unknown`` lines accumulate.
 
 Distribution format: one shared ``candidates:`` line, then repeated blocks
 ``scenario p=1/3`` each followed by that scenario's ballot lines.
+
+Within one parsed text, a repeated ballot line (the same ``vote`` or
+``partial`` line once comments and outer blanks are stripped) is parsed
+once and yields the same immutable ballot object each time it appears, in
+every scenario block of a distribution.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .errors import InvalidProfile, ProfileParseError
 from .evaluation import ScenarioDistribution, parse_rational
 from .profiles import (
     Axis,
+    Ballot,
     Candidate,
     PartialBallot,
     Profile,
@@ -40,16 +46,6 @@ def _fail(line_no: int, message: str) -> NoReturn:
     raise ProfileParseError(f"line {line_no}: {message}")
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    """(line number, stripped content) with comments and blanks removed."""
-    out = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            out.append((line_no, stripped))
-    return out
-
-
 def _parse_weight(token: str, line_no: int) -> int:
     if not token.startswith("w="):
         _fail(line_no, f"expected w=<integer>, got {token!r}")
@@ -60,16 +56,16 @@ def _parse_weight(token: str, line_no: int) -> int:
 
 
 def _parse_order(
-    token: str, labels: dict[str, int], line_no: int
+    names: Sequence[str], labels: dict[str, int], line_no: int, message: str
 ) -> tuple[int, ...]:
-    order = []
-    for name in token.split(">"):
-        if name not in labels:
-            _fail(line_no, f"unknown candidate {name!r}")
-        order.append(labels[name])
-    if set(order) != set(labels.values()) or len(order) != len(labels):
-        _fail(line_no, "a vote must rank every candidate exactly once")
-    return tuple(order)
+    """The ids of ``names``, which must name every candidate exactly once."""
+    order = tuple(map(labels.get, names))
+    if None in order:
+        name = next(name for name in names if name not in labels)
+        _fail(line_no, f"unknown candidate {name!r}")
+    if not len(order) == len(labels) == len(set(order)):
+        _fail(line_no, message)
+    return order
 
 
 def _parse_pairs(
@@ -115,50 +111,76 @@ def _parse_partial(
         _fail(line_no, str(exc))
 
 
-class _ProfileBuilder:
-    """Accumulates directives for one profile; shared by both formats."""
+class _Reader:
+    """One parse of one text, in either format.
 
-    def __init__(self) -> None:
+    A profile text is one block, open from its first line.  A distribution
+    opens a block at each ``scenario`` line and closes it into a scenario at
+    the next one.  The candidates, their labels and the two memos serve every
+    block: ``memo`` maps each stripped ballot line that parsed to its ballot,
+    and ``orders`` maps each vote's order token to its candidate ids.
+    """
+
+    def __init__(self, strict_odd: bool, distribution: bool) -> None:
+        self.strict_odd = strict_odd
         self.candidates: tuple[Candidate, ...] | None = None
         self.labels: dict[str, int] = {}
-        self.ballots: list[WeightedBallot | PartialBallot] = []
+        self.memo: dict[str, Ballot] = {}
+        self.orders: dict[str, tuple[int, ...]] = {}
+        self.scenarios: list[tuple[Profile, Fraction]] | None = (
+            [] if distribution else None
+        )
+        self.prob: Fraction | None = None
+        # The open block; a distribution has none before its first scenario.
+        self.ballots: list[Ballot] | None = None if distribution else []
         self.unknown = 0
         self.axis: Axis | None = None
 
-    def set_candidates(self, names: Sequence[str], line_no: int) -> None:
-        if self.candidates is not None:
-            _fail(line_no, "duplicate candidates line")
-        if not names:
-            _fail(line_no, "the candidates line needs at least one label")
-        try:
-            self.candidates = candidates_from_labels(tuple(names))
-        except InvalidProfile as exc:
-            _fail(line_no, str(exc))
-        self.labels = {c.label: c.id for c in self.candidates}
+    def read(self, text: str) -> None:
+        memo = self.memo
+        ballots = self.ballots
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            if "#" in line:
+                line = line.split("#", 1)[0]
+            line = line.strip()
+            if not line:
+                continue
+            # A line enters the memo only once it has parsed inside an open
+            # block with candidates, and from then on a block is always open.
+            ballot = memo.get(line)
+            if ballot is None:
+                ballot = self._directive(line_no, line)
+                if ballot is None:
+                    ballots = self.ballots
+                    continue
+                memo[line] = ballot
+            ballots.append(ballot)
 
-    def _need_candidates(self, line_no: int) -> None:
-        if self.candidates is None:
-            _fail(line_no, "the candidates line must come first")
-
-    def feed(self, line_no: int, line: str) -> None:
+    def _directive(self, line_no: int, line: str) -> Ballot | None:
+        """Apply one directive; a ballot line returns its new ballot."""
         tokens = line.split()
         head = tokens[0]
-        if head == "candidates:":
-            self.set_candidates(tokens[1:], line_no)
-        elif head == "vote":
-            self._need_candidates(line_no)
+        if head == "vote":
+            self._need_block(line_no, head)
             if len(tokens) != 3:
                 _fail(line_no, "expected: vote w=<integer> X>Y>...")
             weight = _parse_weight(tokens[1], line_no)
-            order = _parse_order(tokens[2], self.labels, line_no)
+            order = self.orders.get(tokens[2])
+            if order is None:
+                order = _parse_order(
+                    tokens[2].split(">"), self.labels, line_no,
+                    "a vote must rank every candidate exactly once",
+                )
+                self.orders[tokens[2]] = order
             try:
-                self.ballots.append(WeightedBallot(order, weight))
+                return WeightedBallot(order, weight)
             except InvalidProfile as exc:
                 _fail(line_no, str(exc))
         elif head == "partial":
-            self._need_candidates(line_no)
-            self.ballots.append(_parse_partial(tokens[1:], self.labels, line_no))
+            self._need_block(line_no, head)
+            return _parse_partial(tokens[1:], self.labels, line_no)
         elif head == "unknown":
+            self._need_block(line_no, head, candidates=False)
             if len(tokens) != 2:
                 _fail(line_no, "expected: unknown w=<integer>")
             weight = _parse_weight(tokens[1], line_no)
@@ -166,37 +188,75 @@ class _ProfileBuilder:
                 _fail(line_no, "unknown weight cannot be negative")
             self.unknown += weight
         elif head == "axis:":
-            self._need_candidates(line_no)
+            self._need_block(line_no, head)
             if self.axis is not None:
                 _fail(line_no, "duplicate axis line")
-            ids = []
-            for name in tokens[1:]:
-                if name not in self.labels:
-                    _fail(line_no, f"unknown candidate {name!r}")
-                ids.append(self.labels[name])
-            if set(ids) != set(self.labels.values()):
-                _fail(line_no, "the axis must order every candidate exactly once")
-            self.axis = Axis(tuple(ids))
+            self.axis = Axis(_parse_order(
+                tokens[1:], self.labels, line_no,
+                "the axis must order every candidate exactly once",
+            ))
+        elif head == "candidates:":
+            self._set_candidates(tokens[1:], line_no)
+        elif head == "scenario" and self.scenarios is not None:
+            self._open_scenario(tokens, line_no)
         else:
+            self._need_block(line_no, head, candidates=False)
             _fail(line_no, f"unknown directive {head!r}")
+        return None
 
-    def build(self, strict_odd: bool) -> Profile:
+    def _need_block(self, line_no: int, head: str, candidates: bool = True) -> None:
+        if self.ballots is None:
+            _fail(line_no, f"{head!r} outside a scenario block")
+        if candidates and self.candidates is None:
+            _fail(line_no, "the candidates line must come first")
+
+    def _set_candidates(self, names: list[str], line_no: int) -> None:
+        if self.candidates is not None:
+            _fail(line_no, "duplicate candidates line")
+        if not names:
+            _fail(line_no, "the candidates line needs at least one label")
+        if len(set(names)) != len(names):
+            _fail(line_no, "candidate labels must be unique")
+        self.candidates = candidates_from_labels(names)
+        self.labels = {name: i for i, name in enumerate(names)}
+
+    def _open_scenario(self, tokens: list[str], line_no: int) -> None:
         if self.candidates is None:
-            raise ProfileParseError("the profile has no candidates line")
+            _fail(line_no, "the candidates line must come first")
+        if len(tokens) != 2 or not tokens[1].startswith("p="):
+            _fail(line_no, "expected: scenario p=<rational>")
+        self.close_block()
+        try:
+            self.prob = parse_rational(tokens[1][2:])
+        except (ValueError, ZeroDivisionError):
+            _fail(line_no, f"bad probability {tokens[1][2:]!r}")
+        self.ballots, self.unknown, self.axis = [], 0, None
+
+    def profile(self) -> Profile:
+        """The open block as a profile."""
+        assert self.candidates is not None and self.ballots is not None
         return Profile(
             candidates=self.candidates,
             ballots=tuple(self.ballots),
             unknown_weight=self.unknown,
-            strict_odd=strict_odd,
+            strict_odd=self.strict_odd,
         )
+
+    def close_block(self) -> None:
+        """Add the open scenario block, if any, to ``scenarios``."""
+        if self.ballots is not None:
+            assert self.scenarios is not None and self.prob is not None
+            self.scenarios.append((self.profile(), self.prob))
+            self.ballots = None
 
 
 def parse_profile(text: str, *, strict_odd: bool = True) -> tuple[Profile, Axis | None]:
     """Parse one profile, returning it with its optional axis."""
-    builder = _ProfileBuilder()
-    for line_no, line in _content_lines(text):
-        builder.feed(line_no, line)
-    return builder.build(strict_odd), builder.axis
+    reader = _Reader(strict_odd, distribution=False)
+    reader.read(text)
+    if reader.candidates is None:
+        raise ProfileParseError("the profile has no candidates line")
+    return reader.profile(), reader.axis
 
 
 def _format_pairs(pairs: frozenset[Pair], cands: Sequence[Candidate]) -> str:
@@ -236,53 +296,14 @@ def format_profile(profile: Profile, axis: Axis | None = None) -> str:
 
 def parse_distribution(text: str, *, strict_odd: bool = True) -> ScenarioDistribution:
     """Parse a scenario distribution: shared candidates, scenario blocks."""
-    lines = _content_lines(text)
-    candidates: tuple[Candidate, ...] | None = None
-    scenarios: list[tuple[Profile, Fraction]] = []
-    builder: _ProfileBuilder | None = None
-    prob: Fraction | None = None
-
-    def close_block() -> None:
-        nonlocal builder
-        if builder is None:
-            return
-        assert prob is not None
-        scenarios.append((builder.build(strict_odd), prob))
-        builder = None
-
-    for line_no, line in lines:
-        tokens = line.split()
-        if tokens[0] == "candidates:":
-            if candidates is not None:
-                _fail(line_no, "duplicate candidates line")
-            if builder is not None:
-                _fail(line_no, "the candidates line must precede scenario blocks")
-            seed = _ProfileBuilder()
-            seed.set_candidates(tokens[1:], line_no)
-            candidates = seed.candidates
-        elif tokens[0] == "scenario":
-            if candidates is None:
-                _fail(line_no, "the candidates line must come first")
-            if len(tokens) != 2 or not tokens[1].startswith("p="):
-                _fail(line_no, "expected: scenario p=<rational>")
-            close_block()
-            try:
-                prob = parse_rational(tokens[1][2:])
-            except (ValueError, ZeroDivisionError):
-                _fail(line_no, f"bad probability {tokens[1][2:]!r}")
-            builder = _ProfileBuilder()
-            builder.candidates = candidates
-            builder.labels = {c.label: c.id for c in candidates}
-        elif builder is not None:
-            builder.feed(line_no, line)
-        else:
-            _fail(line_no, f"{tokens[0]!r} outside a scenario block")
-    if candidates is None:
+    reader = _Reader(strict_odd, distribution=True)
+    reader.read(text)
+    if reader.candidates is None:
         raise ProfileParseError("the distribution has no candidates line")
-    close_block()
-    if not scenarios:
+    reader.close_block()
+    if not reader.scenarios:
         raise ProfileParseError("the distribution has no scenario blocks")
-    return ScenarioDistribution(tuple(scenarios))
+    return ScenarioDistribution(tuple(reader.scenarios))
 
 
 def format_distribution(dist: ScenarioDistribution) -> str:

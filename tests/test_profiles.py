@@ -222,6 +222,21 @@ class TestRuns:
         with pytest.raises(InvalidProfile):
             Profile(cands(3), (unit,) * 10**5 + (bad,), strict_odd=False)
 
+    def test_each_aggregate_is_computed_once(self, monkeypatch):
+        names = ("runs", "total_weight", "is_complete", "fixed_arrays")
+        calls = []
+        for name in names:
+            attr = vars(Profile)[name]
+            monkeypatch.setattr(
+                attr, "func", lambda p, f=attr.func, n=name: calls.append(n) or f(p)
+            )
+        unit = vote((0, 1, 2), 1)
+        p = Profile(cands(3), (unit,) * 4 + (PartialBallot({(0, 1)}, 1),))
+        first = {name: getattr(p, name) for name in names}
+        for name in names:
+            assert getattr(p, name) is first[name] is vars(p)[name]
+        assert sorted(calls) == sorted(names)
+
 
 class TestMajorityMatrix:
     def test_fixed_free_partition_the_total(self):

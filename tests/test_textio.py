@@ -82,6 +82,11 @@ class TestParseProfile:
             ("candidates: A B\nunknown w=-2\n", "negative"),
             ("candidates: A B\naxis: A\n", "every candidate exactly once"),
             ("candidates: A B\naxis: A B\naxis: B A\n", "duplicate axis"),
+            (
+                "candidates: A B C\naxis: A B C C\n",
+                "^line 2: the axis must order every candidate exactly once$",
+            ),
+            ("candidates: A A\n", "^line 1: candidate labels must be unique$"),
             ("candidates: A B\nballot w=1 A>B\n", "unknown directive"),
             ("", "no candidates line"),
             ("# only a comment\n", "no candidates line"),
@@ -100,6 +105,85 @@ class TestParseProfile:
         text = "candidates: A B C\npartial w=1 pairs=A>B locked=B>C\n"
         with pytest.raises(ProfileParseError, match="line 2"):
             parse_profile(text)
+
+
+class TestLineMemo:
+    """A repeated ballot line is parsed once and yields one shared ballot."""
+
+    @staticmethod
+    def _text(rng: random.Random) -> tuple[str, str, list[str]]:
+        """(candidates line, text, the stripped line behind each ballot).
+
+        Vote lines come with their mirror (the reversed order) and a few
+        partial lines; each ballot line is drawn from that pool again and
+        again, with and without blanks and trailing comments, among comment
+        lines, blank lines and unknown lines.
+        """
+        m = rng.randint(2, 5)
+        header = "candidates: " + " ".join(H.LABELS[:m])
+        pool = []
+        for _ in range(rng.randint(1, 3)):
+            order, w = H.rand_order(rng, m), rng.randint(1, 3)
+            for o in (order, order[::-1]):
+                pool.append(f"vote w={w} " + ">".join(H.LABELS[c] for c in o))
+        for _ in range(rng.randint(0, 2)):
+            ballot = H.rand_partial(rng, m, rng.randint(1, 3), lock=True)
+            one = Profile(cands(m), (ballot,), strict_odd=False)
+            pool.append(format_profile(one).splitlines()[1])
+        lines, keys = [header], []
+        for _ in range(rng.randint(0, 40)):
+            if rng.random() < 0.1:
+                lines.append(rng.choice(["", "   ", "# a comment", "unknown w=1"]))
+                continue
+            key = rng.choice(pool)
+            keys.append(key)
+            pad = " " * rng.randint(0, 2)
+            lines.append(pad + key + rng.choice(["", " ", "  # note", "#x"]))
+        return header, "\n".join(lines) + "\n", keys
+
+    def test_ballots_match_their_lines_parsed_alone(self):
+        rng = random.Random(8128)
+        for _ in range(300):
+            header, text, keys = self._text(rng)
+            profile, _ = parse_profile(text, strict_odd=False)
+            assert len(profile.ballots) == len(keys)
+            first: dict = {}
+            for key, ballot in zip(keys, profile.ballots):
+                alone, _ = parse_profile(f"{header}\n{key}\n", strict_odd=False)
+                assert ballot == alone.ballots[0]
+                assert first.setdefault(key, ballot) is ballot
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("vote w=1 A>B>Z", "unknown candidate 'Z'"),
+            ("vote w=0 A>B>C", "weight must be at least 1, got 0"),
+            ("vote w=1 A>B>A", "a vote must rank every candidate exactly once"),
+            ("partial w=1 pairs=A>B,B>A", "pairwise commitments contain a cycle"),
+            (
+                "partial w=1 pairs=A>B locked=B>C",
+                "locked pairs must lie inside the closure of the ballot's pairs",
+            ),
+        ],
+    )
+    def test_error_after_repeated_lines_names_its_line(self, bad, message):
+        repeated = "vote w=1 A>B>C\npartial w=1 pairs=A>B\n" * (10**4 // 2)
+        text = f"candidates: A B C\n{repeated}{bad}\n{bad}\n"
+        with pytest.raises(ProfileParseError) as info:
+            parse_profile(text)
+        assert str(info.value) == f"line {10**4 + 2}: {message}"
+
+    def test_a_line_repeated_across_blocks_gives_equal_scenarios(self):
+        block = "vote w=2 A>B>C\nvote w=1 C>B>A  # mirrored\n"
+        text = "candidates: A B C\n" + "scenario p=1/3\n" + block + "scenario p=1/3\n" + block
+        text += "scenario p=1/3\n" + block.replace("  # mirrored", "")
+        dist = parse_distribution(text)
+        (first, _), *rest = dist.scenarios
+        alone = parse_distribution("candidates: A B C\nscenario p=1\n" + block)
+        assert first == alone.scenarios[0][0]
+        for profile, prob in rest:
+            assert profile == first and prob == Fraction(1, 3)
+            assert all(a is b for a, b in zip(profile.ballots, first.ballots))
 
 
 class TestFormatProfile:
