@@ -100,9 +100,11 @@ def completion_groups(
             pool counts as one ballot.
 
     Options are lexicographic by candidate id, and groups are ordered by
-    descending ballot weight.
+    descending ballot weight.  Each distinct set of commitments has its
+    options built once per call.
     """
     m = profile.m
+    options_of: dict[frozenset[tuple[int, int]], tuple[Order, ...]] = {}
     grouped: dict[tuple[int, tuple[Order, ...]], list[int]] = {}
     for idx, ballot in enumerate(profile.ballots):
         if isinstance(ballot, WeightedBallot):
@@ -111,7 +113,9 @@ def completion_groups(
                     f"complete ballot {ballot.order} is not single-peaked on the axis"
                 )
             continue
-        options = _ballot_options(ballot, m, axis, cap)
+        options = options_of.get(ballot.pairs)
+        if options is None:
+            options = options_of[ballot.pairs] = _ballot_options(ballot, m, axis, cap)
         grouped.setdefault((ballot.weight, options), []).append(idx)
 
     groups = [

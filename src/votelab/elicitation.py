@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Collection, Sequence
 
-from .completions import OptionGroup, completion_groups, fixed_view, search
+from .completions import Order, OptionGroup, completion_groups, fixed_view, search
 from .errors import CapExceeded, InvalidProfile, ModelMismatch
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
@@ -79,7 +79,9 @@ def _pairwise_possible_ids(
     groups: Sequence[OptionGroup],
     cap: int | None,
     stop_at: int | None,
-) -> frozenset[int]:
+    *,
+    target: int | None = None,
+) -> frozenset[int] | tuple[tuple[Order, ...], ...] | None:
     """Possible winners of a rule that depends only on pairwise majorities.
 
     Instead of walking whole joint completions, this projects every ballot
@@ -93,6 +95,17 @@ def _pairwise_possible_ids(
     so the possible winners are preserved exactly.  The cap bounds the
     summing work actually performed, which never exceeds the raw completion
     count.
+
+    With a ``target`` the answer is instead one assignment (an options tuple
+    per group, as ``search`` yields them) whose completion the target wins
+    under ties in its favour, or None.  Every clamped sum then keeps one
+    predecessor: the sum it came from and the projection added to it, per
+    step of each group (the fixpoint step stands for the remaining ones) and
+    per group.  The first sign pattern, in sorted order, at which the target
+    can win is read back to one option per ballot.  Every projection is
+    non-negative, so each clamped sum along the way equals the true sum
+    capped at its pair's clamp, and the read-back completion has that sign
+    pattern.
     """
     m = profile.m
     total = profile.total_weight
@@ -129,50 +142,102 @@ def _pairwise_possible_ids(
         return _argmax_set(copeland_scores_from_sign(sign))
 
     if not open_pairs:
-        return achievable(())
+        ids = achievable(())
+        if target is None:
+            return ids
+        if target not in ids:
+            return None
+        return tuple((group.options[0],) * group.count for group in groups)
 
     zero = (0,) * len(open_pairs)
     sat = [(total - 2 * base[i][j]) // 2 + 1 for i, j in open_pairs]
     work = 0
 
     def add_clamped(
-        vecs: set[tuple[int, ...]], adds: Collection[tuple[int, ...]]
-    ) -> set[tuple[int, ...]]:
+        vecs: Collection[tuple[int, ...]],
+        adds: Collection[tuple[int, ...]],
+        back: dict | None = None,
+    ) -> Collection[tuple[int, ...]]:
+        """Every clamped vec + add.  With ``back``, each sum is stored there
+        with the first (vec, add) that reached it, and its keys are returned."""
         nonlocal work
         work += len(vecs) * len(adds)
         if cap is not None and work > cap:
             raise CapExceeded(
                 f"pairwise-projection search exceeded the cap of {cap}", work
             )
-        return {
-            tuple([a + b if a + b < s else s for a, b, s in zip(vec, add, sat)])
-            for vec in vecs
-            for add in adds
-        }
+        if back is None:
+            return {
+                tuple([a + b if a + b < s else s for a, b, s in zip(vec, add, sat)])
+                for vec in vecs
+                for add in adds
+            }
+        for vec in vecs:
+            for add in adds:
+                back.setdefault(
+                    tuple([a + b if a + b < s else s for a, b, s in zip(vec, add, sat)]),
+                    (vec, add),
+                )
+        return back.keys()
 
-    totals: set[tuple[int, ...]] = {zero}
+    keep = target is not None
+    # per group, with a target: the first option of each projection, each
+    # step's predecessors, and the predecessors of the running totals
+    trail = []
+    totals: Collection[tuple[int, ...]] = {zero}
     for group, positions in zip(groups, group_pos):
-        scaled = {
-            tuple(group.weight if pos[i] < pos[j] else 0 for i, j in open_pairs)
-            for pos in positions
-        }
-        sums: set[tuple[int, ...]] = {zero}
+        scaled: dict[tuple[int, ...], Order] = {}
+        for order, pos in zip(group.options, positions):
+            scaled.setdefault(
+                tuple(group.weight if pos[i] < pos[j] else 0 for i, j in open_pairs),
+                order,
+            )
+        steps: list[dict] = []
+        sums: Collection[tuple[int, ...]] = {zero}
         for _ in range(group.count):
-            sums, before = add_clamped(sums, scaled), sums
+            back = {} if keep else None
+            sums, before = add_clamped(sums, scaled, back), sums
+            if keep:
+                steps.append(back)
             if sums == before:
                 break
-        totals = add_clamped(totals, sums)
+        back = {} if keep else None
+        totals = add_clamped(totals, sums, back)
+        if keep:
+            trail.append((scaled, steps, back))
 
     margins = [2 * base[i][j] - total for i, j in open_pairs]
     patterns = {
-        tuple([_sgn(2 * a + d) for a, d in zip(vec, margins)]) for vec in totals
+        tuple([_sgn(2 * a + d) for a, d in zip(vec, margins)]): vec for vec in totals
     }
+    if keep:
+        for open_signs in sorted(patterns):
+            if target in achievable(open_signs):
+                return _read_back(groups, trail, patterns[open_signs])
+        return None
     found: set[int] = set()
     for open_signs in sorted(patterns):
         found |= achievable(open_signs)
         if len(found) == m or (stop_at is not None and len(found) >= stop_at):
             break
     return frozenset(found)
+
+
+def _read_back(
+    groups: Sequence[OptionGroup], trail: Sequence, vec: tuple[int, ...]
+) -> tuple[tuple[Order, ...], ...]:
+    """The assignment whose clamped projection sum is ``vec``, walking each
+    group's predecessors back from the last group; within a group, steps past
+    the fixpoint reuse the fixpoint step."""
+    assignment = []
+    for group, (scaled, steps, back) in zip(reversed(groups), reversed(trail)):
+        vec, sums = back[vec]
+        combo = []
+        for step in range(group.count, 0, -1):
+            sums, add = steps[min(step, len(steps)) - 1][sums]
+            combo.append(scaled[add])
+        assignment.append(tuple(sorted(combo)))
+    return tuple(reversed(assignment))
 
 
 def _possible_ids(

@@ -7,6 +7,12 @@ immutable and everything else (including committed-but-unlocked pairs) may
 be rewritten, as long as the result is a total order extending the locked
 pairs.  Ties are always resolved in the manipulators' favour: success means
 the target wins under tie-breaking for the target.
+
+Manipulation is possible exactly when the target is a possible winner of the
+profile cut back to what the manipulators may not change, so both models
+share the possible-winner machinery.  Cup and Copeland(2) read a witness
+back from the pairwise projection of ``elicitation`` (a coalition Cup has
+its own bracket solver); every other rule walks the joint completions.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .completions import (
     fixed_view,
     search,
 )
+from .elicitation import _pairwise_possible_ids
 from .errors import InvalidInstance, ModelMismatch
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
@@ -30,6 +37,8 @@ from .profiles import (
 )
 from .rules import (
     Agenda,
+    Copeland,
+    Copeland2,
     Cup,
     Rule,
     pairwise_counts,
@@ -121,6 +130,26 @@ def _target_first(
     )
 
 
+def _witness(
+    rule: Rule, view: Profile, target: int, cap: int | None
+) -> tuple[Sequence[OptionGroup], tuple[tuple[Order, ...], ...] | None]:
+    """One assignment of the view's free ballots electing the target under
+    ties in its favour (None if there is none), and the groups it indexes.
+
+    Cup and Copeland(2) read the assignment back from the pairwise
+    projection; every other rule walks the joint completions, target-topmost
+    options first.
+    """
+    groups = completion_groups(view, cap=cap)
+    if isinstance(rule, (Cup, Copeland, Copeland2)):
+        return groups, _pairwise_possible_ids(rule, view, groups, cap, None, target=target)
+    groups = _target_first(groups, target)
+    for assignment, ids in search(rule, view, groups, cap):
+        if target in ids:
+            return groups, assignment
+    return groups, None
+
+
 # ---------------------------------------------------------------------------
 # Coalition model
 
@@ -134,8 +163,10 @@ def coalition_manipulate(
 
     The returned mapping assigns one order to each coalition ballot index;
     replaying it through the rule with ties favouring the target yields the
-    target.  Cup elections use a polynomial bracket argument; other rules
-    search the coalition's joint ballot space (guarded by ``cap``).
+    target.  Cup elections use a polynomial bracket argument.  Copeland and
+    Copeland2 sum the coalition's pairwise projections, and ``cap`` bounds
+    that summing work; other rules search the coalition's joint ballot space,
+    and ``cap`` bounds its merged size.  CapExceeded is raised past the cap.
     """
     probe = _probe_profile(inst)
     validate_rule_for(inst.rule, probe.m)
@@ -145,15 +176,14 @@ def coalition_manipulate(
         order = _cup_coalition_order(inst.rule.agenda, probe, inst.coalition, target)
         return None if order is None else {idx: order for idx in sorted(inst.coalition)}
 
-    groups = _target_first(completion_groups(probe, cap=cap), target)
-    for assignment, ids in search(inst.rule, probe, groups, cap):
-        if target in ids:
-            return {
-                idx: order
-                for group, combo in zip(groups, assignment)
-                for idx, order in zip(group.indices, combo)
-            }
-    return None
+    groups, assignment = _witness(inst.rule, probe, target, cap)
+    if assignment is None:
+        return None
+    return {
+        idx: order
+        for group, combo in zip(groups, assignment)
+        for idx, order in zip(group.indices, combo)
+    }
 
 
 def _cup_coalition_order(
@@ -256,17 +286,17 @@ def preference_manipulate(
 
     Every returned ballot is a total order extending its locked pairs, and
     replaying the rule on the returned profile with ties favouring the
-    target yields the target.  The search branches on the heaviest ballots
-    first and tries target-topmost extensions first, so witnesses surface
-    early; exhaustion proves impossibility.
+    target yields the target.  Cup, Copeland and Copeland2 read the witness
+    back from the pairwise projection, and ``cap`` bounds its summing work,
+    so a completion space far larger than ``cap`` can still be answered.
+    Other rules search the joint completions, heaviest ballots first and
+    target-topmost extensions first, so witnesses surface early; exhaustion
+    proves impossibility, and ``cap`` bounds the merged space.  Either way a
+    ballot with more than ``cap`` extensions raises CapExceeded.
     """
     if inst.is_coalition:
         raise ModelMismatch("this operation needs a preference-model instance")
     view = _preference_view(inst.profile)
     validate_rule_for(inst.rule, view.m)
-    target = inst.target.id
-    groups = _target_first(completion_groups(view, cap=cap), target)
-    for assignment, ids in search(inst.rule, view, groups, cap):
-        if target in ids:
-            return completed_profile(view, groups, assignment)
-    return None
+    groups, assignment = _witness(inst.rule, view, inst.target.id, cap)
+    return None if assignment is None else completed_profile(view, groups, assignment)

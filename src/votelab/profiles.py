@@ -496,20 +496,60 @@ def single_peaked_extensions(
 ) -> Iterator[tuple[int, ...]]:
     """Linear extensions of the ballot that are single-peaked on the axis.
 
-    Filters the 2^(m-1) single-peaked orders by the ballot's commitments and
-    yields them in lexicographic candidate-id order, as ``linear_extensions``
-    does.
+    A single-peaked order starts at its peak, and each next candidate widens
+    the axis segment ranked so far by one position on the left or right.
+    The walk tries the (at most two) candidates in ascending id and places
+    one only below every candidate the ballot commits above it, so orders
+    come out lazily in lexicographic candidate-id order, as
+    ``linear_extensions`` yields them.  A segment that completes to no
+    extension is not walked again.  Raises CapExceeded as soon as more than
+    ``cap`` extensions would be produced.
     """
+    position = [0] * m
+    for i, cand in enumerate(axis.order):
+        position[cand] = i
+    preds: list[list[int]] = [[] for _ in range(m)]
+    for a, b in ballot.pairs:
+        preds[b].append(a)
     produced = 0
-    for order in sorted(single_peaked_orders(axis)):
-        pos = {cand: i for i, cand in enumerate(order)}
-        if all(pos[a] < pos[b] for a, b in ballot.pairs):
+    prefix: list[int] = []
+    dead: set[tuple[int, int]] = set()
+
+    def extend(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+        # invariant: prefix ranks exactly the axis positions lo..hi
+        nonlocal produced
+        if len(prefix) == m:
             produced += 1
             if cap is not None and produced > cap:
                 raise CapExceeded(
                     f"ballot admits more than {cap} single-peaked extensions", produced
                 )
-            yield order
+            yield tuple(prefix)
+            return
+        if (lo, hi) in dead:
+            return
+        before = produced
+        choices = []
+        if lo > 0:
+            choices.append((axis.order[lo - 1], lo - 1, hi))
+        if hi < m - 1:
+            choices.append((axis.order[hi + 1], lo, hi + 1))
+        for cand, nlo, nhi in sorted(choices):
+            if all(lo <= position[p] <= hi for p in preds[cand]):
+                prefix.append(cand)
+                yield from extend(nlo, nhi)
+                prefix.pop()
+        if produced == before:
+            dead.add((lo, hi))
+
+    def start() -> Iterator[tuple[int, ...]]:
+        for peak in range(m):
+            if not preds[peak]:
+                prefix.append(peak)
+                yield from extend(position[peak], position[peak])
+                prefix.pop()
+
+    return start()
 
 
 def sp_completable(ballot: PartialBallot, m: int, axis: Axis) -> bool:

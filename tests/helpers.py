@@ -146,9 +146,11 @@ def iter_completions(
         )
 
 
-def completion_count(profile: Profile, *, axis: Axis | None = None) -> int:
+def completion_count(
+    profile: Profile, *, axis: Axis | None = None, locked_only: bool = False
+) -> int:
     size = 1
-    for _, options in _slot_options(profile, axis, False):
+    for _, options in _slot_options(profile, axis, locked_only):
         size *= len(options)
     return size
 

@@ -270,6 +270,25 @@ class TestReductionVerbs:
         profile, _ = parse_profile(out)  # comment headers are skipped
         assert profile.total_weight == 15  # 8k-1 at k=2
 
+    def test_cup_manip_witness_is_pinned(self, capsys, tmp_path):
+        path = str(tmp_path / "cup-manip.txt")
+        run(capsys, "gen-reduction", "--kind", "cup-manip", "--bag", "1,2,3", "-o", path)
+        code, out, _ = run(
+            capsys, "manipulate-prefs", path, "--rule", "cup:((A,B),C)", "--target", "C"
+        )
+        assert code == 0
+        assert out == (
+            "answer: true\n"
+            "witness:\n"
+            "candidates: A B C\n"
+            "vote w=1 C>B>A\n"
+            "vote w=5 C>A>B\n"
+            "vote w=5 B>C>A\n"
+            "vote w=2 B>A>C\n"
+            "vote w=4 B>A>C\n"
+            "vote w=6 A>C>B\n"
+        )
+
     def test_gen_copeland_manip_needs_no_strict_odd(self, capsys):
         code, out, _ = run(capsys, "gen-reduction", "--kind", "copeland-manip", "--bag", "1,1")
         assert code == 0

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from votelab import (
+    DEFAULT_COMPLETION_CAP,
     Copeland,
+    Copeland2,
     Cup,
     InvalidInstance,
     ManipulationInstance,
@@ -15,10 +17,15 @@ from votelab import (
     Stv,
     TieBreak,
     WeightedBallot,
+    PartitionInstance,
     coalition_manipulate,
+    completion_groups,
     condorcet_coalition_manipulate,
+    gen_cup_preference_manipulation,
+    has_equal_partition_dp,
     plurality,
     preference_manipulate,
+    space_size,
     winner,
 )
 
@@ -284,3 +291,104 @@ class TestPreference:
         witness = preference_manipulate(inst)
         assert witness is not None
         assert winner(plurality(), witness, TieBreak.favor(1)).label == "B"
+
+
+class TestPairwiseWitness:
+    """Cup and Copeland(2) witnesses read back from the pairwise projection.
+
+    Weights reach 40, so running sums clamp at a settled majority, and up
+    to 4 unknown units (or repeated ballots) form groups whose sums reach a
+    fixpoint before their last ballot.
+    """
+
+    @staticmethod
+    def rule(rng, m):
+        kind = rng.randrange(3)
+        if kind == 0:
+            return Cup(H.rand_agenda(rng, range(m)))
+        return Copeland() if kind == 1 else Copeland2()
+
+    @staticmethod
+    def ballots(rng, n, make):
+        out = []
+        for _ in range(n):
+            ballot = make(rng.randint(1, 40))
+            out.extend([ballot] * (2 if rng.random() < 0.2 else 1))
+        return tuple(out)
+
+    def test_preference_agrees_with_brute_force(self):
+        rng = random.Random(137)
+        found = tried = 0
+        while tried < 220:
+            m = rng.randint(2, 4)
+            ballots = self.ballots(
+                rng, rng.randint(1, 4),
+                lambda w: vote(H.rand_order(rng, m), w)
+                if rng.random() < 0.4
+                else H.rand_partial(rng, m, w, lock=True),
+            )
+            p = Profile(
+                cands(m), ballots, unknown_weight=rng.randint(0, 4), strict_odd=False
+            )
+            if H.completion_count(p, locked_only=True) > 3000:
+                continue
+            tried += 1
+            target = rng.randrange(m)
+            rule = self.rule(rng, m)
+            witness = preference_manipulate(ManipulationInstance(rule, target, p))
+            assert (witness is not None) == H.brute_preference_possible(rule, p, target)
+            if witness is None:
+                continue
+            found += 1
+            assert winner(rule, witness, TieBreak.favor(target)).id == target
+            assert witness.is_complete
+            assert witness.total_weight == p.total_weight
+            assert len(witness.ballots) == len(p.ballots) + p.unknown_weight
+            for original, rewritten in zip(p.ballots, witness.ballots):
+                assert rewritten.weight == original.weight
+                if isinstance(original, PartialBallot):
+                    assert original.locked <= rewritten.pairs()
+                else:
+                    assert rewritten == original
+        assert 0 < found < tried
+
+    def test_coalition_agrees_with_brute_force(self):
+        rng = random.Random(139)
+        found = 0
+        for _ in range(220):
+            m = rng.randint(2, 4)
+            ballots = self.ballots(
+                rng, rng.randint(2, 5), lambda w: vote(H.rand_order(rng, m), w)
+            )
+            p = Profile(cands(m), ballots, strict_odd=False)
+            most = min(len(ballots), 2 if m == 4 else 3)
+            coalition = frozenset(rng.sample(range(len(ballots)), rng.randint(1, most)))
+            target = rng.randrange(m)
+            rule = Copeland() if rng.random() < 0.5 else Copeland2()
+            inst = ManipulationInstance(rule, target, p, coalition=coalition)
+            assignment = coalition_manipulate(inst)
+            expected = H.brute_coalition_possible(rule, p, coalition, target)
+            assert (assignment is not None) == expected
+            if assignment is None:
+                continue
+            found += 1
+            assert set(assignment) == coalition
+            replay = replay_coalition(inst, assignment)
+            assert winner(rule, replay, TieBreak.favor(target)).id == target
+        assert found > 0
+
+    @pytest.mark.parametrize(
+        "bag",
+        [
+            (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15),
+            tuple(2**i for i in range(1, 15)),
+        ],
+    )
+    def test_cup_bag_past_the_completion_cap(self, bag):
+        inst = gen_cup_preference_manipulation(PartitionInstance(bag))
+        # each bag ballot is committed to its locked pair only
+        assert space_size(completion_groups(inst.profile)) > DEFAULT_COMPLETION_CAP
+        witness = preference_manipulate(inst)
+        assert (witness is not None) == has_equal_partition_dp(bag)
+        if witness is not None:
+            assert winner(inst.rule, witness, TieBreak.favor(inst.target)) == inst.target

@@ -335,10 +335,40 @@ class TestSinglePeaked:
             expect = [o for o in linear_extensions(b, m, cap=None) if is_single_peaked(o, axis)]
             assert list(single_peaked_extensions(b, m, axis, cap=None)) == expect
 
+    def test_extensions_equal_the_sorted_filtered_orders(self):
+        rng = random.Random(23)
+        for _ in range(400):
+            m = rng.randint(1, 7)
+            axis = Axis(tuple(rng.sample(range(m), m)))
+            source = H.rand_sp_partial if rng.random() < 0.5 else None
+            b = source(rng, m, axis, 1) if source else H.rand_partial(rng, m, 1)
+            expect = [
+                o
+                for o in sorted(single_peaked_orders(axis))
+                if all(o.index(x) < o.index(y) for x, y in b.pairs)
+            ]
+            assert list(single_peaked_extensions(b, m, axis, cap=None)) == expect
+
+    def test_cap_counts_before_the_whole_set_is_built(self):
+        # 2**19 single-peaked orders: the cap stops the walk at the 11th
+        stream = single_peaked_extensions(
+            PartialBallot(frozenset(), 1), 20, Axis(tuple(range(20))), cap=10
+        )
+        got = []
+        with pytest.raises(CapExceeded) as exc:
+            for order in stream:
+                got.append(order)
+        assert len(got) == 10 and exc.value.estimate == 11
+        assert got == sorted(got)
+
     def test_sp_completable(self):
         assert sp_completable(PartialBallot(frozenset(), 1), 3, self.AXIS)
         # 0 above 2 above 1 forces the non-peaked order (0, 2, 1)
         assert not sp_completable(PartialBallot({(0, 2), (2, 1)}, 1), 3, self.AXIS)
+        # both ends above the middle: every walk dies once it reaches the
+        # middle, and each dead segment is walked once, not once per path
+        wide = Axis(tuple(range(40)))
+        assert not sp_completable(PartialBallot({(0, 20), (39, 20)}, 1), 40, wide)
 
     def test_median_peak_winner(self):
         p = Profile(
