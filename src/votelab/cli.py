@@ -318,6 +318,16 @@ def _print_bool(key: str, value: bool) -> None:
 # Parser
 
 
+def _cap(text: str) -> int:
+    """A ``--cap`` value: a non-negative integer."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
@@ -351,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_cap(sp: argparse.ArgumentParser) -> None:
         sp.add_argument(
             "--cap",
-            type=int,
+            type=_cap,
             default=DEFAULT_COMPLETION_CAP,
             help="completion-search budget (default 10^6)",
         )
@@ -401,40 +411,40 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target", required=True)
     add_cap(sp)
 
-    sp = sub.add_parser(
+    sp = add(
         "evaluate",
-        parents=[common],
-        help="does the target's win probability exceed a threshold?",
+        cmd_evaluate,
+        "does the target's win probability exceed a threshold?",
+        profile=False,
     )
     sp.add_argument("distribution", help="distribution file (- for stdin)")
     sp.add_argument("--rule", required=True)
     sp.add_argument("--target", required=True)
     sp.add_argument("--r", required=True, help="threshold, a rational like 1/2")
     sp.add_argument("--tb", default="lex")
-    sp.set_defaults(func=cmd_evaluate)
 
-    sp = sub.add_parser(
+    sp = add(
         "gen-reduction",
-        parents=[common],
-        help="emit a bag-splitting election instance",
+        cmd_gen_reduction,
+        "emit a bag-splitting election instance",
+        profile=False,
     )
     sp.add_argument("--kind", required=True, help=", ".join(REDUCTION_KINDS))
     sp.add_argument("--bag", required=True, help="comma-separated positive integers, even total")
     sp.add_argument("--balanced", action="store_true", help="balanced agenda variant (cup-elicit)")
     sp.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
-    sp.set_defaults(func=cmd_gen_reduction)
 
-    sp = sub.add_parser(
+    sp = add(
         "verify-reduction",
-        parents=[common],
-        help="check generated instances against a brute-force partition oracle",
+        cmd_verify_reduction,
+        "check generated instances against a brute-force partition oracle",
+        profile=False,
     )
     sp.add_argument("--kind", required=True, help=", ".join(REDUCTION_KINDS) + ", or all")
     sp.add_argument("--bag", default=None)
     sp.add_argument("--max-n", type=int, default=None, help="sweep bags up to this size")
     sp.add_argument("--max-v", type=int, default=None, help="sweep values up to this bound")
     add_cap(sp)
-    sp.set_defaults(func=cmd_verify_reduction)
 
     return parser
 

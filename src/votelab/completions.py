@@ -11,11 +11,12 @@ elections, only how often each is visited, so decision procedures built on
 the stream are unaffected.  The completion cap is checked against the
 merged count before enumeration begins; nothing is ever truncated.
 
-``search`` is the one completion-search loop: it scores every joint
-completion with the rule and yields the winners it can reach.  Possible
-winners, elicitation and both manipulation models differ only in when they
-stop it, and in which ballots they leave free: ``fixed_view`` is the one
-place that encodes an uncertainty model.
+``search`` scores every joint completion with the rule and yields each
+assignment with the winners it can reach.  The pairwise projection of
+``elicitation`` yields the same (assignment, winners) stream for Cup and
+Copeland(2), so possible winners, elicitation and both manipulation models
+differ only in when they stop the stream, and in which ballots they leave
+free: ``fixed_view`` is the one place that encodes an uncertainty model.
 """
 
 from __future__ import annotations

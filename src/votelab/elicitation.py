@@ -14,33 +14,32 @@ is over exactly when a single possible winner remains.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
-from itertools import product
-from typing import Collection, Sequence
+from dataclasses import dataclass, replace
+from itertools import combinations, product
+from typing import Collection, Iterator, Sequence
 
 from .completions import Order, OptionGroup, completion_groups, fixed_view, search
-from .errors import CapExceeded, InvalidProfile, ModelMismatch
+from .errors import CapExceeded, InvalidProfile, ModelMismatch, NotCompletableSP
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
     Axis,
     Candidate,
     PartialBallot,
     Profile,
+    WeightedBallot,
+    is_single_peaked,
     majority_matrix,
+    sp_completable,
 )
 from .rules import (
+    PAIRWISE_RULES,
     Agenda,
-    Copeland,
-    Copeland2,
     Cup,
     Hybrid,
     Pairing,
     Rule,
-    _argmax_set,
     _top_tallies,
-    copeland2_keys_from_sign,
-    copeland_scores_from_sign,
-    cup_achievable_from_sign,
+    achievable_from_sign,
     pairwise_counts,
     validate_rule_for,
 )
@@ -73,81 +72,65 @@ def _positions(order: Sequence[int], m: int) -> list[int]:
     return pos
 
 
-def _pairwise_possible_ids(
-    rule: Cup | Copeland | Copeland2,
-    profile: Profile,
-    groups: Sequence[OptionGroup],
-    cap: int | None,
-    stop_at: int | None,
-    *,
-    target: int | None = None,
-) -> frozenset[int] | tuple[tuple[Order, ...], ...] | None:
-    """Possible winners of a rule that depends only on pairwise majorities.
-
-    Instead of walking whole joint completions, this projects every ballot
-    option onto the pairs whose majority sign is still undecided and sums the
-    projections with deduplication.  Sums only grow, and once a pair's sum
-    reaches ``(total - 2*base)//2 + 1`` its majority sign is +1 for good, so
-    every running sum is clamped there: the clamped sums keep every reachable
-    sign matrix.  Within a group of interchangeable ballots the summing stops
-    at a fixpoint, when one more ballot adds no new clamped sum.  The rule is
-    then evaluated once per distinct sign pattern, not once per sum vector,
-    so the possible winners are preserved exactly.  The cap bounds the
-    summing work actually performed, which never exceeds the raw completion
-    count.
-
-    With a ``target`` the answer is instead one assignment (an options tuple
-    per group, as ``search`` yields them) whose completion the target wins
-    under ties in its favour, or None.  Every clamped sum then keeps one
-    predecessor: the sum it came from and the projection added to it, per
-    step of each group (the fixpoint step stands for the remaining ones) and
-    per group.  The first sign pattern, in sorted order, at which the target
-    can win is read back to one option per ballot.  Every projection is
-    non-negative, so each clamped sum along the way equals the true sum
-    capped at its pair's clamp, and the read-back completion has that sign
-    pattern.
-    """
+def _pair_bounds(
+    profile: Profile, groups: Sequence[OptionGroup]
+) -> tuple[list[list[int]], list[list[list[int]]], list[list[int]]]:
+    """Fixed pairwise counts, each group's option positions, and
+    ``reach[i][j]``: the most weight a completion can rank i over j with."""
     m = profile.m
-    total = profile.total_weight
     base = pairwise_counts(*profile.fixed_arrays, m)
-
-    all_pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     group_pos = [
         [_positions(order, m) for order in group.options] for group in groups
     ]
+    reach = [row[:] for row in base]
+    for i, j in combinations(range(m), 2):
+        for group, positions in zip(groups, group_pos):
+            ahead = [pos[i] < pos[j] for pos in positions]
+            bulk = group.weight * group.count
+            reach[i][j] += bulk * (True in ahead)
+            reach[j][i] += bulk * (False in ahead)
+    return base, group_pos, reach
+
+
+def _pairwise_possible_ids(
+    rule: Rule,
+    profile: Profile,
+    groups: Sequence[OptionGroup],
+    cap: int | None,
+    *,
+    target: int | None = None,
+) -> Iterator[tuple[tuple[tuple[Order, ...], ...] | None, frozenset[int]]]:
+    """(assignment or None, achievable ids) per reachable majority sign
+    pattern, in sorted order: ``search``'s stream for a pairwise rule.
+
+    Every ballot option is projected onto the pairs whose majority sign is
+    still open, and the projections are summed with deduplication.  Sums only
+    grow, and once a pair's sum reaches ``(total - 2*base)//2 + 1`` its sign
+    is +1 for good, so every running sum is clamped there without losing a
+    reachable sign matrix.  A group of interchangeable ballots stops summing
+    at a fixpoint, when one more ballot adds no new clamped sum.  The summing,
+    bounded by ``cap``, runs before this returns; the rule is decided lazily,
+    once per pattern.
+
+    With a ``target`` every clamped sum keeps one predecessor, the sum it came
+    from and the projection added, per group step (the fixpoint step stands
+    for the rest) and per group.  A pattern the target wins is read back to
+    one option per ballot, as ``search`` assigns them.  Projections are
+    non-negative, so each clamped sum on the way equals the true sum capped
+    at its pair's clamp, and the read-back completion has that pattern.
+    """
+    m = profile.m
+    total = profile.total_weight
+    base, group_pos, reach = _pair_bounds(profile, groups)
 
     forced: dict[tuple[int, int], int] = {}
     open_pairs: list[tuple[int, int]] = []
-    for i, j in all_pairs:
-        lo = hi = base[i][j]
-        for group, positions in zip(groups, group_pos):
-            vals = [1 if pos[i] < pos[j] else 0 for pos in positions]
-            bulk = group.weight * group.count
-            lo += bulk * min(vals)
-            hi += bulk * max(vals)
-        s_lo, s_hi = _sgn(2 * lo - total), _sgn(2 * hi - total)
+    for i, j in combinations(range(m), 2):
+        s_lo, s_hi = _sgn(total - 2 * reach[j][i]), _sgn(2 * reach[i][j] - total)
         if s_lo == s_hi:
             forced[(i, j)] = s_lo
         else:
             open_pairs.append((i, j))
-
-    def achievable(open_signs: Sequence[int]) -> frozenset[int]:
-        sign = [[0] * m for _ in range(m)]
-        for (i, j), s in (*forced.items(), *zip(open_pairs, open_signs)):
-            sign[i][j], sign[j][i] = s, -s
-        if isinstance(rule, Cup):
-            return cup_achievable_from_sign(rule.agenda, sign)
-        if isinstance(rule, Copeland2):
-            return _argmax_set(copeland2_keys_from_sign(sign))
-        return _argmax_set(copeland_scores_from_sign(sign))
-
-    if not open_pairs:
-        ids = achievable(())
-        if target is None:
-            return ids
-        if target not in ids:
-            return None
-        return tuple((group.options[0],) * group.count for group in groups)
 
     zero = (0,) * len(open_pairs)
     sat = [(total - 2 * base[i][j]) // 2 + 1 for i, j in open_pairs]
@@ -161,11 +144,12 @@ def _pairwise_possible_ids(
         """Every clamped vec + add.  With ``back``, each sum is stored there
         with the first (vec, add) that reached it, and its keys are returned."""
         nonlocal work
-        work += len(vecs) * len(adds)
-        if cap is not None and work > cap:
-            raise CapExceeded(
-                f"pairwise-projection search exceeded the cap of {cap}", work
-            )
+        if open_pairs:  # summing empty vectors costs nothing
+            work += len(vecs) * len(adds)
+            if cap is not None and work > cap:
+                raise CapExceeded(
+                    f"pairwise-projection search exceeded the cap of {cap}", work
+                )
         if back is None:
             return {
                 tuple([a + b if a + b < s else s for a, b, s in zip(vec, add, sat)])
@@ -210,17 +194,17 @@ def _pairwise_possible_ids(
     patterns = {
         tuple([_sgn(2 * a + d) for a, d in zip(vec, margins)]): vec for vec in totals
     }
-    if keep:
+
+    def stream():
         for open_signs in sorted(patterns):
-            if target in achievable(open_signs):
-                return _read_back(groups, trail, patterns[open_signs])
-        return None
-    found: set[int] = set()
-    for open_signs in sorted(patterns):
-        found |= achievable(open_signs)
-        if len(found) == m or (stop_at is not None and len(found) >= stop_at):
-            break
-    return frozenset(found)
+            sign = [[0] * m for _ in range(m)]
+            for (i, j), s in (*forced.items(), *zip(open_pairs, open_signs)):
+                sign[i][j], sign[j][i] = s, -s
+            ids = achievable_from_sign(rule, sign)
+            won = target in ids
+            yield (_read_back(groups, trail, patterns[open_signs]) if won else None), ids
+
+    return stream()
 
 
 def _read_back(
@@ -240,6 +224,31 @@ def _read_back(
     return tuple(reversed(assignment))
 
 
+def _target_first(groups: Sequence[OptionGroup], target: int) -> tuple[OptionGroup, ...]:
+    """The groups with target-topmost options first, so witnesses surface early."""
+    return tuple(
+        replace(g, options=tuple(sorted(g.options, key=lambda o: (o.index(target), o))))
+        for g in groups
+    )
+
+
+def _winner_stream(
+    rule: Rule,
+    profile: Profile,
+    groups: Sequence[OptionGroup],
+    cap: int | None,
+    *,
+    target: int | None = None,
+) -> Iterator[tuple[tuple[tuple[Order, ...], ...] | None, frozenset[int]]]:
+    """The (assignment or None, achievable ids) stream of the engine that
+    fits the rule; ``search`` tries target-topmost options first."""
+    if isinstance(rule, PAIRWISE_RULES):
+        return _pairwise_possible_ids(rule, profile, groups, cap, target=target)
+    if target is not None:
+        groups = _target_first(groups, target)
+    return search(rule, profile, groups, cap)
+
+
 def _possible_ids(
     rule: Rule,
     profile: Profile,
@@ -253,10 +262,8 @@ def _possible_ids(
     if m == 1:
         return frozenset((0,))
     groups = completion_groups(profile, axis=axis, cap=cap)
-    if isinstance(rule, (Cup, Copeland, Copeland2)):
-        return _pairwise_possible_ids(rule, profile, groups, cap, stop_at)
     found: set[int] = set()
-    for _, ids in search(rule, profile, groups, cap):
+    for _, ids in _winner_stream(rule, profile, groups, cap):
         found |= ids
         if len(found) == m or (stop_at is not None and len(found) >= stop_at):
             break
@@ -409,22 +416,12 @@ def cup3_fine_over(
         return True
 
     groups = completion_groups(profile, cap=None)
-    group_pos = [
-        [_positions(order, m) for order in group.options] for group in groups
-    ]
-    base = pairwise_counts(*profile.fixed_arrays, m)
+    base, group_pos, reach = _pair_bounds(profile, groups)
     total = profile.total_weight
     need = (total + 1) // 2
 
-    def max_count(i: int, j: int) -> int:
-        n = base[i][j]
-        for group, positions in zip(groups, group_pos):
-            if any(pos[i] < pos[j] for pos in positions):
-                n += group.weight * group.count
-        return n
-
     if m == 2:
-        possible = [c for c in (0, 1) if max_count(c, 1 - c) >= need]
+        possible = [c for c in (0, 1) if reach[c][1 - c] >= need]
         return len(possible) == 1
 
     semi, bye = agenda
@@ -436,7 +433,7 @@ def cup3_fine_over(
     for c, other in ((x, y), (y, x)):
         # Boosting c over both rivals is conflict-free per ballot, so the
         # two maxima are reached simultaneously.
-        if max_count(c, other) >= need and max_count(c, bye) >= need:
+        if reach[c][other] >= need and reach[c][bye] >= need:
             possible.add(c)
     for helper, rival in ((x, y), (y, x)):
         if _two_front_feasible(
@@ -512,21 +509,40 @@ def fine_sp_elicitation_over(
 
 
 def _peak_positions(profile: Profile, axis: Axis) -> list[tuple[int, int, int]]:
-    """Per agent (weight, leftmost peak, rightmost peak) on the axis.
+    """(weight, leftmost peak, rightmost peak) on the axis per run of ballots,
+    and one entry spanning the axis for the unknown pool.
 
-    Wholly unknown units may peak anywhere.  Raises NotCompletableSP via the
-    extension enumerator when a ballot cannot be completed single-peaked.
+    A partial ballot may peak at a candidate it ranks below no one iff its
+    pairs plus that candidate above all others complete single-peaked.
+    Raises NotCompletableSP when no candidate qualifies, or when a complete
+    ballot is not single-peaked.
     """
-    groups = completion_groups(profile, axis=axis, cap=None)
-    out: list[tuple[int, int, int]] = []
-    for group in groups:
-        peaks = sorted({axis.position(order[0]) for order in group.options})
-        for _ in range(group.count):
-            out.append((group.weight, peaks[0], peaks[-1]))
-    for ballot in profile.ballots:
-        if not isinstance(ballot, PartialBallot):
-            p = axis.position(ballot.order[0])
-            out.append((ballot.weight, p, p))
+    m = profile.m
+    out = [(profile.unknown_weight, 0, m - 1)] if profile.unknown_weight else []
+    for ballot, k in zip(*profile.runs):
+        if isinstance(ballot, WeightedBallot):
+            if not is_single_peaked(ballot.order, axis):
+                raise NotCompletableSP(
+                    f"complete ballot {ballot.order} is not single-peaked on the axis"
+                )
+            peaks = [axis.position(ballot.order[0])]
+        else:
+            below = {b for _, b in ballot.pairs}
+            peaks = [
+                axis.position(c)
+                for c in range(m)
+                if c not in below
+                and sp_completable(
+                    PartialBallot(ballot.pairs | {(c, x) for x in range(m) if x != c}, 1),
+                    m,
+                    axis,
+                )
+            ]
+            if not peaks:
+                raise NotCompletableSP(
+                    f"ballot with pairs {sorted(ballot.pairs)} has no single-peaked completion"
+                )
+        out.append((ballot.weight * k, min(peaks), max(peaks)))
     return out
 
 

@@ -10,24 +10,18 @@ the target wins under tie-breaking for the target.
 
 Manipulation is possible exactly when the target is a possible winner of the
 profile cut back to what the manipulators may not change, so both models
-share the possible-winner machinery.  Cup and Copeland(2) read a witness
-back from the pairwise projection of ``elicitation`` (a coalition Cup has
-its own bracket solver); every other rule walks the joint completions.
+read a witness off the possible-winner stream of ``elicitation``: read back
+from the pairwise projection for Cup and Copeland(2) (a coalition Cup has
+its own bracket solver), found by walking the joint completions otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
-from .completions import (
-    OptionGroup,
-    completed_profile,
-    completion_groups,
-    fixed_view,
-    search,
-)
-from .elicitation import _pairwise_possible_ids
+from .completions import OptionGroup, completed_profile, completion_groups, fixed_view
+from .elicitation import _winner_stream
 from .errors import InvalidInstance, ModelMismatch
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
@@ -35,15 +29,7 @@ from .profiles import (
     PartialBallot,
     Profile,
 )
-from .rules import (
-    Agenda,
-    Copeland,
-    Copeland2,
-    Cup,
-    Rule,
-    pairwise_counts,
-    validate_rule_for,
-)
+from .rules import Agenda, Cup, Rule, pairwise_counts, validate_rule_for
 
 Order = tuple[int, ...]
 
@@ -120,31 +106,13 @@ def _preference_view(profile: Profile) -> Profile:
     return fixed_view(profile, free)
 
 
-def _target_first(
-    groups: Sequence[OptionGroup], target: int
-) -> tuple[OptionGroup, ...]:
-    """The groups with target-topmost options first, so witnesses surface early."""
-    return tuple(
-        replace(g, options=tuple(sorted(g.options, key=lambda o: (o.index(target), o))))
-        for g in groups
-    )
-
-
 def _witness(
     rule: Rule, view: Profile, target: int, cap: int | None
 ) -> tuple[Sequence[OptionGroup], tuple[tuple[Order, ...], ...] | None]:
     """One assignment of the view's free ballots electing the target under
-    ties in its favour (None if there is none), and the groups it indexes.
-
-    Cup and Copeland(2) read the assignment back from the pairwise
-    projection; every other rule walks the joint completions, target-topmost
-    options first.
-    """
+    ties in its favour (None if there is none), and the groups it indexes."""
     groups = completion_groups(view, cap=cap)
-    if isinstance(rule, (Cup, Copeland, Copeland2)):
-        return groups, _pairwise_possible_ids(rule, view, groups, cap, None, target=target)
-    groups = _target_first(groups, target)
-    for assignment, ids in search(rule, view, groups, cap):
+    for assignment, ids in _winner_stream(rule, view, groups, cap, target=target):
         if target in ids:
             return groups, assignment
     return groups, None

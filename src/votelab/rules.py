@@ -196,6 +196,9 @@ class Hybrid:
 
 Rule = Union[Scoring, Cup, Copeland, Copeland2, Runoff, Stv, Hybrid]
 
+#: The rules decided by the pairwise majority signs alone.
+PAIRWISE_RULES = (Cup, Copeland, Copeland2)
+
 
 def plurality() -> Scoring:
     return Scoring(name="plurality")
@@ -453,6 +456,26 @@ def _argmax_set(scores: Sequence) -> frozenset[int]:
     return frozenset(i for i, s in enumerate(scores) if s == best)
 
 
+def achievable_from_sign(
+    rule: Cup | Copeland | Copeland2,
+    sign: Sequence[Sequence[int]],
+    *,
+    branch: bool = True,
+) -> frozenset[int]:
+    """Winner ids of a pairwise rule from its majority sign matrix alone."""
+    if isinstance(rule, Cup):
+        if branch:
+            return cup_achievable_from_sign(rule.agenda, sign)
+        return frozenset((cup_lex_from_sign(rule.agenda, sign),))
+    keys = (
+        copeland2_keys_from_sign(sign)
+        if isinstance(rule, Copeland2)
+        else copeland_scores_from_sign(sign)
+    )
+    winners = _argmax_set(keys)
+    return winners if branch else frozenset((min(winners),))
+
+
 def _scoring_scores(orders: Orders, weights: Weights, m: int, vector: tuple[int, ...]) -> list[int]:
     scores = [0] * m
     for order, w in zip(orders, weights):
@@ -607,22 +630,9 @@ def _achievable_ids(
         scores = _scoring_scores(orders, weights, m, rule.vector_for(m))
         winners = _argmax_set(scores)
         return winners if branch else frozenset((min(winners),))
-    if isinstance(rule, (Copeland, Copeland2)):
-        counts = pairwise_counts(orders, weights, m)
-        sign = sign_matrix(counts, total)
-        keys = (
-            copeland2_keys_from_sign(sign)
-            if isinstance(rule, Copeland2)
-            else copeland_scores_from_sign(sign)
-        )
-        winners = _argmax_set(keys)
-        return winners if branch else frozenset((min(winners),))
-    if isinstance(rule, Cup):
-        counts = pairwise_counts(orders, weights, m)
-        sign = sign_matrix(counts, total)
-        if branch:
-            return cup_achievable_from_sign(rule.agenda, sign)
-        return frozenset((cup_lex_from_sign(rule.agenda, sign),))
+    if isinstance(rule, PAIRWISE_RULES):
+        sign = sign_matrix(pairwise_counts(orders, weights, m), total)
+        return achievable_from_sign(rule, sign, branch=branch)
     if isinstance(rule, Stv):
         return _stv_winners(orders, weights, m, total, branch, cap)
     if isinstance(rule, Runoff):

@@ -407,6 +407,14 @@ class TestExitCodes:
         )
         assert code == 3 and "error:" in err
 
+    def test_negative_cap_is_a_usage_error(self, capsys, write):
+        path = write("candidates: A B\nvote w=1 A>B\n")
+        argv = ("possible-winners", path, "--rule", "copeland", "--cap")
+        code, out, err = run(capsys, *argv, "-1")
+        assert (code, out) == (2, "") and "--cap" in err
+        # a decided pairwise profile sums nothing, so even a zero cap answers
+        assert run(capsys, *argv, "0")[:2] == (0, "possible: A\n")
+
     def test_model_mismatch(self, capsys, write):
         path = write("candidates: A B C\nvote w=2 A>B>C\npartial w=1 pairs=A>B\n")
         code, _, err = run(capsys, "coarse-over", path, "--rule", "plurality")

@@ -14,10 +14,12 @@ from votelab import (
     Hybrid,
     InvalidProfile,
     ModelMismatch,
+    NotCompletableSP,
     Pairing,
     PartialBallot,
     Profile,
     Stv,
+    candidates_from_labels,
     coarse_elicitation_over,
     condorcet_winner_fixed,
     cup3_fine_over,
@@ -28,6 +30,9 @@ from votelab import (
     plurality,
     possible_winners,
 )
+
+import votelab.elicitation as E
+from votelab.completions import completion_groups
 
 import helpers as H
 from helpers import cands, vote
@@ -102,6 +107,23 @@ class TestPossibleWinners:
         assert possible_winners(Copeland(), p, cap=300) == expected
         cup = Cup(((0, 1), 2))
         assert possible_winners(cup, p, cap=300) == H.brute_possible(cup, p)
+
+    def test_pairwise_stream_is_read_lazily(self, monkeypatch):
+        # the rule is decided per sign pattern only as far as the caller reads
+        p = Profile(cands(4), (vote((0, 1, 2, 3), 1),), unknown_weight=4)
+        groups = completion_groups(p)
+        items = sum(1 for _ in E._pairwise_possible_ids(Copeland(), p, groups, None))
+        calls = 0
+        decide = E.achievable_from_sign
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return decide(*args, **kwargs)
+
+        monkeypatch.setattr(E, "achievable_from_sign", counted)
+        assert not fine_elicitation_over(Copeland(), p)
+        assert 0 < calls < items
 
     def test_heavy_weights_match_brute_reference(self):
         # weights far above the unit counts, so the clamp fires on open pairs
@@ -360,6 +382,67 @@ class TestCupSinglePeaked:
                 expected = H.brute_fine_over(Cup(agenda), p, axis=axis)
                 assert fine_sp_elicitation_over(Cup(agenda), p, axis) == expected
                 assert shortcut in (None, expected)
+
+    def test_agrees_with_median_of_brute_peak_spans(self):
+        # every agent's leftmost and rightmost peak over its single-peaked
+        # completions, read off the enumerated slot options
+        rng = random.Random(71)
+        raised = 0
+        for _ in range(150):
+            m = rng.randint(1, 6)
+            axis = Axis(tuple(rng.sample(range(m), m)))
+            ballots = []
+            for _ in range(rng.randint(0, 2)):
+                order = rng.choice(sorted(H.single_peaked_orders(axis)))
+                if rng.random() < 0.2:
+                    order = H.rand_order(rng, m)
+                ballots.append(vote(order, rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 3)):
+                if rng.random() < 0.5:
+                    ballots.append(H.rand_sp_partial(rng, m, axis, rng.randint(1, 3)))
+                else:
+                    ballots.append(H.rand_partial(rng, m, rng.randint(1, 3)))
+            unknown = rng.randint(0, 2)
+            if (sum(b.weight for b in ballots) + unknown) % 2 == 0:
+                unknown += 1
+            p = Profile(cands(m), tuple(ballots), unknown_weight=unknown)
+            try:
+                slots = H._slot_options(p, axis, False)
+            except ValueError:
+                slots = [(1, [])]
+            if any(not options for _, options in slots):
+                raised += 1
+                with pytest.raises(NotCompletableSP):
+                    cup_single_peaked_over(p, axis)
+                continue
+            ends = []
+            for weight, options in slots:
+                peaks = [axis.position(order[0]) for order in options]
+                ends.append((weight, min(peaks), max(peaks)))
+
+            def median(side):
+                spread = sorted(e[side] for e in ends for _ in range(e[0]))
+                return spread[len(spread) // 2]
+
+            assert cup_single_peaked_over(p, axis) == (median(1) == median(2))
+        assert 20 < raised < 130
+
+    def test_long_axis_is_answered_without_listing_orders(self):
+        # an unknown agent may cast any of 2^19 single-peaked orders
+        m = 20
+        agenda = 0
+        for c in range(1, m):
+            agenda = (agenda, c)
+        labels = [f"C{i}" for i in range(m)]
+        p = Profile(candidates_from_labels(labels), (vote(tuple(range(m)), 2),), unknown_weight=1)
+        tracemalloc.start()
+        try:
+            over = fine_sp_elicitation_over(Cup(agenda), p, Axis(tuple(range(m))), cap=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert over
+        assert peak < 2**20
 
 
 class TestHybridCoarse:
