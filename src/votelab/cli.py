@@ -19,10 +19,7 @@ from .completions import DEFAULT_COMPLETION_CAP
 from .constructions import (
     REDUCTION_KINDS,
     PartitionInstance,
-    gen_copeland_preference_manipulation,
-    gen_cup_elicitation,
-    gen_cup_preference_manipulation,
-    gen_stv_sp_elicitation,
+    reduction_instance,
     verify_reduction,
 )
 from .elicitation import (
@@ -48,7 +45,7 @@ from .manipulation import (
     preference_manipulate,
 )
 from .profiles import Axis, Profile, WeightedBallot
-from .rules import Copeland, TieBreak, format_agenda, parse_rule, winner
+from .rules import Copeland, TieBreak, format_rule, parse_rule, winner
 from .textio import format_profile, parse_distribution, parse_profile
 
 
@@ -206,47 +203,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _reduction_text(kind: str, p: PartitionInstance, balanced: bool) -> str:
-    bag = " ".join(str(v) for v in p.numbers)
-    if kind == "cup-elicit":
-        profile, agenda = gen_cup_elicitation(p, balanced=balanced)
-        rule = "cup:" + format_agenda(agenda, profile.candidates)
-        header = [f"# kind: {kind}", f"# bag: {bag}", f"# rule: {rule}"]
-        body = format_profile(profile)
-    elif kind == "stv-sp-elicit":
-        profile, axis = gen_stv_sp_elicitation(p)
-        header = [f"# kind: {kind}", f"# bag: {bag}", "# rule: stv"]
-        body = format_profile(profile, axis)
-    elif kind == "cup-manip":
-        inst = gen_cup_preference_manipulation(p)
-        rule = "cup:" + format_agenda(inst.rule.agenda, inst.profile.candidates)
-        header = [
-            f"# kind: {kind}",
-            f"# bag: {bag}",
-            f"# rule: {rule}",
-            f"# target: {inst.target.label}",
-        ]
-        body = format_profile(inst.profile)
-    elif kind == "copeland-manip":
-        inst = gen_copeland_preference_manipulation(p)
-        header = [
-            f"# kind: {kind}",
-            f"# bag: {bag}",
-            "# rule: copeland",
-            f"# target: {inst.target.label}",
-            "# note: even total; parse with --no-strict-odd",
-        ]
-        body = format_profile(inst.profile)
-    else:
-        raise InvalidInstance(
-            f"unknown reduction kind {kind!r}; expected one of {', '.join(REDUCTION_KINDS)}"
-        )
-    return "\n".join(header) + "\n" + body
+    rule, profile, axis, target = reduction_instance(kind, p, balanced=balanced)
+    header = [
+        f"# kind: {kind}",
+        "# bag: " + " ".join(str(v) for v in p.numbers),
+        f"# rule: {format_rule(rule, profile.candidates)}",
+    ]
+    if target is not None:
+        header.append(f"# target: {target.label}")
+    if not profile.strict_odd:
+        header.append("# note: even total; parse with --no-strict-odd")
+    return "\n".join(header) + "\n" + format_profile(profile, axis)
 
 
 def cmd_gen_reduction(args: argparse.Namespace) -> int:
     p = PartitionInstance.parse(args.bag)
-    if args.balanced and args.kind != "cup-elicit":
-        raise InvalidInstance("--balanced applies only to the cup-elicit kind")
     text = _reduction_text(args.kind, p, args.balanced)
     if args.output is None:
         sys.stdout.write(text)
@@ -265,15 +236,8 @@ def _sweep_bags(max_n: int, max_v: int):
 
 
 def cmd_verify_reduction(args: argparse.Namespace) -> int:
-    if args.kind == "all":
-        kinds = REDUCTION_KINDS
-    elif args.kind in REDUCTION_KINDS:
-        kinds = (args.kind,)
-    else:
-        raise InvalidInstance(
-            f"unknown reduction kind {args.kind!r}; expected one of "
-            f"{', '.join(REDUCTION_KINDS)} or all"
-        )
+    # an unknown kind is refused by verify_reduction
+    kinds = REDUCTION_KINDS if args.kind == "all" else (args.kind,)
     sweep = args.max_n is not None or args.max_v is not None
     if (args.bag is None) == (not sweep):
         raise InvalidInstance("give either --bag or both --max-n and --max-v")
@@ -302,6 +266,8 @@ def cmd_verify_reduction(args: argparse.Namespace) -> int:
             if not report.holds:
                 broken += 1
                 print(f"# fails: {kind} bag " + " ".join(map(str, bag)), file=sys.stderr)
+        if not checked:
+            raise InvalidInstance("the sweep holds no bag with an even total")
         print(f"kind: {kind}")
         print(f"checked: {checked}")
         print(f"failures: {broken}")
@@ -318,14 +284,19 @@ def _print_bool(key: str, value: bool) -> None:
 # Parser
 
 
-def _cap(text: str) -> int:
-    """A ``--cap`` value: a non-negative integer."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+def _int_from(least: int):
+    """An argparse type for integers of at least ``least``, 0 or 1."""
+    what = ("a non-negative", "a positive")[least]
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= least:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what} integer, got {text!r}")
+
+    return parse
 
 
 @cache
@@ -361,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_cap(sp: argparse.ArgumentParser) -> None:
         sp.add_argument(
             "--cap",
-            type=_cap,
+            type=_int_from(0),
             default=DEFAULT_COMPLETION_CAP,
             help="completion-search budget (default 10^6)",
         )
@@ -442,8 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--kind", required=True, help=", ".join(REDUCTION_KINDS) + ", or all")
     sp.add_argument("--bag", default=None)
-    sp.add_argument("--max-n", type=int, default=None, help="sweep bags up to this size")
-    sp.add_argument("--max-v", type=int, default=None, help="sweep values up to this bound")
+    sp.add_argument("--max-n", type=_int_from(1), default=None, help="sweep bags up to this size")
+    sp.add_argument("--max-v", type=_int_from(1), default=None, help="sweep values up to this bound")
     add_cap(sp)
 
     return parser

@@ -35,8 +35,6 @@ from .profiles import (
     WeightedBallot,
     is_single_peaked,
     linear_extensions,
-    single_peaked_extensions,
-    single_peaked_orders,
 )
 from .rules import Rule, _achievable_ids
 
@@ -58,30 +56,31 @@ class OptionGroup:
         return math.comb(len(self.options) + self.count - 1, self.count)
 
 
-def _ballot_options(
+def _options(
     ballot: PartialBallot, m: int, axis: Axis | None, cap: int | None
 ) -> tuple[Order, ...]:
-    if axis is None:
-        return tuple(linear_extensions(ballot, m, cap=cap))
-    options = tuple(single_peaked_extensions(ballot, m, axis, cap=cap))
+    """Every order the ballot may take, lexicographic by candidate id.
+
+    A ballot without commitments (an empty partial ballot, or one unknown
+    agent) may take any of m! orders, or 2^(m-1) on an axis; they are
+    counted, and refused past ``cap``, before any is built.  Every other
+    ballot is walked by ``linear_extensions``.
+    """
+    if not ballot.pairs:
+        count = math.factorial(m) if axis is None else 2 ** (m - 1)
+        if cap is not None and count > cap:
+            raise CapExceeded(
+                f"a ballot without commitments admits {count} orders, above the cap of {cap}",
+                count,
+            )
+        if axis is None:
+            return tuple(permutations(range(m)))
+    options = tuple(linear_extensions(ballot, m, cap, axis))
     if not options:
         raise NotCompletableSP(
             f"ballot with pairs {sorted(ballot.pairs)} has no single-peaked completion"
         )
     return options
-
-
-def _unknown_options(m: int, axis: Axis | None, cap: int | None) -> tuple[Order, ...]:
-    """Every order an unknown agent may cast; CapExceeded, before any is
-    built, when there are more than ``cap`` (as for an empty ballot)."""
-    count = math.factorial(m) if axis is None else 2 ** (m - 1)
-    if cap is not None and count > cap:
-        raise CapExceeded(
-            f"an unknown agent admits {count} orders, above the cap of {cap}", count
-        )
-    if axis is None:
-        return tuple(permutations(range(m)))
-    return tuple(sorted(single_peaked_orders(axis)))
 
 
 def completion_groups(
@@ -116,7 +115,7 @@ def completion_groups(
             continue
         options = options_of.get(ballot.pairs)
         if options is None:
-            options = options_of[ballot.pairs] = _ballot_options(ballot, m, axis, cap)
+            options = options_of[ballot.pairs] = _options(ballot, m, axis, cap)
         grouped.setdefault((ballot.weight, options), []).append(idx)
 
     groups = [
@@ -124,9 +123,11 @@ def completion_groups(
         for (weight, options), indices in grouped.items()
     ]
     if profile.unknown_weight > 0:
-        groups.append(
-            OptionGroup(1, profile.unknown_weight, _unknown_options(m, axis, cap), ())
+        # an unknown agent is a ballot without commitments
+        options = options_of.get(frozenset()) or _options(
+            PartialBallot(frozenset(), 1), m, axis, cap
         )
+        groups.append(OptionGroup(1, profile.unknown_weight, options, ()))
     groups.sort(key=lambda g: (-g.weight, g.indices))
     return tuple(groups)
 

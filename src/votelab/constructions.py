@@ -19,12 +19,13 @@ from .errors import InvalidInstance
 from .manipulation import ManipulationInstance, preference_manipulate
 from .profiles import (
     Axis,
+    Candidate,
     PartialBallot,
     Profile,
     WeightedBallot,
     candidates_from_labels,
 )
-from .rules import Agenda, Copeland, Cup, Stv
+from .rules import Agenda, Copeland, Cup, Rule, Stv
 
 REDUCTION_KINDS = ("cup-elicit", "stv-sp-elicit", "cup-manip", "copeland-manip")
 
@@ -222,6 +223,30 @@ class ReductionReport:
     holds: bool
 
 
+def reduction_instance(
+    kind: str, p: PartitionInstance, *, balanced: bool = False
+) -> tuple[Rule, Profile, Axis | None, Candidate | None]:
+    """The election one reduction kind builds from a bag: (rule, profile,
+    axis or None, target or None); only manipulation kinds have a target."""
+    if balanced and kind != "cup-elicit":
+        raise InvalidInstance("--balanced applies only to the cup-elicit kind")
+    if kind == "cup-elicit":
+        profile, agenda = gen_cup_elicitation(p, balanced=balanced)
+        return Cup(agenda), profile, None, None
+    if kind == "stv-sp-elicit":
+        profile, axis = gen_stv_sp_elicitation(p)
+        return Stv(), profile, axis, None
+    if kind == "cup-manip":
+        inst = gen_cup_preference_manipulation(p)
+    elif kind == "copeland-manip":
+        inst = gen_copeland_preference_manipulation(p)
+    else:
+        raise InvalidInstance(
+            f"unknown reduction kind {kind!r}; expected one of {', '.join(REDUCTION_KINDS)}"
+        )
+    return inst.rule, inst.profile, None, inst.target
+
+
 def verify_reduction(
     kind: str,
     p: PartitionInstance,
@@ -233,25 +258,14 @@ def verify_reduction(
     Elicitation kinds must come out *not* over exactly when the bag splits;
     manipulation kinds must come out solvable exactly when it does.
     """
-    partition = has_equal_partition(p.numbers)
-    if kind == "cup-elicit":
-        profile, agenda = gen_cup_elicitation(p)
-        decision = fine_elicitation_over(Cup(agenda), profile, cap=cap)
-        holds = (not decision) == partition
-    elif kind == "stv-sp-elicit":
-        profile, axis = gen_stv_sp_elicitation(p)
-        decision = fine_sp_elicitation_over(Stv(), profile, axis, cap=cap)
-        holds = (not decision) == partition
-    elif kind == "cup-manip":
-        witness = preference_manipulate(gen_cup_preference_manipulation(p), cap=cap)
-        decision = witness is not None
-        holds = decision == partition
-    elif kind == "copeland-manip":
-        witness = preference_manipulate(gen_copeland_preference_manipulation(p), cap=cap)
-        decision = witness is not None
-        holds = decision == partition
+    rule, profile, axis, target = reduction_instance(kind, p)
+    if target is not None:
+        inst = ManipulationInstance(rule, target, profile)
+        decision = preference_manipulate(inst, cap=cap) is not None
+    elif axis is None:
+        decision = fine_elicitation_over(rule, profile, cap=cap)
     else:
-        raise InvalidInstance(
-            f"unknown reduction kind {kind!r}; expected one of {', '.join(REDUCTION_KINDS)}"
-        )
+        decision = fine_sp_elicitation_over(rule, profile, axis, cap=cap)
+    partition = has_equal_partition(p.numbers)
+    holds = decision == partition if target is not None else decision != partition
     return ReductionReport(kind, p.numbers, decision, partition, holds)

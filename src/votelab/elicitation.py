@@ -27,6 +27,7 @@ from .profiles import (
     PartialBallot,
     Profile,
     WeightedBallot,
+    _weighted_median,
     is_single_peaked,
     majority_matrix,
     sp_completable,
@@ -544,17 +545,6 @@ def _peak_positions(profile: Profile, axis: Axis) -> list[tuple[int, int, int]]:
                 )
         out.append((ballot.weight * k, min(peaks), max(peaks)))
     return out
-
-
-def _weighted_median(entries: list[tuple[int, int]], total: int) -> int:
-    """Median position of a weighted multiset; total must be odd."""
-    half = (total + 1) // 2
-    seen = 0
-    for pos, w in sorted(entries):
-        seen += w
-        if seen >= half:
-            return pos
-    raise InvalidProfile("weights do not cover the profile total")
 
 
 def cup_single_peaked_over(profile: Profile, axis: Axis) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import is_not, mul, sub
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import CapExceeded, InvalidProfile, NotCompletableSP
 
@@ -386,43 +386,72 @@ def majority_matrix(profile: Profile) -> MajorityMatrix:
 
 
 def linear_extensions(
-    ballot: PartialBallot, m: int, cap: int | None = DEFAULT_COMPLETION_CAP
+    ballot: PartialBallot,
+    m: int,
+    cap: int | None = DEFAULT_COMPLETION_CAP,
+    axis: Axis | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """All total orders on 0..m-1 extending the ballot's commitments.
 
-    Yields orders in lexicographic candidate-id order.  Raises CapExceeded
-    as soon as more than ``cap`` extensions would be produced; nothing is
-    ever silently dropped.
+    With an axis, only the extensions single-peaked on it.  Such an order
+    starts at its peak, and each next candidate widens the axis segment
+    ranked so far by one position on the left or right, so after the peak
+    only the (at most two) candidates at the segment's ends are tried.
+
+    A candidate is placed once every candidate the ballot commits above it
+    is placed; the placed set and each candidate's committed-above set are
+    bitmasks.  Candidates are tried in ascending id, so orders come out
+    lazily in lexicographic candidate-id order.  A placed set that completes
+    to no extension is remembered and not walked again.  Without an axis
+    that memo never fires: every placed set that respects the commitments
+    extends.  Raises CapExceeded as soon as more than ``cap`` extensions
+    would be produced; nothing is ever silently dropped.  An axis over other
+    than m candidates raises InvalidProfile.
     """
-    preds: dict[int, set[int]] = {c: set() for c in range(m)}
+    full = (1 << m) - 1
+    above = [0] * m
     for a, b in ballot.pairs:
-        preds[b].add(a)
+        above[b] |= 1 << a
+    # widen[c]: the candidates that may follow once c is placed
+    widen = [full] * m
+    if axis is not None:
+        order = axis.order
+        if len(order) != m:
+            raise InvalidProfile(f"the axis orders {len(order)} candidates, not {m}")
+        for i, cand in enumerate(order):
+            neighbours = order[max(i - 1, 0) : i] + order[i + 1 : i + 2]
+            widen[cand] = sum(1 << x for x in neighbours)
     produced = 0
     prefix: list[int] = []
-    placed = [False] * m
+    dead: set[int] = set()
 
-    def emit() -> Iterator[tuple[int, ...]]:
+    def walk(placed: int, reach: int) -> Iterator[tuple[int, ...]]:
+        # prefix ranks exactly the placed candidates; reach ORs their widen
+        # masks, and is 0 before the first, which may be any candidate
         nonlocal produced
-        if len(prefix) == m:
+        if placed == full:
             produced += 1
             if cap is not None and produced > cap:
-                raise CapExceeded(
-                    f"ballot admits more than {cap} linear extensions", produced
-                )
+                raise CapExceeded(f"ballot admits more than {cap} extensions", produced)
             yield tuple(prefix)
             return
-        for c in range(m):
-            if placed[c]:
+        if placed in dead:
+            return
+        before = produced
+        open_ = (reach or full) & ~placed
+        while open_:
+            bit = open_ & -open_
+            open_ ^= bit
+            cand = bit.bit_length() - 1
+            if above[cand] & ~placed:
                 continue
-            if any(not placed[p] for p in preds[c]):
-                continue
-            placed[c] = True
-            prefix.append(c)
-            yield from emit()
+            prefix.append(cand)
+            yield from walk(placed | bit, reach | widen[cand])
             prefix.pop()
-            placed[c] = False
+        if produced == before:
+            dead.add(placed)
 
-    return emit()
+    return walk(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -494,66 +523,12 @@ def single_peaked_extensions(
     axis: Axis,
     cap: int | None = DEFAULT_COMPLETION_CAP,
 ) -> Iterator[tuple[int, ...]]:
-    """Linear extensions of the ballot that are single-peaked on the axis.
-
-    A single-peaked order starts at its peak, and each next candidate widens
-    the axis segment ranked so far by one position on the left or right.
-    The walk tries the (at most two) candidates in ascending id and places
-    one only below every candidate the ballot commits above it, so orders
-    come out lazily in lexicographic candidate-id order, as
-    ``linear_extensions`` yields them.  A segment that completes to no
-    extension is not walked again.  Raises CapExceeded as soon as more than
-    ``cap`` extensions would be produced.
-    """
-    position = [0] * m
-    for i, cand in enumerate(axis.order):
-        position[cand] = i
-    preds: list[list[int]] = [[] for _ in range(m)]
-    for a, b in ballot.pairs:
-        preds[b].append(a)
-    produced = 0
-    prefix: list[int] = []
-    dead: set[tuple[int, int]] = set()
-
-    def extend(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-        # invariant: prefix ranks exactly the axis positions lo..hi
-        nonlocal produced
-        if len(prefix) == m:
-            produced += 1
-            if cap is not None and produced > cap:
-                raise CapExceeded(
-                    f"ballot admits more than {cap} single-peaked extensions", produced
-                )
-            yield tuple(prefix)
-            return
-        if (lo, hi) in dead:
-            return
-        before = produced
-        choices = []
-        if lo > 0:
-            choices.append((axis.order[lo - 1], lo - 1, hi))
-        if hi < m - 1:
-            choices.append((axis.order[hi + 1], lo, hi + 1))
-        for cand, nlo, nhi in sorted(choices):
-            if all(lo <= position[p] <= hi for p in preds[cand]):
-                prefix.append(cand)
-                yield from extend(nlo, nhi)
-                prefix.pop()
-        if produced == before:
-            dead.add((lo, hi))
-
-    def start() -> Iterator[tuple[int, ...]]:
-        for peak in range(m):
-            if not preds[peak]:
-                prefix.append(peak)
-                yield from extend(position[peak], position[peak])
-                prefix.pop()
-
-    return start()
+    """``linear_extensions`` on an axis, kept because the package exports this name."""
+    return linear_extensions(ballot, m, cap, axis)
 
 
 def sp_completable(ballot: PartialBallot, m: int, axis: Axis) -> bool:
-    return next(single_peaked_extensions(ballot, m, axis, cap=None), None) is not None
+    return next(linear_extensions(ballot, m, None, axis), None) is not None
 
 
 def single_peaked_condorcet_winner(profile: Profile, axis: Axis) -> Candidate:
@@ -569,15 +544,22 @@ def single_peaked_condorcet_winner(profile: Profile, axis: Axis) -> Candidate:
     orders, weights = profile.complete_arrays()
     if profile.total_weight % 2 == 0:
         raise InvalidProfile("median-peak winner requires an odd total weight")
-    peak_mass = [0] * profile.m
+    peaks = []
     for order, weight in zip(orders, weights):
         if not is_single_peaked(order, axis):
             raise NotCompletableSP(f"ballot {order} is not single-peaked on the axis")
-        peak_mass[axis.position(order[0])] += weight
-    need = profile.total_weight // 2 + 1
-    acc = 0
-    for position in range(profile.m):
-        acc += peak_mass[position]
-        if acc >= need:
-            return profile.candidates[axis.order[position]]
-    raise AssertionError("unreachable: cumulative weight must reach the majority")
+        peaks.append((axis.position(order[0]), weight))
+    return profile.candidates[axis.order[_weighted_median(peaks, profile.total_weight)]]
+
+
+def _weighted_median(entries: Iterable[tuple[int, int]], total: int) -> int:
+    """The median position of (position, weight) entries whose weights sum
+    to the odd ``total``: the least position that, with every position
+    left of it, holds a majority."""
+    need = total // 2 + 1
+    seen = 0
+    for position, weight in sorted(entries):
+        seen += weight
+        if seen >= need:
+            return position
+    raise InvalidProfile("weights do not cover the profile total")

@@ -369,6 +369,29 @@ class TestReductionVerbs:
             "# fails: cup-manip bag 2 2",
         ]
 
+    def test_sweep_bounds_must_be_positive(self, capsys):
+        for flag, bounds in (
+            ("--max-n", ("-1", "3")),
+            ("--max-n", ("0", "3")),
+            ("--max-v", ("3", "0")),
+        ):
+            code, out, err = run(
+                capsys, "verify-reduction", "--kind", "cup-manip",
+                "--max-n", bounds[0], "--max-v", bounds[1],
+            )
+            assert (code, out) == (2, "") and flag in err
+        code, out, _ = run(
+            capsys, "verify-reduction", "--kind", "cup-manip", "--max-n", "1", "--max-v", "2"
+        )
+        assert code == 0 and "checked: 1" in out.splitlines()
+
+    def test_sweep_without_an_even_bag_is_refused(self, capsys):
+        # the only bag of one number up to 1 has an odd total
+        code, out, err = run(
+            capsys, "verify-reduction", "--kind", "all", "--max-n", "1", "--max-v", "1"
+        )
+        assert (code, out) == (2, "") and "no bag" in err
+
     def test_bag_and_sweep_are_exclusive(self, capsys):
         code, _, err = run(capsys, "verify-reduction", "--kind", "cup-elicit")
         assert code == 2 and "give either --bag" in err

@@ -1,6 +1,7 @@
 """Joint-completion groups, assignment streams, and caps."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from votelab import (
     PartialBallot,
     Profile,
     WeightedBallot,
+    candidates_from_labels,
     completion_groups,
     completed_profile,
     iter_assignments,
@@ -228,10 +230,30 @@ class TestCaps:
         assert exc.value.estimate == 6 * 21  # 6 extensions x C(6+2-1, 2)
 
     def test_per_ballot_option_cap(self):
-        for p, axis in (
-            (Profile(cands(4), (PartialBallot(frozenset(), 1),)), None),
-            (Profile(cands(4), (), unknown_weight=1), None),  # the unknown pool
-            (Profile(cands(5), (), unknown_weight=1), Axis(tuple(range(5)))),
+        for p, axis, count in (
+            (Profile(cands(4), (PartialBallot(frozenset(), 1),)), None, 24),
+            (Profile(cands(4), (), unknown_weight=1), None, 24),  # the unknown pool
+            (Profile(cands(5), (), unknown_weight=1), Axis(tuple(range(5))), 16),
         ):
-            with pytest.raises(CapExceeded):
+            with pytest.raises(CapExceeded) as exc:
                 completion_groups(p, axis=axis, cap=10)
+            assert exc.value.estimate == count
+
+    def test_empty_partial_ballot_is_refused_before_any_order_is_built(self):
+        # an empty partial ballot is as free as an unknown agent: its orders
+        # are counted, not listed, before the default cap refuses them
+        for m, axis, count in (
+            (10, None, 3_628_800),
+            (22, Axis(tuple(range(22))), 2**21),
+        ):
+            labels = [f"c{i}" for i in range(m)]
+            p = Profile(candidates_from_labels(labels), (PartialBallot(frozenset(), 1),))
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapExceeded) as exc:
+                    completion_groups(p, axis=axis)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert exc.value.estimate == count
+            assert peak < 2**20

@@ -1,5 +1,6 @@
 """Ballot, profile and single-peakedness primitives."""
 
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from votelab import (
     PartialBallot,
     Profile,
     WeightedBallot,
+    completion_groups,
     is_single_peaked,
     linear_extensions,
     majority_matrix,
@@ -327,13 +329,21 @@ class TestSinglePeaked:
         }
 
     def test_extensions_match_the_filtered_linear_extensions(self):
+        # the referee filters every permutation, so the walk never checks itself
         rng = random.Random(17)
         for _ in range(300):
             m = rng.randint(2, 6)
             axis = Axis(tuple(rng.sample(range(m), m)))
             b = H.rand_partial(rng, m, 1)
-            expect = [o for o in linear_extensions(b, m, cap=None) if is_single_peaked(o, axis)]
+            linear = [
+                o
+                for o in itertools.permutations(range(m))
+                if all(o.index(x) < o.index(y) for x, y in b.pairs)
+            ]
+            assert list(linear_extensions(b, m, cap=None)) == linear
+            expect = [o for o in linear if is_single_peaked(o, axis)]
             assert list(single_peaked_extensions(b, m, axis, cap=None)) == expect
+            assert list(linear_extensions(b, m, cap=None, axis=axis)) == expect
 
     def test_extensions_equal_the_sorted_filtered_orders(self):
         rng = random.Random(23)
@@ -348,6 +358,14 @@ class TestSinglePeaked:
                 if all(o.index(x) < o.index(y) for x, y in b.pairs)
             ]
             assert list(single_peaked_extensions(b, m, axis, cap=None)) == expect
+
+    def test_axis_must_order_every_candidate(self):
+        b = PartialBallot({(0, 1)}, 1)
+        for axis in (Axis((0, 1)), Axis((0, 1, 2, 3))):
+            with pytest.raises(InvalidProfile):
+                list(linear_extensions(b, 3, axis=axis))
+            with pytest.raises(InvalidProfile):
+                completion_groups(Profile(cands(3), (b,)), axis=axis)
 
     def test_cap_counts_before_the_whole_set_is_built(self):
         # 2**19 single-peaked orders: the cap stops the walk at the 11th
