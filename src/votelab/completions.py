@@ -33,6 +33,7 @@ from .profiles import (
     PartialBallot,
     Profile,
     WeightedBallot,
+    _check_axis,
     is_single_peaked,
     linear_extensions,
 )
@@ -95,7 +96,8 @@ def completion_groups(
     from ``fixed_view`` decides which ballots are free and how far.
 
     Args:
-        axis: restrict every completion to be single-peaked on this axis.
+        axis: restrict every completion to be single-peaked on this axis,
+            which must order exactly the profile's candidates.
         cap: per-ballot guard against enormous option lists; the unknown
             pool counts as one ballot.
 
@@ -104,6 +106,8 @@ def completion_groups(
     options built once per call.
     """
     m = profile.m
+    if axis is not None:
+        _check_axis(axis, m)
     options_of: dict[frozenset[tuple[int, int]], tuple[Order, ...]] = {}
     grouped: dict[tuple[int, tuple[Order, ...]], list[int]] = {}
     for idx, ballot in enumerate(profile.ballots):

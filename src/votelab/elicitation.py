@@ -15,22 +15,19 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import combinations
 from typing import Collection, Iterator, Sequence
 
 from .completions import Order, OptionGroup, completion_groups, fixed_view, search
-from .errors import CapExceeded, InvalidProfile, ModelMismatch, NotCompletableSP
+from .errors import CapExceeded, ModelMismatch
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
     Axis,
     Candidate,
-    PartialBallot,
     Profile,
-    WeightedBallot,
-    _weighted_median,
-    is_single_peaked,
+    _median_peaks,
     majority_matrix,
-    sp_completable,
+    pairwise_counts,
 )
 from .rules import (
     PAIRWISE_RULES,
@@ -39,9 +36,8 @@ from .rules import (
     Hybrid,
     Pairing,
     Rule,
-    _top_tallies,
+    _hybrid_rounds,
     achievable_from_sign,
-    pairwise_counts,
     validate_rule_for,
 )
 
@@ -317,11 +313,12 @@ def coarse_elicitation_over(
 
     The profile's only uncertainty may be wholly unknown agents
     (``unknown_weight``); a partial ballot that is not a total order raises
-    ModelMismatch.  A hybrid rule is answered by the polynomial
-    ``hybrid_coarse_over``.
+    ModelMismatch.  A hybrid rule is answered by ``hybrid_coarse_over``,
+    which walks the sets of survivors of its round without listing any
+    completion; ``cap`` bounds that walk.
     """
     if isinstance(rule, Hybrid):
-        return hybrid_coarse_over(rule.pairing, profile)
+        return hybrid_coarse_over(rule.pairing, profile, cap=cap)
     return fine_elicitation_over(rule, fixed_view(profile), cap=cap)
 
 
@@ -509,44 +506,6 @@ def fine_sp_elicitation_over(
     return len(_possible_ids(rule, profile, axis=axis, cap=cap, stop_at=2)) == 1
 
 
-def _peak_positions(profile: Profile, axis: Axis) -> list[tuple[int, int, int]]:
-    """(weight, leftmost peak, rightmost peak) on the axis per run of ballots,
-    and one entry spanning the axis for the unknown pool.
-
-    A partial ballot may peak at a candidate it ranks below no one iff its
-    pairs plus that candidate above all others complete single-peaked.
-    Raises NotCompletableSP when no candidate qualifies, or when a complete
-    ballot is not single-peaked.
-    """
-    m = profile.m
-    out = [(profile.unknown_weight, 0, m - 1)] if profile.unknown_weight else []
-    for ballot, k in zip(*profile.runs):
-        if isinstance(ballot, WeightedBallot):
-            if not is_single_peaked(ballot.order, axis):
-                raise NotCompletableSP(
-                    f"complete ballot {ballot.order} is not single-peaked on the axis"
-                )
-            peaks = [axis.position(ballot.order[0])]
-        else:
-            below = {b for _, b in ballot.pairs}
-            peaks = [
-                axis.position(c)
-                for c in range(m)
-                if c not in below
-                and sp_completable(
-                    PartialBallot(ballot.pairs | {(c, x) for x in range(m) if x != c}, 1),
-                    m,
-                    axis,
-                )
-            ]
-            if not peaks:
-                raise NotCompletableSP(
-                    f"ballot with pairs {sorted(ballot.pairs)} has no single-peaked completion"
-                )
-        out.append((ballot.weight * k, min(peaks), max(peaks)))
-    return out
-
-
 def cup_single_peaked_over(profile: Profile, axis: Axis) -> bool:
     """Median-peak shortcut for cup elections restricted to single-peaked votes.
 
@@ -554,21 +513,23 @@ def cup_single_peaked_over(profile: Profile, axis: Axis) -> bool:
     winner, the candidate at the weighted median peak, and a cup elects it
     under every agenda.  Elicitation is therefore over iff the median peak
     is the same when every agent sits at its leftmost achievable peak and at
-    its rightmost.  Requires odd total weight.
+    its rightmost.  Raises InvalidProfile on an even total weight, or on an
+    axis that does not order exactly the profile's candidates.
     """
-    if profile.total_weight % 2 == 0:
-        raise InvalidProfile("the median-peak test needs an odd total weight")
-    spans = _peak_positions(profile, axis)
-    lo = _weighted_median([(l, w) for w, l, _ in spans], profile.total_weight)
-    hi = _weighted_median([(r, w) for w, _, r in spans], profile.total_weight)
+    lo, hi = _median_peaks(profile, axis)
     return lo == hi
 
 
 # ---------------------------------------------------------------------------
-# Hybrid rule: whole-ballot termination in polynomial time
+# Hybrid rule: whole-ballot termination over the sets of survivors
 
 
-def hybrid_coarse_over(pairing: Pairing, profile: Profile) -> bool:
+def hybrid_coarse_over(
+    pairing: Pairing,
+    profile: Profile,
+    *,
+    cap: int | None = DEFAULT_COMPLETION_CAP,
+) -> bool:
     """Whole-ballot termination test for the pair-then-plurality rule.
 
     A candidate can survive its opening pair iff the cast weight against it
@@ -576,7 +537,9 @@ def hybrid_coarse_over(pairing: Pairing, profile: Profile) -> bool:
     each achievable set of survivors, cast ballots transfer to their
     highest-ranked survivor, and a survivor is a possible winner iff the
     unknown weight closes every tally gap.  Over iff one possible winner
-    remains.  Raises ModelMismatch if a cast ballot is genuinely partial.
+    remains.  The sets double with each pair whose sides can both survive,
+    so ``cap`` bounds how many are tallied (CapExceeded past it).  Raises
+    ModelMismatch if a cast ballot is genuinely partial.
     """
     profile = fixed_view(profile)
     m = profile.m
@@ -584,28 +547,12 @@ def hybrid_coarse_over(pairing: Pairing, profile: Profile) -> bool:
     if m == 1:
         return True
     unknown = profile.unknown_weight
-    total = profile.total_weight
-    cast_orders, cast_weights = profile.fixed_arrays
-    counts = pairwise_counts(cast_orders, cast_weights, m)
-
-    choices: list[tuple[int, ...]] = []
-    for a, b in pairing.pairs:
-        alive = tuple(
-            c for c, o in ((a, b), (b, a)) if 2 * counts[o][c] <= total
-        )
-        choices.append(alive)
-    bye = (pairing.bye,) if pairing.bye is not None else ()
-
     found: set[int] = set()
-    for picks in product(*choices):
-        survivors = frozenset(picks + bye)
-        tally = _top_tallies(cast_orders, cast_weights, m, survivors)
-        for c in survivors:
-            if all(
-                tally[c] + unknown >= tally[x] for x in survivors if x != c
-            ):
-                found.add(c)
+    for survivors, tally in _hybrid_rounds(
+        pairing, *profile.fixed_arrays, m, profile.total_weight, True, cap
+    ):
+        best = max(tally[c] for c in survivors)
+        found.update(c for c in survivors if tally[c] + unknown >= best)
         if len(found) > 1:
             return False
     return len(found) == 1
-

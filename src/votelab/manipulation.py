@@ -28,8 +28,9 @@ from .profiles import (
     Candidate,
     PartialBallot,
     Profile,
+    majority_matrix,
 )
-from .rules import Agenda, Cup, Rule, pairwise_counts, validate_rule_for
+from .rules import Agenda, Cup, Rule, validate_rule_for
 
 Order = tuple[int, ...]
 
@@ -87,8 +88,9 @@ class ManipulationInstance:
 def _probe_profile(inst: ManipulationInstance) -> Profile:
     """Check the coalition model; the view with coalition ballots blanked.
 
-    Outside the coalition every ballot of the probe is a ``WeightedBallot``,
-    so its ``fixed_arrays`` are the fixed side of the election.
+    Outside the coalition every ballot of the probe is a ``WeightedBallot``
+    and nothing is unknown, so in its ``majority_matrix`` ``fixed`` is the
+    fixed side of the election and ``free[i][j]`` the coalition's weight.
     """
     if not inst.is_coalition:
         raise ModelMismatch("this operation needs a coalition-model instance")
@@ -141,7 +143,7 @@ def coalition_manipulate(
     target = inst.target.id
 
     if isinstance(inst.rule, Cup):
-        order = _cup_coalition_order(inst.rule.agenda, probe, inst.coalition, target)
+        order = _cup_coalition_order(inst.rule.agenda, probe, target)
         return None if order is None else {idx: order for idx in sorted(inst.coalition)}
 
     groups, assignment = _witness(inst.rule, probe, target, cap)
@@ -154,12 +156,7 @@ def coalition_manipulate(
     }
 
 
-def _cup_coalition_order(
-    agenda: Agenda,
-    probe: Profile,
-    coalition: frozenset[int],
-    target: int,
-) -> Order | None:
+def _cup_coalition_order(agenda: Agenda, probe: Profile, target: int) -> Order | None:
     """One shared coalition order winning the bracket for the target, or None.
 
     A candidate can take a bracket node iff it can take its own side and the
@@ -170,9 +167,7 @@ def _cup_coalition_order(
     simultaneously, and all coalition members can cast it identically.
     """
     m = probe.m
-    coalition_weight = sum(probe.ballots[i].weight for i in coalition)
-    counts = pairwise_counts(*probe.fixed_arrays, m)
-    total = probe.total_weight
+    mm = majority_matrix(probe)
 
     witness: dict[tuple, dict[int, tuple[int, int]]] = {}
 
@@ -184,7 +179,7 @@ def _cup_coalition_order(
         for mine, theirs, side in ((left, right, 1), (right, left, 0)):
             for c in mine:
                 for d in sorted(theirs):
-                    if 2 * (counts[c][d] + coalition_weight) >= total:
+                    if 2 * (mm.fixed[c][d] + mm.free[c][d]) >= mm.total:
                         table[c] = (d, side)
                         break
         witness[node] = table
@@ -231,11 +226,9 @@ def condorcet_coalition_manipulate(
     probe = _probe_profile(inst)
     m = probe.m
     target = inst.target.id
-    coalition_weight = sum(probe.ballots[i].weight for i in inst.coalition)
-    counts = pairwise_counts(*probe.fixed_arrays, m)
-    total = probe.total_weight
+    mm = majority_matrix(probe)
     for j in range(m):
-        if j != target and 2 * (counts[target][j] + coalition_weight) <= total:
+        if j != target and 2 * (mm.fixed[target][j] + mm.free[target][j]) <= mm.total:
             return None
     order = (target,) + tuple(c for c in range(m) if c != target)
     return {idx: order for idx in sorted(inst.coalition)}

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import is_not, mul, sub
-from typing import Iterable, Iterator, Sequence, Union
+from operator import is_not, itemgetter, mul, sub
+from typing import Iterator, Sequence, Union
 
 from .errors import CapExceeded, InvalidProfile, NotCompletableSP
 
@@ -74,6 +74,11 @@ class Axis:
 
     def position(self, cand: int) -> int:
         return self.order.index(cand)
+
+
+def _check_axis(axis: Axis, m: int) -> None:
+    if len(axis.order) != m:
+        raise InvalidProfile(f"the axis orders {len(axis.order)} candidates, not {m}")
 
 
 def _check_weight(weight: int, what: str = "weight", least: int = 1) -> None:
@@ -355,18 +360,26 @@ class MajorityMatrix:
         return None
 
 
+def pairwise_counts(
+    orders: Sequence[Sequence[int]], weights: Sequence[int], m: int
+) -> list[list[int]]:
+    """``n[i][j]``: the weight of the orders that rank i above j."""
+    n = [[0] * m for _ in range(m)]
+    for order, w in zip(orders, weights):
+        for i, a in enumerate(order):
+            row = n[a]
+            for b in order[i + 1 :]:
+                row[b] += w
+    return n
+
+
 def majority_matrix(profile: Profile) -> MajorityMatrix:
     """Aggregate committed pairwise weight; unknown weight is wholly free."""
     m = profile.m
-    fixed = [[0] * m for _ in range(m)]
+    fixed = pairwise_counts(*profile.fixed_arrays, m)
     for ballot, k in zip(*profile.runs):
-        weight = ballot.weight * k
-        if isinstance(ballot, WeightedBallot):
-            o = ballot.order
-            for i in range(m):
-                for j in range(i + 1, m):
-                    fixed[o[i]][o[j]] += weight
-        else:
+        if isinstance(ballot, PartialBallot):
+            weight = ballot.weight * k
             for a, b in ballot.pairs:
                 fixed[a][b] += weight
     total = profile.total_weight
@@ -415,9 +428,8 @@ def linear_extensions(
     # widen[c]: the candidates that may follow once c is placed
     widen = [full] * m
     if axis is not None:
+        _check_axis(axis, m)
         order = axis.order
-        if len(order) != m:
-            raise InvalidProfile(f"the axis orders {len(order)} candidates, not {m}")
         for i, cand in enumerate(order):
             neighbours = order[max(i - 1, 0) : i] + order[i + 1 : i + 2]
             widen[cand] = sum(1 << x for x in neighbours)
@@ -538,28 +550,65 @@ def single_peaked_condorcet_winner(profile: Profile, axis: Axis) -> Candidate:
     majority contest.
 
     Raises:
-        InvalidProfile: if the profile is incomplete or has even total weight.
+        InvalidProfile: if the profile is incomplete, has even total weight,
+            or the axis does not order exactly its candidates.
         NotCompletableSP: if some ballot is not single-peaked on the axis.
     """
-    orders, weights = profile.complete_arrays()
-    if profile.total_weight % 2 == 0:
-        raise InvalidProfile("median-peak winner requires an odd total weight")
-    peaks = []
-    for order, weight in zip(orders, weights):
+    if not profile.is_complete:
+        raise InvalidProfile("the median-peak winner needs a complete profile")
+    lo, _ = _median_peaks(profile, axis)
+    return profile.candidates[axis.order[lo]]
+
+
+def _median_peaks(profile: Profile, axis: Axis) -> tuple[int, int]:
+    """Axis positions of the weighted-median peak with every agent at its
+    leftmost achievable peak, and with every agent at its rightmost.
+
+    Complete ballots peak at their first choice, and the unknown pool
+    anywhere.  A partial ballot may peak at a candidate it ranks below
+    no one iff its pairs plus that candidate above all others complete
+    single-peaked.  The median is the least position that, with every
+    position left of it, holds a majority of the odd total weight.
+
+    Raises:
+        InvalidProfile: if the total weight is even, or the axis does not
+            order exactly the profile's candidates.
+        NotCompletableSP: if some ballot has no single-peaked completion.
+    """
+    m = profile.m
+    total = profile.total_weight
+    if total % 2 == 0:
+        raise InvalidProfile("the median-peak test needs an odd total weight")
+    _check_axis(axis, m)
+    spans = [(0, m - 1, profile.unknown_weight)]
+    for order, weight in zip(*profile.fixed_arrays):
         if not is_single_peaked(order, axis):
-            raise NotCompletableSP(f"ballot {order} is not single-peaked on the axis")
-        peaks.append((axis.position(order[0]), weight))
-    return profile.candidates[axis.order[_weighted_median(peaks, profile.total_weight)]]
+            raise NotCompletableSP(f"complete ballot {order} is not single-peaked on the axis")
+        peak = axis.position(order[0])
+        spans.append((peak, peak, weight))
+    for ballot, k in zip(*profile.runs):
+        if isinstance(ballot, WeightedBallot):
+            continue
+        below = {b for _, b in ballot.pairs}
+        peaks = [
+            axis.position(c)
+            for c in range(m)
+            if c not in below
+            and sp_completable(
+                PartialBallot(ballot.pairs | {(c, x) for x in range(m) if x != c}, 1), m, axis
+            )
+        ]
+        if not peaks:
+            raise NotCompletableSP(
+                f"ballot with pairs {sorted(ballot.pairs)} has no single-peaked completion"
+            )
+        spans.append((min(peaks), max(peaks), ballot.weight * k))
 
+    def median(side: int) -> int:
+        seen = 0  # the spans' weights sum to the total, so this returns
+        for span in sorted(spans, key=itemgetter(side)):
+            seen += span[2]
+            if 2 * seen > total:
+                return span[side]
 
-def _weighted_median(entries: Iterable[tuple[int, int]], total: int) -> int:
-    """The median position of (position, weight) entries whose weights sum
-    to the odd ``total``: the least position that, with every position
-    left of it, holds a majority."""
-    need = total // 2 + 1
-    seen = 0
-    for position, weight in sorted(entries):
-        seen += weight
-        if seen >= need:
-            return position
-    raise InvalidProfile("weights do not cover the profile total")
+    return median(0), median(1)

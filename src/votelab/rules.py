@@ -22,10 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .errors import CapExceeded, InvalidProfile
-from .profiles import DEFAULT_COMPLETION_CAP, Candidate, Profile, cached_attribute
+from .profiles import (
+    DEFAULT_COMPLETION_CAP,
+    Candidate,
+    Profile,
+    cached_attribute,
+    pairwise_counts,
+)
 
 #: Deepest cup agenda accepted; the tree walks recurse once per level.
 MAX_AGENDA_DEPTH = 500
@@ -379,16 +385,6 @@ def _parse_pairing(text: str, candidates: Sequence[Candidate]) -> Pairing:
 # Pairwise machinery shared by several rules
 
 
-def pairwise_counts(orders: Orders, weights: Weights, m: int) -> list[list[int]]:
-    n = [[0] * m for _ in range(m)]
-    for order, w in zip(orders, weights):
-        for i, a in enumerate(order):
-            row = n[a]
-            for b in order[i + 1 :]:
-                row[b] += w
-    return n
-
-
 def sign_matrix(counts: Sequence[Sequence[int]], total: int) -> list[list[int]]:
     """sign[i][j] = 1 if i strictly beats j, -1 if j does, 0 on a tie."""
     m = len(counts)
@@ -575,39 +571,38 @@ def _runoff_winners(
     return frozenset(out)
 
 
-def _hybrid_winners(
+def _hybrid_rounds(
     pairing: Pairing,
     orders: Orders,
     weights: Weights,
     m: int,
     total: int,
     branch: bool,
-) -> frozenset[int]:
-    counts = pairwise_counts(orders, weights, m)
-    choice_sets: list[tuple[int, ...]] = []
-    for a, b in pairing.pairs:
-        d = 2 * counts[a][b] - total
-        if d > 0:
-            choice_sets.append((a,))
-        elif d < 0:
-            choice_sets.append((b,))
-        elif branch:
-            choice_sets.append((a, b))
-        else:
-            choice_sets.append((min(a, b),))
-    if pairing.bye is not None:
-        choice_sets.append((pairing.bye,))
+    cap: int | None,
+) -> Iterator[tuple[frozenset[int], list[int]]]:
+    """(survivors, top-choice tallies) for each way the pairing's round may end.
 
-    out: set[int] = set()
-    for survivors in product(*choice_sets):
-        tally = _top_tallies(orders, weights, m, frozenset(survivors))
-        best = max(tally[c] for c in survivors)
-        winners = [c for c in survivors if tally[c] == best]
-        if branch:
-            out.update(winners)
-        else:
-            out.add(min(winners))
-    return frozenset(out)
+    A candidate survives its pair when the orders' weight against it is at
+    most half of ``total``; at exactly half, only the lower id survives
+    unless ``branch`` is set.  The bye always survives.  Each set of
+    survivors takes one survivor from every pair, so the sets double with
+    each pair whose sides both survive.  The orders' weights go to their
+    highest-ranked survivor.  Raises CapExceeded when more than ``cap`` sets
+    would be tallied.
+    """
+    counts = pairwise_counts(orders, weights, m)
+
+    def survives(c: int, o: int) -> bool:
+        d = 2 * counts[o][c] - total
+        return d < 0 or (d == 0 and (branch or c < o))
+
+    sides = [[c for c, o in ((a, b), (b, a)) if survives(c, o)] for a, b in pairing.pairs]
+    bye = (pairing.bye,) if pairing.bye is not None else ()
+    for tallied, picks in enumerate(product(*sides), 1):
+        if cap is not None and tallied > cap:
+            raise CapExceeded(f"the hybrid round ends in more than {cap} survivor sets", tallied)
+        survivors = frozenset(picks + bye)
+        yield survivors, _top_tallies(orders, weights, m, survivors)
 
 
 def _achievable_ids(
@@ -622,7 +617,8 @@ def _achievable_ids(
 ) -> frozenset[int]:
     """Winner ids achievable over tie resolutions (or the lex singleton).
 
-    ``cap`` bounds the candidate sets STV's elimination search may tally.
+    ``cap`` bounds the candidate sets that STV's elimination search, or the
+    hybrid's sets of survivors, may tally.
     """
     if m == 1:
         return frozenset((0,))
@@ -638,7 +634,14 @@ def _achievable_ids(
     if isinstance(rule, Runoff):
         return _runoff_winners(orders, weights, m, total, branch)
     if isinstance(rule, Hybrid):
-        return _hybrid_winners(rule.pairing, orders, weights, m, total, branch)
+        out: set[int] = set()
+        for survivors, tally in _hybrid_rounds(
+            rule.pairing, orders, weights, m, total, branch, cap
+        ):
+            best = max(tally[c] for c in survivors)
+            winners = [c for c in survivors if tally[c] == best]
+            out.update(winners if branch else (min(winners),))
+        return frozenset(out)
     raise InvalidProfile(f"unknown rule {rule!r}")
 
 

@@ -29,6 +29,7 @@ from votelab import (
     hybrid_coarse_over,
     plurality,
     possible_winners,
+    single_peaked_condorcet_winner,
 )
 
 import votelab.elicitation as E
@@ -445,6 +446,26 @@ class TestCupSinglePeaked:
         assert peak < 2**20
 
 
+AXIS_CHECKS = {
+    "stv": lambda p, axis: fine_sp_elicitation_over(Stv(), p, axis),
+    "copeland": lambda p, axis: fine_sp_elicitation_over(Copeland(), p, axis),
+    "odd-cup": lambda p, axis: fine_sp_elicitation_over(Cup(((0, 1), 2)), p, axis),
+    "cup-median": cup_single_peaked_over,
+    "median-winner": lambda p, axis: single_peaked_condorcet_winner(
+        Profile(p.candidates, p.ballots), axis
+    ),
+}
+
+
+@pytest.mark.parametrize("axis", [Axis((0, 1)), Axis((0, 1, 2, 3))], ids=["short", "long"])
+@pytest.mark.parametrize("call", AXIS_CHECKS.values(), ids=AXIS_CHECKS.keys())
+def test_axis_over_other_candidates_is_refused(call, axis):
+    # the median winner reads the same profile with the unknown pool cast off
+    p = Profile(cands(3), (vote((0, 1, 2), 3),), unknown_weight=2)
+    with pytest.raises(InvalidProfile, match="the axis orders"):
+        call(p, axis)
+
+
 class TestHybridCoarse:
     def test_decided_without_unknowns(self):
         p = Profile(
@@ -484,3 +505,23 @@ class TestHybridCoarse:
             expected = H.brute_fine_over(Hybrid(pairing), p)
             assert hybrid_coarse_over(pairing, p) == expected
             assert coarse_elicitation_over(Hybrid(pairing), p) == expected
+
+    def test_survivor_sets_are_charged_to_the_cap(self):
+        # two weight-5 ballots top the bye and split all 14 pairs evenly, so
+        # every pair keeps both sides and the round ends in 2**14 sets
+        pairs = tuple((2 * i + 1, 2 * i + 2) for i in range(14))
+        p = Profile(
+            candidates_from_labels([f"C{i}" for i in range(29)]),
+            (
+                vote([0] + [c for pair in pairs for c in pair], 5),
+                vote([0] + [c for a, b in pairs for c in (b, a)], 5),
+            ),
+            unknown_weight=1,
+        )
+        pairing = Pairing(pairs, bye=0)
+        with pytest.raises(CapExceeded) as exc:
+            hybrid_coarse_over(pairing, p, cap=1000)
+        assert exc.value.estimate == 1001
+        with pytest.raises(CapExceeded):
+            coarse_elicitation_over(Hybrid(pairing), p, cap=1000)
+        assert hybrid_coarse_over(pairing, p, cap=None)

@@ -44,6 +44,29 @@ def replay_coalition(inst, assignment):
     )
 
 
+def rand_coalition_profile(rng, m):
+    """(profile, coalition, whether a ballot object fills slots on both
+    sides of the coalition) for 2-5 ballots over m candidates.
+
+    Slots may repeat the previous ballot object, so the coalition view keeps
+    runs, and a coalition member may be an unlocked partial ballot.
+    """
+    ballots = []
+    for _ in range(rng.randint(2, 5)):
+        if ballots and rng.random() < 0.4:
+            ballots.append(ballots[-1])
+        else:
+            ballots.append(vote(H.rand_order(rng, m), rng.randint(1, 3)))
+    n = len(ballots)
+    coalition = frozenset(rng.sample(range(n), rng.randint(1, min(2, n))))
+    for idx in coalition:
+        if rng.random() < 0.4:
+            ballots[idx] = H.rand_partial(rng, m, rng.randint(1, 3))
+    outside = {id(ballots[i]) for i in range(n) if i not in coalition}
+    straddles = any(id(ballots[i]) in outside for i in coalition)
+    return Profile(cands(m), tuple(ballots), strict_odd=False), coalition, straddles
+
+
 class TestInstanceValidation:
     def test_int_target_is_normalized(self):
         p = Profile(cands(2), (vote((0, 1), 1),))
@@ -115,14 +138,11 @@ class TestCupCoalition:
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(83)
+        shared = 0
         for _ in range(120):
             m = rng.randint(2, 4)
-            n = rng.randint(2, 4)
-            ballots = tuple(
-                vote(H.rand_order(rng, m), rng.randint(1, 3)) for _ in range(n)
-            )
-            p = Profile(cands(m), ballots, strict_odd=False)
-            coalition = frozenset(rng.sample(range(n), rng.randint(1, min(2, n))))
+            p, coalition, straddles = rand_coalition_profile(rng, m)
+            shared += straddles
             target = rng.randrange(m)
             agenda = H.rand_agenda(rng, range(m))
             inst = ManipulationInstance(Cup(agenda), target, p, coalition=coalition)
@@ -132,6 +152,7 @@ class TestCupCoalition:
             if assignment is not None:
                 replay = replay_coalition(inst, assignment)
                 assert winner(inst.rule, replay, TieBreak.favor(target)).id == target
+        assert shared > 0
 
 
 class TestGenericCoalition:
@@ -214,15 +235,11 @@ class TestCondorcetCoalition:
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(97)
-        hits = 0
+        hits = shared = 0
         for _ in range(120):
             m = rng.randint(2, 4)
-            n = rng.randint(2, 4)
-            ballots = tuple(
-                vote(H.rand_order(rng, m), rng.randint(1, 3)) for _ in range(n)
-            )
-            p = Profile(cands(m), ballots, strict_odd=False)
-            coalition = frozenset(rng.sample(range(n), rng.randint(1, min(2, n))))
+            p, coalition, straddles = rand_coalition_profile(rng, m)
+            shared += straddles
             target = rng.randrange(m)
             inst = ManipulationInstance(Copeland(), target, p, coalition=coalition)
             assignment = condorcet_coalition_manipulate(inst)
@@ -232,7 +249,7 @@ class TestCondorcetCoalition:
                 hits += 1
                 replay = replay_coalition(inst, assignment)
                 assert H.condorcet_of(replay) == target
-        assert hits > 0
+        assert hits > 0 and shared > 0
 
 
 class TestPreference:

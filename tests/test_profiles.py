@@ -395,6 +395,24 @@ class TestSinglePeaked:
         )
         assert single_peaked_condorcet_winner(p, self.AXIS).label == "B"
 
+    def test_median_peak_is_the_condorcet_winner(self):
+        # repeats are the same ballot object, adjacent (a run) or not
+        rng = random.Random(89)
+        for _ in range(200):
+            m = rng.randint(1, 6)
+            axis = Axis(tuple(rng.sample(range(m), m)))
+            sp_orders = sorted(H.single_peaked_orders(axis))
+            ballots = []
+            for _ in range(rng.randint(1, 6)):
+                if ballots and rng.random() < 0.4:
+                    ballots.append(rng.choice(ballots))
+                else:
+                    ballots.append(vote(rng.choice(sp_orders), rng.randint(1, 4)))
+            if sum(b.weight for b in ballots) % 2 == 0:
+                ballots.append(vote(rng.choice(sp_orders), 1))
+            p = Profile(cands(m), tuple(ballots))
+            assert single_peaked_condorcet_winner(p, axis).id == H.condorcet_of(p)
+
     def test_median_peak_needs_odd_total(self):
         p = Profile(cands(3), (vote((0, 1, 2), 2),), strict_odd=False)
         with pytest.raises(InvalidProfile):
