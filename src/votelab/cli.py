@@ -334,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--cap",
             type=_int_from(0),
             default=DEFAULT_COMPLETION_CAP,
-            help="completion-search budget (default 10^6)",
+            help="units of work any bounded search may count (default 10^6)",
         )
 
     sp = add("winner", cmd_winner, "winner of a complete profile")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, permutations
 from typing import Collection, Iterator, Sequence
 
-from .errors import CapExceeded, ModelMismatch, NotCompletableSP
+from .errors import ModelMismatch, NotCompletableSP, charge
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
     Axis,
@@ -69,11 +69,7 @@ def _options(
     """
     if not ballot.pairs:
         count = math.factorial(m) if axis is None else 2 ** (m - 1)
-        if cap is not None and count > cap:
-            raise CapExceeded(
-                f"a ballot without commitments admits {count} orders, above the cap of {cap}",
-                count,
-            )
+        charge(count, cap, "orders of a ballot without commitments")
         if axis is None:
             return tuple(permutations(range(m)))
     options = tuple(linear_extensions(ballot, m, cap, axis))
@@ -144,13 +140,7 @@ def space_size(groups: Sequence[OptionGroup]) -> int:
 
 
 def check_cap(groups: Sequence[OptionGroup], cap: int | None) -> int:
-    size = space_size(groups)
-    if cap is not None and size > cap:
-        raise CapExceeded(
-            f"joint-completion space holds {size} completions, above the cap of {cap}",
-            size,
-        )
-    return size
+    return charge(space_size(groups), cap, "joint completions")
 
 
 def iter_assignments(

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Collection, Iterator, Sequence
 
 from .completions import Order, OptionGroup, completion_groups, fixed_view, search
-from .errors import CapExceeded, ModelMismatch
+from .errors import CapExceeded, ModelMismatch, charge
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
     Axis,
@@ -142,11 +142,7 @@ def _pairwise_possible_ids(
         with the first (vec, add) that reached it, and its keys are returned."""
         nonlocal work
         if open_pairs:  # summing empty vectors costs nothing
-            work += len(vecs) * len(adds)
-            if cap is not None and work > cap:
-                raise CapExceeded(
-                    f"pairwise-projection search exceeded the cap of {cap}", work
-                )
+            work = charge(work + len(vecs) * len(adds), cap, "pairwise-projection sums")
         if back is None:
             return {
                 tuple([a + b if a + b < s else s for a, b, s in zip(vec, add, sat)])
@@ -342,9 +338,7 @@ def _subset_sum_in(weights: Sequence[int], lo: int, hi: int, cap: int | None) ->
     mask = (1 << (hi + 1)) - 1 if bitmask else 0
     sums, bits, work = {0}, 1, 0
     for w in weights:
-        work += hi // 64 + 1 if bitmask else len(sums)
-        if cap is not None and work > cap:
-            raise CapExceeded(f"subset-sum scan exceeded the cap of {cap}", work)
+        work = charge(work + (hi // 64 + 1 if bitmask else len(sums)), cap, "subset-sum steps")
         if bitmask:
             bits |= (bits << w) & mask
         else:
@@ -393,7 +387,7 @@ def _two_front_feasible(
 
 
 def cup3_fine_over(
-    agenda: Agenda, profile: Profile, *, cap: int | None = None
+    agenda: Agenda, profile: Profile, *, cap: int | None = DEFAULT_COMPLETION_CAP
 ) -> bool:
     """Polynomial termination test for cup elections over at most 3 candidates.
 

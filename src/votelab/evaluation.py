@@ -16,7 +16,7 @@ from itertools import product
 from typing import Sequence
 
 from .completions import check_cap, completed_arrays, completion_groups, iter_assignments
-from .errors import CapExceeded, InvalidDistribution, ModelMismatch
+from .errors import InvalidDistribution, ModelMismatch, charge
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
     Candidate,
@@ -202,11 +202,7 @@ def reduction_from_preference_manipulation(
     view = _preference_view(inst.profile)
     groups = completion_groups(view, cap=cap)
     count = check_cap(groups, cap)
-    units = count * view.total_weight
-    if cap is not None and units > cap:
-        raise CapExceeded(
-            f"the unit split builds {units} unit ballots, above the cap of {cap}", units
-        )
+    charge(count * view.total_weight, cap, "unit ballots of the split")
     share = Fraction(1, count)
     unit_cache: dict[Order, WeightedBallot] = {}
     scenarios = tuple(
@@ -251,10 +247,7 @@ def product_distribution(
             [(WeightedBallot(order, weight), p) for (order, _), p in zip(marginal, probs)]
         )
         size *= len(marginal)
-    if cap is not None and size > cap:
-        raise CapExceeded(
-            f"the product distribution holds {size} scenarios, above {cap}", size
-        )
+    charge(size, cap, "scenarios of the product distribution")
     scenarios = []
     for combo in product(*options):
         prob = Fraction(1)

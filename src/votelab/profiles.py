@@ -19,9 +19,9 @@ from itertools import compress, repeat
 from operator import is_not, itemgetter, mul, sub
 from typing import Iterator, Sequence, Union
 
-from .errors import CapExceeded, InvalidProfile, NotCompletableSP
+from .errors import InvalidProfile, NotCompletableSP, charge
 
-#: Default bound on the number of completions any enumeration may visit.
+#: Default ``cap``: the units of work any bounded search may count.
 DEFAULT_COMPLETION_CAP = 10**6
 
 #: Weights must fit in a signed 64-bit integer.
@@ -442,9 +442,7 @@ def linear_extensions(
         # masks, and is 0 before the first, which may be any candidate
         nonlocal produced
         if placed == full:
-            produced += 1
-            if cap is not None and produced > cap:
-                raise CapExceeded(f"ballot admits more than {cap} extensions", produced)
+            produced = charge(produced + 1, cap, "extensions of a ballot")
             yield tuple(prefix)
             return
         if placed in dead:
@@ -490,11 +488,14 @@ def is_single_peaked(order: Sequence[int], axis: Axis) -> bool:
     return True
 
 
-def single_peaked_orders(axis: Axis, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+def single_peaked_orders(
+    axis: Axis, cap: int | None = DEFAULT_COMPLETION_CAP
+) -> Iterator[tuple[int, ...]]:
     """All single-peaked total orders for an axis (2^(m-1) of them).
 
     Orders are produced in lexicographic candidate-id order within each
-    generation step; the overall stream is deterministic.
+    generation step; the overall stream is deterministic.  Raises
+    CapExceeded as soon as more than ``cap`` orders would be produced.
     """
     m = len(axis.order)
     produced = 0
@@ -504,9 +505,7 @@ def single_peaked_orders(axis: Axis, cap: int | None = None) -> Iterator[tuple[i
         # invariant: out ranks exactly the axis segment (lo, hi) exclusive
         nonlocal produced
         if lo < 0 and hi >= m:
-            produced += 1
-            if cap is not None and produced > cap:
-                raise CapExceeded(f"more than {cap} single-peaked orders", produced)
+            produced = charge(produced + 1, cap, "single-peaked orders")
             yield tuple(out)
             return
         choices = []

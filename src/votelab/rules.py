@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator, Sequence, Union
 
-from .errors import CapExceeded, InvalidProfile
+from .errors import InvalidProfile, charge
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
     Candidate,
@@ -397,34 +397,25 @@ def sign_matrix(counts: Sequence[Sequence[int]], total: int) -> list[list[int]]:
     return sign
 
 
-def cup_achievable_from_sign(agenda: Agenda, sign: Sequence[Sequence[int]]) -> frozenset[int]:
-    """Candidates able to win the cup under some resolution of pairwise ties."""
+def cup_achievable_from_sign(
+    agenda: Agenda, sign: Sequence[Sequence[int]], branch: bool = True
+) -> frozenset[int]:
+    """Candidates able to win the cup under some resolution of pairwise ties.
 
-    def walk(node: Agenda) -> frozenset[int]:
+    Without ``branch`` each match keeps only the lowest id among those that
+    can win it, which is the lexicographic resolution's single winner.
+    """
+
+    def walk(node: Agenda) -> list[int]:
         if isinstance(node, int):
-            return frozenset((node,))
+            return [node]
         left, right = walk(node[0]), walk(node[1])
-        out = set()
-        for x in left:
-            if any(sign[x][y] >= 0 for y in right):
-                out.add(x)
-        for y in right:
-            if any(sign[y][x] >= 0 for x in left):
-                out.add(y)
-        return frozenset(out)
+        # a candidate can win the match iff it beats or ties some rival
+        out = [x for x in left if max(map(sign[x].__getitem__, right)) >= 0]
+        out += [y for y in right if max(map(sign[y].__getitem__, left)) >= 0]
+        return out if branch else [min(out)]
 
-    return walk(agenda)
-
-
-def cup_lex_from_sign(agenda: Agenda, sign: Sequence[Sequence[int]]) -> int:
-    def walk(node: Agenda) -> int:
-        if isinstance(node, int):
-            return node
-        x, y = walk(node[0]), walk(node[1])
-        s = sign[x][y]
-        return x if s > 0 else (y if s < 0 else min(x, y))
-
-    return walk(agenda)
+    return frozenset(walk(agenda))
 
 
 def copeland_scores_from_sign(sign: Sequence[Sequence[int]]) -> list[int]:
@@ -460,9 +451,7 @@ def achievable_from_sign(
 ) -> frozenset[int]:
     """Winner ids of a pairwise rule from its majority sign matrix alone."""
     if isinstance(rule, Cup):
-        if branch:
-            return cup_achievable_from_sign(rule.agenda, sign)
-        return frozenset((cup_lex_from_sign(rule.agenda, sign),))
+        return cup_achievable_from_sign(rule.agenda, sign, branch)
     keys = (
         copeland2_keys_from_sign(sign)
         if isinstance(rule, Copeland2)
@@ -510,11 +499,7 @@ def _stv_winners(
     frontier = {frozenset(range(m))}
     states = 0
     while frontier:
-        states += len(frontier)
-        if cap is not None and states > cap:
-            raise CapExceeded(
-                f"STV elimination reaches more than {cap} candidate sets", states
-            )
+        states = charge(states + len(frontier), cap, "STV elimination candidate sets")
         following: set[frozenset[int]] = set()
         for alive in frontier:
             tally = _top_tallies(orders, weights, m, alive)
@@ -599,8 +584,7 @@ def _hybrid_rounds(
     sides = [[c for c, o in ((a, b), (b, a)) if survives(c, o)] for a, b in pairing.pairs]
     bye = (pairing.bye,) if pairing.bye is not None else ()
     for tallied, picks in enumerate(product(*sides), 1):
-        if cap is not None and tallied > cap:
-            raise CapExceeded(f"the hybrid round ends in more than {cap} survivor sets", tallied)
+        charge(tallied, cap, "hybrid survivor sets")
         survivors = frozenset(picks + bye)
         yield survivors, _top_tallies(orders, weights, m, survivors)
 
