@@ -9,11 +9,12 @@ exact; no floats enter any decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from math import lcm
+from typing import Iterator, Sequence
 
 from .completions import check_cap, completed_arrays, completion_groups, iter_assignments
 from .errors import InvalidDistribution, ModelMismatch, charge
@@ -72,9 +73,24 @@ def _brief(frac: Fraction) -> str:
 
 @dataclass(frozen=True)
 class ScenarioDistribution:
-    """Complete profiles with exact probabilities summing to one."""
+    """Complete profiles with exact probabilities summing to one.
+
+    Each probability is also kept as an integer count of ``1/denominator``,
+    the least common denominator, so a scan sums integers.  The distribution
+    keeps one column of winner ids, one slot per scenario, for the (rule,
+    tie-break) scanned last; it fills lazily, so scans in a row under one
+    rule decide each scenario at most once, and a scan under another rule
+    replaces it.  A slot is only ever written with its one deterministic
+    winner id, so a scan that stops early or raises leaves a valid column.
+    None of this enters equality, hashing or ``repr``.
+    """
 
     scenarios: tuple[tuple[Profile, Fraction], ...]
+    _counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _denominator: int = field(init=False, repr=False, compare=False)
+    _column: tuple[tuple[Rule, TieBreak], list[int | None]] | None = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.scenarios:
@@ -94,9 +110,16 @@ class ScenarioDistribution:
                 raise InvalidDistribution("scenarios disagree on the candidates")
             if profile.total_weight != first.total_weight:
                 raise InvalidDistribution("scenarios disagree on the total weight")
-        mass = sum(p for _, p in self.scenarios)
-        if mass != 1:
-            raise InvalidDistribution(f"probabilities sum to {_brief(mass)}, not 1")
+        denominator = lcm(*(p.denominator for _, p in normalized))
+        counts = tuple(p.numerator * (denominator // p.denominator) for _, p in normalized)
+        mass = sum(counts)
+        if mass != denominator:
+            raise InvalidDistribution(
+                f"probabilities sum to {_brief(Fraction(mass, denominator))}, not 1"
+            )
+        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_denominator", denominator)
+        object.__setattr__(self, "_column", None)
 
     @property
     def candidates(self) -> tuple[Candidate, ...]:
@@ -119,6 +142,24 @@ class EvaluationQuery:
             raise InvalidDistribution(f"threshold {_brief(r)} is outside [0, 1]")
 
 
+def _winner_ids(
+    dist: ScenarioDistribution, rule: Rule, tb: TieBreak | None
+) -> Iterator[int]:
+    """Each scenario's winner id in order, read from the distribution's
+    column when it is for (rule, tie-break), else from a new column that
+    replaces it, and decided there on first reach."""
+    key = (rule, tb or TieBreak.lex())
+    kept = dist._column
+    if kept is None or kept[0] != key:
+        kept = (key, [None] * len(dist.scenarios))
+        object.__setattr__(dist, "_column", kept)
+    column = kept[1]
+    for i, won in enumerate(column):
+        if won is None:
+            won = column[i] = winner(rule, dist.scenarios[i][0], tb).id
+        yield won
+
+
 def win_probability(
     dist: ScenarioDistribution,
     rule: Rule,
@@ -127,11 +168,12 @@ def win_probability(
 ) -> Fraction:
     """Exact probability that the target wins under the rule and tie-break."""
     target_id = target.id if isinstance(target, Candidate) else target
-    mass = Fraction(0)
-    for profile, p in dist.scenarios:
-        if winner(rule, profile, tb).id == target_id:
-            mass += p
-    return mass
+    mass = sum(
+        count
+        for count, won in zip(dist._counts, _winner_ids(dist, rule, tb))
+        if won == target_id
+    )
+    return Fraction(mass, dist._denominator)
 
 
 def evaluate(dist: ScenarioDistribution, query: EvaluationQuery) -> bool:
@@ -139,22 +181,25 @@ def evaluate(dist: ScenarioDistribution, query: EvaluationQuery) -> bool:
 
     Stops scanning as soon as the answer is forced: the accumulated winning
     mass already exceeds r, or even granting every unscanned scenario to the
-    target could not.  Exact either way.
+    target could not.  Exact either way: with masses counted in units of
+    ``1/D``, ``acc/D > a/b`` is ``acc * b > a * D``.
     """
     target_id = (
         query.target.id if isinstance(query.target, Candidate) else query.target
     )
-    acc = Fraction(0)
-    remaining = Fraction(1)
-    for profile, p in dist.scenarios:
-        remaining -= p
-        if winner(query.rule, profile, query.tb).id == target_id:
-            acc += p
-            if acc > query.r:
+    den = query.r.denominator
+    bar = query.r.numerator * dist._denominator
+    acc = 0
+    remaining = dist._denominator
+    for count, won in zip(dist._counts, _winner_ids(dist, query.rule, query.tb)):
+        remaining -= count
+        if won == target_id:
+            acc += count
+            if acc * den > bar:
                 return True
-        if acc + remaining <= query.r:
+        if (acc + remaining) * den <= bar:
             return False
-    return acc > query.r
+    return acc * den > bar
 
 
 def _unit_split(

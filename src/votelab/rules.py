@@ -112,6 +112,7 @@ class Scoring:
         if self.name is not None and self.name not in ("plurality", "veto", "borda"):
             raise InvalidProfile(f"unknown scoring family {self.name!r}")
         if self.vector is not None:
+            object.__setattr__(self, "vector", tuple(self.vector))
             ScoringVector(self.vector)
 
     def vector_for(self, m: int) -> tuple[int, ...]:
@@ -177,6 +178,7 @@ class Pairing:
     bye: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "pairs", tuple(tuple(pair) for pair in self.pairs))
         seen: list[int] = [c for pair in self.pairs for c in pair]
         if self.bye is not None:
             seen.append(self.bye)

@@ -9,6 +9,7 @@ deliberately slow and must only be fed small inputs.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterator, Sequence
 
@@ -18,6 +19,7 @@ from votelab import (
     PartialBallot,
     Profile,
     Rule,
+    ScenarioDistribution,
     TieBreak,
     WeightedBallot,
     achievable_winners,
@@ -253,6 +255,18 @@ def brute_preference_possible(rule: Rule, profile: Profile, target: int) -> bool
         if winner(rule, trial, tb).id == target:
             return True
     return False
+
+
+def scan_win_probability(
+    dist: ScenarioDistribution, rule: Rule, target: int, tb: TieBreak | None = None
+) -> Fraction:
+    """The target's win probability as a plain ``Fraction`` sum, every
+    scenario decided afresh by ``winner``."""
+    mass = Fraction(0)
+    for profile, p in dist.scenarios:
+        if winner(rule, profile, tb).id == target:
+            mass += p
+    return mass
 
 
 def brute_stv(

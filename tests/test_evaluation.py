@@ -1,6 +1,7 @@
 """Scenario distributions, win probabilities, and the threshold query."""
 
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,16 +9,22 @@ import pytest
 
 from votelab import (
     CapExceeded,
+    Copeland,
     Cup,
     EvaluationQuery,
+    Hybrid,
     InvalidDistribution,
     ManipulationInstance,
     ModelMismatch,
+    Pairing,
     PartialBallot,
     Profile,
+    Runoff,
     ScenarioDistribution,
+    Scoring,
     Stv,
     TieBreak,
+    borda,
     evaluate,
     plurality,
     preference_manipulate,
@@ -164,12 +171,100 @@ class TestEvaluate:
             dist = ScenarioDistribution(tuple(fixed))
             rule = rng.choice((plurality(), Stv()))
             target = rng.randrange(m)
-            mass = win_probability(dist, rule, target)
+            mass = H.scan_win_probability(dist, rule, target)
             for r in (Fraction(0), mass, mass + Fraction(1, 97), Fraction(1)):
                 if r > 1:
                     continue
                 q = EvaluationQuery(base[target], r, rule)
                 assert evaluate(dist, q) == (mass > r)
+
+    def test_interleaved_calls_agree_with_the_referee(self, monkeypatch):
+        # calls in a row under one (rule, tie-break) decide each scenario at
+        # most once, in whatever order evaluate and win_probability reach it
+        decided: Counter = Counter()
+        real = evaluation.winner
+
+        def counting(rule, profile, tb=None):
+            decided[id(profile)] += 1
+            return real(rule, profile, tb)
+
+        monkeypatch.setattr(evaluation, "winner", counting)
+        rng = random.Random(109)
+        early = completed = 0
+        for _ in range(40):
+            m = rng.randint(3, 4)
+            ids = H.rand_order(rng, m)
+            pairing = Pairing(tuple(zip(ids[0::2], ids[1::2])), ids[-1] if m % 2 else None)
+            rules = (
+                plurality(), borda(), Copeland(), Cup(H.rand_agenda(rng, range(m))),
+                Stv(), Runoff(), Hybrid(pairing),
+            )
+            total = rng.randint(2, 5)
+            shares = [rng.randint(1, 4) for _ in range(rng.randint(2, 8))]
+            scenarios = tuple(
+                (
+                    Profile(
+                        cands(m),
+                        tuple(vote(H.rand_order(rng, m)) for _ in range(total)),
+                        strict_odd=False,
+                    ),
+                    Fraction(share, sum(shares)),
+                )
+                for share in shares
+            )
+            dist = ScenarioDistribution(scenarios)
+            fresh = ScenarioDistribution(scenarios)
+            text = repr(dist)
+            last = None
+            for _ in range(rng.randint(6, 10)):
+                if last is not None and rng.random() < 0.5:
+                    rule, tb = last
+                    if tb is None or tb == TieBreak.lex():
+                        tb = rng.choice((None, TieBreak.lex()))
+                else:
+                    rule = rng.choice(rules)
+                    tb = rng.choice(
+                        (None, TieBreak.lex(), TieBreak.favor(rng.randrange(m)),
+                         TieBreak.against(rng.randrange(m)))
+                    )
+                key = (rule, tb or TieBreak.lex())
+                if last is None or key != (last[0], last[1] or TieBreak.lex()):
+                    decided.clear()
+                    partial = False
+                last = (rule, tb)
+                target = rng.randrange(m)
+                expected = H.scan_win_probability(dist, rule, target, tb)
+                if rng.random() < 0.5:
+                    assert win_probability(dist, rule, target, tb) == expected
+                else:
+                    r = rng.choice(
+                        (Fraction(0), Fraction(1), expected, Fraction(rng.randint(0, 8), 8))
+                    )
+                    query = EvaluationQuery(cands(m)[target], r, rule, tb)
+                    assert evaluate(dist, query) == (expected > r)
+                assert max(decided.values()) == 1
+                if len(decided) < len(dist.scenarios):
+                    early += not partial
+                    partial = True
+                elif partial:
+                    completed += 1
+                    partial = False
+                assert dist == fresh and hash(dist) == hash(fresh)
+                assert repr(dist) == text
+        # scans stopped early, and later calls finished those columns
+        assert early and completed
+
+    def test_rules_built_from_lists_are_scanned(self):
+        base = cands(3)
+        dist = ScenarioDistribution(
+            ((Profile(base, (vote((0, 1, 2)), vote((1, 0, 2)), vote((0, 2, 1)))), 1),)
+        )
+        scoring = Scoring(vector=[2, 1, 0])
+        hybrid = Hybrid(Pairing([[0, 1]], 2))
+        assert scoring == Scoring(vector=(2, 1, 0))
+        assert win_probability(dist, scoring, 0) == 1
+        assert win_probability(dist, hybrid, 0) == 1
+        assert evaluate(dist, EvaluationQuery(base[0], Fraction(1, 2), hybrid))
 
 
 class TestProductDistribution:
