@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, permutations
 from typing import Collection, Iterator, Sequence
 
-from .errors import ModelMismatch, NotCompletableSP, charge
+from .errors import ModelMismatch, NotCompletableSP, charge, within
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
     Axis,
@@ -34,6 +34,7 @@ from .profiles import (
     Profile,
     WeightedBallot,
     _check_axis,
+    _count_extensions,
     is_single_peaked,
     linear_extensions,
 )
@@ -65,13 +66,16 @@ def _options(
     A ballot without commitments (an empty partial ballot, or one unknown
     agent) may take any of m! orders, or 2^(m-1) on an axis; they are
     counted, and refused past ``cap``, before any is built.  Every other
-    ballot is walked by ``linear_extensions``.
+    ballot is walked by ``linear_extensions``, after its extensions are
+    counted and refused past ``cap`` when that bound is above it.
     """
+    bound = math.factorial(m) if axis is None else 2 ** (m - 1)
     if not ballot.pairs:
-        count = math.factorial(m) if axis is None else 2 ** (m - 1)
-        charge(count, cap, "orders of a ballot without commitments")
+        charge(bound, cap, "orders of a ballot without commitments")
         if axis is None:
             return tuple(permutations(range(m)))
+    elif not within(bound, cap):
+        _count_extensions(ballot, m, cap, axis)
     options = tuple(linear_extensions(ballot, m, cap, axis))
     if not options:
         raise NotCompletableSP(

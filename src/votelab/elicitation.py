@@ -109,6 +109,19 @@ def _pairwise_possible_ids(
     bounded by ``cap``, runs before this returns; the rule is decided lazily,
     once per pattern.
 
+    A clamped sum is one int with a field of ``width`` bits per open pair,
+    the first pair lowest.  A field holds at most twice the largest clamp or
+    group weight below its top bit, so one addition never carries into the
+    next field, and that top bit, the guard, is clear between additions.
+    ``S`` packs the clamps and ``G`` the guard bits.  For ``x = vec + add``,
+    ``g = ((x | G) - S) & G`` keeps the guard of each field at or past its
+    clamp, ``(g << 1) - (g >> (width - 1))`` widens those guards to whole
+    fields, and those fields take their clamp from ``S``: ``min(a + b, s)``
+    per field in a few int operations.  The same guard subtraction reads the
+    sign pattern: a field at its clamp is +1, one below it is 0 where
+    ``total - 2*base`` is even (the clamps less those ones are ``S1``), and
+    any other field is -1.
+
     With a ``target`` every clamped sum keeps one predecessor, the sum it came
     from and the projection added, per group step (the fixpoint step stands
     for the rest) and per group.  A pattern the target wins is read back to
@@ -129,48 +142,51 @@ def _pairwise_possible_ids(
         else:
             open_pairs.append((i, j))
 
-    zero = (0,) * len(open_pairs)
     sat = [(total - 2 * base[i][j]) // 2 + 1 for i, j in open_pairs]
+    width = (2 * max([*sat, *(g.weight for g in groups), 1])).bit_length() + 1
+    shifts = range(0, width * len(open_pairs), width)
+    top = width - 1
+    guards = [at + top for at in shifts]
+    S = sum(s << at for s, at in zip(sat, shifts))
+    G = sum(1 << at for at in guards)
+    S1 = S - sum(
+        1 << at for (i, j), at in zip(open_pairs, shifts) if (total - 2 * base[i][j]) % 2 == 0
+    )
     work = 0
 
     def add_clamped(
-        vecs: Collection[tuple[int, ...]],
-        adds: Collection[tuple[int, ...]],
-        back: dict | None = None,
-    ) -> Collection[tuple[int, ...]]:
+        vecs: Collection[int], adds: Collection[int], back: dict | None = None
+    ) -> Collection[int]:
         """Every clamped vec + add.  With ``back``, each sum is stored there
         with the first (vec, add) that reached it, and its keys are returned."""
         nonlocal work
         if open_pairs:  # summing empty vectors costs nothing
             work = charge(work + len(vecs) * len(adds), cap, "pairwise-projection sums")
-        if back is None:
-            return {
-                tuple([a + b if a + b < s else s for a, b, s in zip(vec, add, sat)])
-                for vec in vecs
-                for add in adds
-            }
+        out = set() if back is None else None
         for vec in vecs:
             for add in adds:
-                back.setdefault(
-                    tuple([a + b if a + b < s else s for a, b, s in zip(vec, add, sat)]),
-                    (vec, add),
-                )
-        return back.keys()
+                x = vec + add
+                g = ((x | G) - S) & G
+                if g:
+                    x ^= (x ^ S) & ((g << 1) - (g >> top))
+                if back is None:
+                    out.add(x)
+                else:
+                    back.setdefault(x, (vec, add))
+        return out if back is None else back.keys()
 
     keep = target is not None
     # per group, with a target: the first option of each projection, each
     # step's predecessors, and the predecessors of the running totals
     trail = []
-    totals: Collection[tuple[int, ...]] = {zero}
+    totals: Collection[int] = {0}
     for group, positions in zip(groups, group_pos):
-        scaled: dict[tuple[int, ...], Order] = {}
+        scaled: dict[int, Order] = {}
         for order, pos in zip(group.options, positions):
-            scaled.setdefault(
-                tuple(group.weight if pos[i] < pos[j] else 0 for i, j in open_pairs),
-                order,
-            )
+            ahead = [at for (i, j), at in zip(open_pairs, shifts) if pos[i] < pos[j]]
+            scaled.setdefault(sum(group.weight << at for at in ahead), order)
         steps: list[dict] = []
-        sums: Collection[tuple[int, ...]] = {zero}
+        sums: Collection[int] = {0}
         for _ in range(group.count):
             back = {} if keep else None
             sums, before = add_clamped(sums, scaled, back), sums
@@ -183,9 +199,15 @@ def _pairwise_possible_ids(
         if keep:
             trail.append((scaled, steps, back))
 
-    margins = [2 * base[i][j] - total for i, j in open_pairs]
+    # a field's guard bit in a key marks +1, the bit below it a field at
+    # least at S1; each key keeps the last total seen
+    by_key: dict[int, int] = {}
+    for vec in totals:
+        lifted = vec | G
+        by_key[(lifted - S) & G | ((lifted - S1) & G) >> 1] = vec
     patterns = {
-        tuple([_sgn(2 * a + d) for a, d in zip(vec, margins)]): vec for vec in totals
+        tuple([1 if (key >> at) & 1 else 0 if (key >> (at - 1)) & 1 else -1 for at in guards]): vec
+        for key, vec in by_key.items()
     }
 
     def stream():
@@ -201,7 +223,7 @@ def _pairwise_possible_ids(
 
 
 def _read_back(
-    groups: Sequence[OptionGroup], trail: Sequence, vec: tuple[int, ...]
+    groups: Sequence[OptionGroup], trail: Sequence, vec: int
 ) -> tuple[tuple[Order, ...], ...]:
     """The assignment whose clamped projection sum is ``vec``, walking each
     group's predecessors back from the last group; within a group, steps past

@@ -26,13 +26,18 @@ class CapExceeded(VotelabError):
         self.estimate = estimate
 
 
+def within(used: int, cap: int | None) -> bool:
+    """Is ``used`` at most ``cap``?  None is unbounded."""
+    return cap is None or used <= cap
+
+
 def charge(used: int, cap: int | None, what: str) -> int:
     """Return ``used``, or raise CapExceeded once it is above ``cap``.
 
     Every loop that ``cap`` bounds keeps its own counter and passes it here;
     None is unbounded.
     """
-    if cap is None or used <= cap:
+    if within(used, cap):
         return used
     raise CapExceeded(f"{what}: {used}, above the cap of {cap}", used)
 

@@ -398,6 +398,26 @@ def majority_matrix(profile: Profile) -> MajorityMatrix:
 # Completions of a single ballot
 
 
+def _placement_masks(
+    ballot: PartialBallot, m: int, axis: Axis | None
+) -> tuple[int, list[int], list[int]]:
+    """The full placed set, each candidate's committed-above set, and
+    ``widen[c]``: the candidates that may follow once c is placed (all of
+    them without an axis, c's axis neighbours with one)."""
+    full = (1 << m) - 1
+    above = [0] * m
+    for a, b in ballot.pairs:
+        above[b] |= 1 << a
+    widen = [full] * m
+    if axis is not None:
+        _check_axis(axis, m)
+        order = axis.order
+        for i, cand in enumerate(order):
+            neighbours = order[max(i - 1, 0) : i] + order[i + 1 : i + 2]
+            widen[cand] = sum(1 << x for x in neighbours)
+    return full, above, widen
+
+
 def linear_extensions(
     ballot: PartialBallot,
     m: int,
@@ -421,18 +441,7 @@ def linear_extensions(
     would be produced; nothing is ever silently dropped.  An axis over other
     than m candidates raises InvalidProfile.
     """
-    full = (1 << m) - 1
-    above = [0] * m
-    for a, b in ballot.pairs:
-        above[b] |= 1 << a
-    # widen[c]: the candidates that may follow once c is placed
-    widen = [full] * m
-    if axis is not None:
-        _check_axis(axis, m)
-        order = axis.order
-        for i, cand in enumerate(order):
-            neighbours = order[max(i - 1, 0) : i] + order[i + 1 : i + 2]
-            widen[cand] = sum(1 << x for x in neighbours)
+    full, above, widen = _placement_masks(ballot, m, axis)
     produced = 0
     prefix: list[int] = []
     dead: set[int] = set()
@@ -462,6 +471,48 @@ def linear_extensions(
             dead.add(placed)
 
     return walk(0, 0)
+
+
+def _count_extensions(
+    ballot: PartialBallot, m: int, cap: int | None, axis: Axis | None
+) -> int:
+    """How many orders ``linear_extensions`` would produce, without listing one.
+
+    The same placement rules are walked over placed sets alone, once each:
+    after a placed set the reach is the OR of its widen masks, so the set
+    decides which candidates may follow, and its count is memoised.  A
+    placed set's count is at most the ballot's, so CapExceeded is raised as
+    soon as one passes ``cap``, with that count as the estimate.  Each placed
+    set that completes to an extension is a prefix of one, so a ballot with
+    at most ``cap`` extensions has at most ``(m + 1) * cap`` such sets, and
+    the walk charges each against that bound.  A set that completes to none
+    needs an axis, which has at most m(m+1)/2 segments.
+    """
+    full, above, widen = _placement_masks(ballot, m, axis)
+    limit = None if cap is None else (m + 1) * cap
+    memo: dict[int, int] = {full: 1}
+    live = 0
+
+    def count(placed: int, reach: int) -> int:
+        nonlocal live
+        known = memo.get(placed)
+        if known is not None:
+            return known
+        total = 0
+        open_ = (reach or full) & ~placed
+        while open_:
+            bit = open_ & -open_
+            open_ ^= bit
+            cand = bit.bit_length() - 1
+            if not above[cand] & ~placed:
+                total += count(placed | bit, reach | widen[cand])
+        if total:
+            live = charge(live + 1, limit, "placed sets of a ballot")
+            charge(total, cap, "extensions of a ballot")
+        memo[placed] = total
+        return total
+
+    return count(0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -257,3 +257,33 @@ class TestCaps:
                 tracemalloc.stop()
             assert exc.value.estimate == count
             assert peak < 2**20
+
+    def test_committed_ballot_is_counted_before_it_is_walked(self):
+        # one pair halves the orders: 10!/2, or 2^21/2 on an axis, where the
+        # left end comes first in half; counting visits placed sets, not orders
+        for m, axis, pair, count in (
+            (10, None, (0, 1), 1_814_400),
+            (22, Axis(tuple(range(22))), (0, 21), 2**20),
+        ):
+            labels = [f"c{i}" for i in range(m)]
+            p = Profile(candidates_from_labels(labels), (PartialBallot({pair}, 1),))
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapExceeded) as exc:
+                    completion_groups(p, axis=axis)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert exc.value.estimate == count
+            assert peak < 2**20
+
+    def test_committed_ballot_within_the_cap_is_listed(self):
+        # a chain over eight of ten candidates leaves 10!/8! = 90 extensions
+        chain = frozenset((a, b) for a in range(8) for b in range(a + 1, 8))
+        labels = [f"c{i}" for i in range(10)]
+        p = Profile(candidates_from_labels(labels), (PartialBallot(chain, 1),))
+        (group,) = completion_groups(p, cap=90)
+        assert len(group.options) == 90
+        with pytest.raises(CapExceeded) as exc:
+            completion_groups(p, cap=89)
+        assert exc.value.estimate == 90

@@ -13,12 +13,14 @@ from votelab import (
     Cup,
     Hybrid,
     InvalidProfile,
+    ManipulationInstance,
     ModelMismatch,
     NotCompletableSP,
     Pairing,
     PartialBallot,
     Profile,
     Stv,
+    TieBreak,
     candidates_from_labels,
     coarse_elicitation_over,
     condorcet_winner_fixed,
@@ -29,7 +31,9 @@ from votelab import (
     hybrid_coarse_over,
     plurality,
     possible_winners,
+    preference_manipulate,
     single_peaked_condorcet_winner,
+    winner,
 )
 
 import votelab.elicitation as E
@@ -144,6 +148,55 @@ class TestPossibleWinners:
                 expected = H.brute_possible(rule, p)
                 assert possible_winners(rule, p) == expected
                 assert fine_elicitation_over(rule, p) == (len(expected) == 1)
+
+
+def _packed_case(rng: random.Random) -> tuple[Profile, set[str]]:
+    """A profile small enough for the brute referees, with one of three
+    stresses on the packed projection: two free ballots near ``MAX_WEIGHT``
+    (fields wider than 64 bits), repeated partial ballots, or a unit pool
+    (so a group reaches its fixpoint).  Totals may be even, so ties occur."""
+    while True:
+        m = rng.choice((2, 3, 3, 4, 4, 5, 6))
+        ballots = [vote(H.rand_order(rng, m), rng.randint(1, 3))]
+        unknown = 0
+        kind = rng.choice(("heavy", "repeated", "pool"))
+        if kind == "heavy":
+            for k in (rng.randint(8, 40), rng.randint(8, 40)):
+                ballots.append(H.rand_partial(rng, m, 2**62 - k, lock=True))
+        elif kind == "repeated":
+            twin = H.rand_partial(rng, m, rng.randint(1, 4), lock=True)
+            ballots += [twin] * rng.randint(2, 5)
+        else:
+            unknown = rng.randint(2, 6)
+        for _ in range(rng.randint(0, 2)):
+            ballots.append(H.rand_partial(rng, m, rng.randint(1, 3), lock=True))
+        p = Profile(cands(m), tuple(ballots), unknown_weight=unknown, strict_odd=False)
+        sizes = H.completion_count(p), H.completion_count(p, locked_only=True)
+        if max(sizes) <= 150:
+            tags = {kind, f"m{m}", "even" if p.total_weight % 2 == 0 else "odd"}
+            return p, tags
+
+
+class TestPackedProjection:
+    def test_agrees_with_brute_referees(self):
+        rng = random.Random(1507)
+        seen: set[str] = set()
+        for n in range(300):
+            p, tags = _packed_case(rng)
+            seen |= tags
+            m = p.m
+            rule = (Copeland(), Copeland2(), Cup(H.rand_agenda(rng, range(m))))[n % 3]
+            assert possible_winners(rule, p) == H.brute_possible(rule, p)
+            target = rng.randrange(m)
+            found = preference_manipulate(ManipulationInstance(rule, target, p))
+            assert (found is not None) == H.brute_preference_possible(rule, p, target)
+            if found is not None:
+                assert winner(rule, found, TieBreak.favor(target)).id == target
+                for ballot, cast in zip(p.ballots, found.ballots):
+                    if isinstance(ballot, PartialBallot):
+                        rank = cast.order.index
+                        assert all(rank(a) < rank(b) for a, b in ballot.locked)
+        assert {"heavy", "repeated", "pool", "even", "odd", "m2", "m6"} <= seen
 
 
 class TestCoarse:

@@ -26,6 +26,7 @@ from votelab import (
     sp_completable,
     transitive_closure,
 )
+from votelab.profiles import _count_extensions
 
 import helpers as H
 from helpers import cands, vote
@@ -344,6 +345,16 @@ class TestSinglePeaked:
             expect = [o for o in linear if is_single_peaked(o, axis)]
             assert list(single_peaked_extensions(b, m, axis, cap=None)) == expect
             assert list(linear_extensions(b, m, cap=None, axis=axis)) == expect
+
+    def test_count_equals_the_listed_extensions(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            m = rng.randint(1, 7)
+            axis = Axis(tuple(rng.sample(range(m), m))) if rng.random() < 0.5 else None
+            b = H.rand_partial(rng, m, 1)
+            listed = len(list(linear_extensions(b, m, None, axis)))
+            assert _count_extensions(b, m, None, axis) == listed
+            assert _count_extensions(b, m, listed, axis) == listed
 
     def test_extensions_equal_the_sorted_filtered_orders(self):
         rng = random.Random(23)
