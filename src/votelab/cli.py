@@ -89,7 +89,7 @@ def cmd_winner(args: argparse.Namespace) -> int:
     profile, _ = _load_profile(args)
     rule = parse_rule(args.rule, profile.candidates)
     tb = _parse_tb(args.tb, profile.by_label)
-    print(f"winner: {winner(rule, profile, tb).label}")
+    print(f"winner: {winner(rule, profile, tb, cap=args.cap).label}")
     return 0
 
 
@@ -340,6 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("winner", cmd_winner, "winner of a complete profile")
     sp.add_argument("--rule", required=True, help="e.g. plurality, stv, cup:((A,B),C)")
     sp.add_argument("--tb", default="lex", help="lex, favor:<cand> or against:<cand>")
+    add_cap(sp)
 
     sp = add("coarse-over", cmd_coarse_over, "can unknown whole ballots still change the winner?")
     sp.add_argument("--rule", required=True)

@@ -117,17 +117,24 @@ def transitive_closure(pairs: Sequence[Pair]) -> frozenset[Pair]:
     return frozenset(closure)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightedBallot:
-    """A complete strict ranking cast with integer weight."""
+    """A complete strict ranking cast with integer weight.
+
+    No candidate appears twice in ``order``; ``Profile`` relies on this.
+    """
 
     order: tuple[int, ...]
     weight: int
 
-    def __post_init__(self) -> None:
-        _check_weight(self.weight)
-        if len(set(self.order)) != len(self.order):
-            raise InvalidProfile(f"ballot order {self.order} repeats a candidate")
+    def __init__(self, order: tuple[int, ...], weight: int) -> None:
+        # an exact int in range needs none of _check_weight's tests
+        if type(weight) is not int or not 0 < weight <= MAX_WEIGHT:
+            _check_weight(weight)
+        if len(set(order)) != len(order):
+            raise InvalidProfile(f"ballot order {order} repeats a candidate")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "weight", weight)
 
     def pairs(self) -> frozenset[Pair]:
         """All pairwise commitments implied by the ranking."""
@@ -233,12 +240,14 @@ class Profile:
             raise InvalidProfile("candidate labels must be unique")
         _check_weight(self.unknown_weight, "unknown_weight", 0)
         universe = set(range(m))
-        # a ballot object filling a run of slots needs only one check
+        # a ballot object filling a run of slots needs only one check; an
+        # order repeats no candidate, so m declared ids are all of them
         for ballot in self.runs[0]:
             if isinstance(ballot, WeightedBallot):
-                if set(ballot.order) != universe:
+                order = ballot.order
+                if not (len(order) == m and universe.issuperset(order)):
                     raise InvalidProfile(
-                        f"ballot {ballot.order} must rank exactly the declared candidates"
+                        f"ballot {order} must rank exactly the declared candidates"
                     )
             else:
                 mentioned = {c for pair in ballot.pairs for c in pair}

@@ -643,28 +643,41 @@ def _complete_arrays(profile: Profile) -> tuple[Orders, Weights, int, int]:
     return orders, weights, profile.m, total
 
 
-def achievable_winners(rule: Rule, profile: Profile) -> frozenset[Candidate]:
-    """All candidates that win under some resolution of internal ties."""
+def achievable_winners(
+    rule: Rule, profile: Profile, *, cap: int | None = DEFAULT_COMPLETION_CAP
+) -> frozenset[Candidate]:
+    """All candidates that win under some resolution of internal ties.
+
+    ``cap`` bounds the candidate sets that STV's elimination search, or the
+    hybrid's sets of survivors, may tally.
+    """
     orders, weights, m, total = _complete_arrays(profile)
     validate_rule_for(rule, m)
-    ids = _achievable_ids(rule, orders, weights, m, total, branch=True)
+    ids = _achievable_ids(rule, orders, weights, m, total, branch=True, cap=cap)
     return frozenset(profile.candidates[i] for i in ids)
 
 
-def winner(rule: Rule, profile: Profile, tb: TieBreak | None = None) -> Candidate:
+def winner(
+    rule: Rule,
+    profile: Profile,
+    tb: TieBreak | None = None,
+    *,
+    cap: int | None = DEFAULT_COMPLETION_CAP,
+) -> Candidate:
     """The unique winner with every internal tie resolved by the policy.
 
     Favor(c) resolves ties the way most helpful to c winning overall;
     Against(c) the way most harmful; when the policy's preference cannot be
-    satisfied the lowest-id achievable candidate is returned.
+    satisfied the lowest-id achievable candidate is returned.  ``cap`` is as
+    for ``achievable_winners``.
     """
     tb = tb or TieBreak.lex()
     orders, weights, m, total = _complete_arrays(profile)
     validate_rule_for(rule, m)
     if tb.kind == "lex":
-        ids = _achievable_ids(rule, orders, weights, m, total, branch=False)
+        ids = _achievable_ids(rule, orders, weights, m, total, branch=False, cap=cap)
         return profile.candidates[min(ids)]
-    ids = _achievable_ids(rule, orders, weights, m, total, branch=True)
+    ids = _achievable_ids(rule, orders, weights, m, total, branch=True, cap=cap)
     if tb.candidate is None or tb.candidate not in range(m):
         raise InvalidProfile("tie-break candidate outside the profile")
     if tb.kind == "favor":

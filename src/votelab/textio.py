@@ -20,6 +20,14 @@ Within one parsed text, a repeated ballot line (the same ``vote`` or
 ``partial`` line once comments and outer blanks are stripped) is parsed
 once and yields the same immutable ballot object each time it appears, in
 every scenario block of a distribution.
+
+A ``vote`` line seen for the first time is split once; its weight token and
+its order token are each parsed once per text and then looked up in a memo,
+and the ballot is one validated ``WeightedBallot``.  Each fact about the line
+is checked once, in a fixed order (an open block with candidates, three
+tokens, the weight, the order naming every candidate once, the weight's
+range), and each failure gives the same message as a line parsed alone.
+Nothing is kept from one parse to the next.
 """
 
 from __future__ import annotations
@@ -59,10 +67,10 @@ def _parse_order(
     names: Sequence[str], labels: dict[str, int], line_no: int, message: str
 ) -> tuple[int, ...]:
     """The ids of ``names``, which must name every candidate exactly once."""
-    order = tuple(map(labels.get, names))
-    if None in order:
-        name = next(name for name in names if name not in labels)
-        _fail(line_no, f"unknown candidate {name!r}")
+    try:
+        order = tuple(map(labels.__getitem__, names))
+    except KeyError as exc:
+        _fail(line_no, f"unknown candidate {exc.args[0]!r}")
     if not len(order) == len(labels) == len(set(order)):
         _fail(line_no, message)
     return order
@@ -116,9 +124,10 @@ class _Reader:
 
     A profile text is one block, open from its first line.  A distribution
     opens a block at each ``scenario`` line and closes it into a scenario at
-    the next one.  The candidates, their labels and the two memos serve every
-    block: ``memo`` maps each stripped ballot line that parsed to its ballot,
-    and ``orders`` maps each vote's order token to its candidate ids.
+    the next one.  The candidates, their labels and the three memos serve
+    every block: ``memo`` maps each stripped ballot line that parsed to its
+    ballot, ``weights`` maps each vote's weight token to its integer, and
+    ``orders`` maps each vote's order token to its candidate ids.
     """
 
     def __init__(self, strict_odd: bool, distribution: bool) -> None:
@@ -126,6 +135,7 @@ class _Reader:
         self.candidates: tuple[Candidate, ...] | None = None
         self.labels: dict[str, int] = {}
         self.memo: dict[str, Ballot] = {}
+        self.weights: dict[str, int] = {}
         self.orders: dict[str, tuple[int, ...]] = {}
         self.scenarios: list[tuple[Profile, Fraction]] | None = (
             [] if distribution else None
@@ -137,7 +147,7 @@ class _Reader:
         self.axis: Axis | None = None
 
     def read(self, text: str) -> None:
-        memo = self.memo
+        memo, weights, orders = self.memo, self.weights, self.orders
         ballots = self.ballots
         for line_no, line in enumerate(text.splitlines(), start=1):
             if "#" in line:
@@ -149,34 +159,39 @@ class _Reader:
             # block with candidates, and from then on a block is always open.
             ballot = memo.get(line)
             if ballot is None:
-                ballot = self._directive(line_no, line)
-                if ballot is None:
-                    ballots = self.ballots
-                    continue
+                tokens = line.split()
+                if tokens[0] == "vote":
+                    # Each check runs once, in this order; the weight and
+                    # order tokens are parsed once per text.
+                    self._need_block(line_no, "vote")
+                    if len(tokens) != 3:
+                        _fail(line_no, "expected: vote w=<integer> X>Y>...")
+                    _, weight_token, order_token = tokens
+                    weight = weights.get(weight_token)
+                    if weight is None:
+                        weight = weights[weight_token] = _parse_weight(weight_token, line_no)
+                    order = orders.get(order_token)
+                    if order is None:
+                        order = orders[order_token] = _parse_order(
+                            order_token.split(">"), self.labels, line_no,
+                            "a vote must rank every candidate exactly once",
+                        )
+                    try:
+                        ballot = WeightedBallot(order, weight)
+                    except InvalidProfile as exc:
+                        _fail(line_no, str(exc))
+                else:
+                    ballot = self._directive(line_no, tokens)
+                    if ballot is None:
+                        ballots = self.ballots
+                        continue
                 memo[line] = ballot
             ballots.append(ballot)
 
-    def _directive(self, line_no: int, line: str) -> Ballot | None:
-        """Apply one directive; a ballot line returns its new ballot."""
-        tokens = line.split()
+    def _directive(self, line_no: int, tokens: list[str]) -> Ballot | None:
+        """Apply one directive other than ``vote``; a partial returns its ballot."""
         head = tokens[0]
-        if head == "vote":
-            self._need_block(line_no, head)
-            if len(tokens) != 3:
-                _fail(line_no, "expected: vote w=<integer> X>Y>...")
-            weight = _parse_weight(tokens[1], line_no)
-            order = self.orders.get(tokens[2])
-            if order is None:
-                order = _parse_order(
-                    tokens[2].split(">"), self.labels, line_no,
-                    "a vote must rank every candidate exactly once",
-                )
-                self.orders[tokens[2]] = order
-            try:
-                return WeightedBallot(order, weight)
-            except InvalidProfile as exc:
-                _fail(line_no, str(exc))
-        elif head == "partial":
+        if head == "partial":
             self._need_block(line_no, head)
             return _parse_partial(tokens[1:], self.labels, line_no)
         elif head == "unknown":

@@ -382,3 +382,109 @@ def make_odd(rng: random.Random, weights: list[int]) -> list[int]:
     if sum(weights) % 2 == 0:
         weights[rng.randrange(len(weights))] += 1
     return weights
+
+
+def _pairs_text(pairs, labels: str) -> str:
+    return ",".join(f"{labels[a]}>{labels[b]}" for a, b in sorted(pairs))
+
+
+def _dress(rng: random.Random, key: str) -> str:
+    """``key`` as a text line: sometimes padded, sometimes with a comment."""
+    r = rng.random()
+    if r < 0.1:
+        return f"  {key}\t"
+    if r < 0.2:
+        return f"{key}  # note {rng.randrange(3)}"
+    return key
+
+
+def _filler(rng: random.Random) -> str:
+    return rng.choice(("", "   ", "# comment", "  # indented comment"))
+
+
+def rand_profile_lines(
+    rng: random.Random, m: int, events: int
+) -> tuple[list[str], Profile, Axis | None, list[str]]:
+    """A profile text written from known ballots: (lines, profile, axis, keys).
+
+    About four in five of the ``events`` lines are vote lines, some repeating
+    an earlier ballot line; the rest are partial, unknown, comment and blank
+    lines, and at most one axis line.  ``keys[k]`` is the stripped line that
+    casts ``profile.ballots[k]``.  Parse with ``strict_odd=False``.
+    """
+    labels = LABELS[:m]
+    lines = [_filler(rng)] if rng.random() < 0.5 else []
+    lines.append("candidates: " + " ".join(labels))
+    cast: list[tuple[str, WeightedBallot | PartialBallot]] = []
+    unknown = 0
+    for _ in range(events):
+        r = rng.random()
+        if r < 0.2 and cast:
+            key, ballot = rng.choice(cast)
+        elif r < 0.25:
+            ballot = rand_partial(rng, m, rng.randint(1, 9), lock=rng.random() < 0.5)
+            key = f"partial w={ballot.weight}"
+            if ballot.pairs:
+                key += " pairs=" + _pairs_text(ballot.pairs, labels)
+            if ballot.locked:
+                key += " locked=" + _pairs_text(ballot.locked, labels)
+        elif r < 0.27:
+            w = rng.randint(0, 3)
+            unknown += w
+            lines.append(_dress(rng, f"unknown w={w}"))
+            continue
+        elif r < 0.3:
+            lines.append(_filler(rng))
+            continue
+        else:
+            weight = rng.randint(1, 40) if rng.random() < 0.95 else rng.randint(1, 2**40)
+            ballot = vote(rand_order(rng, m), weight)
+            key = f"vote w={weight} " + ">".join(labels[c] for c in ballot.order)
+        cast.append((key, ballot))
+        lines.append(_dress(rng, key))
+    axis = None
+    if rng.random() < 0.5:
+        axis = Axis(rand_order(rng, m))
+        at = rng.randint(lines.index("candidates: " + " ".join(labels)) + 1, len(lines))
+        lines.insert(at, "axis: " + " ".join(labels[c] for c in axis.order))
+    profile = Profile(
+        cands(m), tuple(b for _, b in cast), unknown_weight=unknown, strict_odd=False
+    )
+    return lines, profile, axis, [key for key, _ in cast]
+
+
+def rand_distribution_lines(
+    rng: random.Random, m: int, scenarios: int
+) -> tuple[list[str], ScenarioDistribution, list[list[str]]]:
+    """A distribution text written from known scenarios: (lines, dist, keys).
+
+    Every scenario splits one total weight over vote lines drawn from a few
+    orders, and some repeat the block before them, so ballot lines repeat
+    within and across blocks.  ``keys[s][k]`` is the stripped line that
+    casts ballot ``k`` of scenario ``s``.  Parse with ``strict_odd=False``.
+    """
+    labels = LABELS[:m]
+    total = rng.randint(1, 12)
+    orders = [rand_order(rng, m) for _ in range(3)]
+    masses = [rng.randint(1, 9) for _ in range(scenarios)]
+    lines = ["candidates: " + " ".join(labels)]
+    built: list[tuple[Profile, Fraction]] = []
+    keys: list[list[str]] = []
+    block: list[tuple[Order, int]] = []
+    for mass in masses:
+        if not block or rng.random() < 0.7:
+            cuts = sorted(rng.sample(range(1, total), rng.randint(0, min(2, total - 1))))
+            parts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+            block = [(rng.choice(orders), w) for w in parts]
+        lines.append(f"scenario p={Fraction(mass, sum(masses))}")
+        keys.append([])
+        for order, w in block:
+            if rng.random() < 0.2:
+                lines.append(_filler(rng))
+            key = f"vote w={w} " + ">".join(labels[c] for c in order)
+            keys[-1].append(key)
+            lines.append(_dress(rng, key))
+        ballots = tuple(vote(order, w) for order, w in block)
+        built.append((Profile(cands(m), ballots, strict_odd=False),
+                      Fraction(mass, sum(masses))))
+    return lines, ScenarioDistribution(tuple(built)), keys

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from votelab import (
     Axis,
     CapExceeded,
@@ -22,7 +23,9 @@ from votelab import (
     Profile,
     Runoff,
     Stv,
+    TieBreak,
     VotelabError,
+    achievable_winners,
     borda,
     coalition_manipulate,
     coarse_elicitation_over,
@@ -39,7 +42,9 @@ from votelab import (
     reduction_from_preference_manipulation,
     single_peaked_orders,
     veto,
+    winner,
 )
+from votelab.cli import main
 
 import helpers as H
 from helpers import cands, vote
@@ -90,9 +95,8 @@ def rand_case(rng: random.Random) -> dict:
         rule, target, Profile(cands(m), votes + tuple(partials), strict_odd=False)
     )
     coalition = frozenset(rng.sample(range(len(votes)), rng.randint(1, len(votes))))
-    coal = ManipulationInstance(
-        rule, target, Profile(cands(m), votes, strict_odd=False), coalition
-    )
+    complete = Profile(cands(m), votes, strict_odd=False)
+    coal = ManipulationInstance(rule, target, complete, coalition)
     agents = []
     for _ in range(rng.randint(1, 3)):
         orders = list({H.rand_order(rng, m) for _ in range(rng.randint(1, 3))})
@@ -106,6 +110,8 @@ def rand_case(rng: random.Random) -> dict:
     ballot = partials[0] if partials else PartialBallot(frozenset(), 1)
     sp_axis = axis if on_axis else None
     return {
+        "achievable_winners": lambda cap: achievable_winners(rule, complete, cap=cap),
+        "winner": lambda cap: winner(rule, complete, TieBreak.favor(target), cap=cap),
         "possible_winners": lambda cap: possible_winners(rule, full, cap=cap),
         "fine_elicitation_over": lambda cap: fine_elicitation_over(rule, full, cap=cap),
         "coarse_elicitation_over": lambda cap: coarse_elicitation_over(rule, cast, cap=cap),
@@ -147,6 +153,38 @@ def test_every_capped_entry_point_answers_exactly_or_refuses():
     # every entry point was seen both answering under a cap and refusing
     for name, seen in kinds.items():
         assert {"answer", "capped"} <= seen, (name, seen)
+
+
+def test_winner_and_achievable_winners_lift_the_cap_on_a_hybrid_round():
+    # the two mirrored votes tie every pair, so all 16 survivor sets count
+    profile = Profile(
+        cands(8), (vote(range(8)), vote(range(7, -1, -1))), strict_odd=False
+    )
+    rule = Hybrid(Pairing(((0, 1), (2, 3), (4, 5), (6, 7)), None))
+    favor_h = TieBreak.favor(7)
+    for call in (
+        lambda cap: achievable_winners(rule, profile, cap=cap),
+        lambda cap: winner(rule, profile, favor_h, cap=cap),
+    ):
+        with pytest.raises(CapExceeded) as info:
+            call(15)
+        assert info.value.estimate == 16
+    for cap in (16, None):
+        found = achievable_winners(rule, profile, cap=cap)
+        assert {c.label for c in found} == {"A", "B", "G", "H"}
+        assert winner(rule, profile, favor_h, cap=cap).label == "H"
+
+
+def test_cli_winner_takes_cap(tmp_path, capsys):
+    path = tmp_path / "profile.txt"
+    path.write_text("candidates: A B C D E F G H\nvote w=1 A>B>C>D>E>F>G>H\n"
+                    "vote w=1 H>G>F>E>D>C>B>A\n")
+    argv = ["winner", str(path), "--no-strict-odd", "--rule",
+            "hybrid:(A,B)(C,D)(E,F)(G,H)", "--tb", "favor:H", "--cap"]
+    assert main(argv + ["15"]) == 3
+    assert capsys.readouterr().out == ""
+    assert main(argv + ["16"]) == 0
+    assert capsys.readouterr().out == "winner: H\n"
 
 
 def test_only_the_one_cap_check_raises_cap_exceeded():

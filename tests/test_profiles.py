@@ -1,5 +1,6 @@
 """Ballot, profile and single-peakedness primitives."""
 
+import dataclasses
 import itertools
 import random
 
@@ -433,3 +434,52 @@ class TestSinglePeaked:
         p = Profile(cands(3), (vote((0, 2, 1), 1),))
         with pytest.raises(NotCompletableSP):
             single_peaked_condorcet_winner(p, self.AXIS)
+
+
+class TestValidationMessages:
+    """What ``WeightedBallot`` and ``Profile`` refuse, and the exact words."""
+
+    @pytest.mark.parametrize("weight, message", [
+        (True, "weight must be an integer, got True"),
+        (1.5, "weight must be an integer, got 1.5"),
+        (0, "weight must be at least 1, got 0"),
+        (2**63, f"weight {2**63} exceeds the 64-bit bound"),
+    ])
+    def test_bad_weight_message(self, weight, message):
+        with pytest.raises(InvalidProfile) as info:
+            WeightedBallot((0, 1), weight)
+        assert str(info.value) == message
+
+    def test_int_subclass_weight_accepted(self):
+        class Count(int):
+            pass
+
+        ballot = WeightedBallot((1, 0), Count(3))
+        assert ballot.weight == 3 and type(ballot.weight) is Count
+
+    def test_repeated_candidate_message(self):
+        with pytest.raises(InvalidProfile) as info:
+            WeightedBallot((0, 2, 0), 1)
+        assert str(info.value) == "ballot order (0, 2, 0) repeats a candidate"
+
+    def test_replace_validates(self):
+        ballot = WeightedBallot((0, 1), 2)
+        assert dataclasses.replace(ballot, weight=5) == WeightedBallot((0, 1), 5)
+        with pytest.raises(InvalidProfile):
+            dataclasses.replace(ballot, weight=0)
+        with pytest.raises(InvalidProfile):
+            dataclasses.replace(ballot, order=(1, 1))
+
+    def test_repr_eq_hash_and_frozen(self):
+        ballot = WeightedBallot((2, 0, 1), 4)
+        assert repr(ballot) == "WeightedBallot(order=(2, 0, 1), weight=4)"
+        assert hash(ballot) == hash(((2, 0, 1), 4))
+        assert ballot == WeightedBallot((2, 0, 1), 4) != WeightedBallot((2, 0, 1), 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ballot.weight = 5
+
+    @pytest.mark.parametrize("order", [(0, 1), (0, 1, 5), (0, 1, 2, 3), (0, -1, 2)])
+    def test_profile_refuses_an_order_off_the_candidates(self, order):
+        with pytest.raises(InvalidProfile) as info:
+            Profile(cands(3), (vote(order, 1),))
+        assert str(info.value) == f"ballot {order} must rank exactly the declared candidates"
