@@ -196,7 +196,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except (ValueError, ZeroDivisionError):
         raise ProfileParseError(f"bad threshold {args.r!r}; expected a rational like 1/2")
     query = EvaluationQuery(target=target, r=threshold, rule=rule, tb=tb)
-    probability = win_probability(dist, rule, target, tb)
+    probability = win_probability(dist, rule, target, tb, cap=args.cap)
     _answer(probability > query.r)
     print(f"probability: {probability}")
     return 0
@@ -394,6 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target", required=True)
     sp.add_argument("--r", required=True, help="threshold, a rational like 1/2")
     sp.add_argument("--tb", default="lex")
+    add_cap(sp)
 
     sp = add(
         "gen-reduction",

@@ -5,6 +5,11 @@ rational probabilities.  Correlation between agents is expressed by the
 joint form itself: a scenario fixes every vote at once.  Independent agents
 are a special case built by ``product_distribution``.  All arithmetic is
 exact; no floats enter any decision.
+
+The recast of preference manipulation builds one scenario per completion,
+with each weight-k order cast as k unit ballots; the split hands ``Profile``
+the runs of unit ballots it builds, so no scenario is rescanned slot by
+slot.
 """
 
 from __future__ import annotations
@@ -52,6 +57,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _as_probability(p) -> Fraction:
+    if type(p) is Fraction:
+        return p  # immutable and exact already: kept as given
     if isinstance(p, float):
         raise InvalidDistribution(
             f"probability {p!r} is a float; supply an exact rational"
@@ -143,11 +150,15 @@ class EvaluationQuery:
 
 
 def _winner_ids(
-    dist: ScenarioDistribution, rule: Rule, tb: TieBreak | None
+    dist: ScenarioDistribution, rule: Rule, tb: TieBreak | None, cap: int | None
 ) -> Iterator[int]:
     """Each scenario's winner id in order, read from the distribution's
     column when it is for (rule, tie-break), else from a new column that
-    replaces it, and decided there on first reach."""
+    replaces it, and decided there on first reach under ``cap``.
+
+    ``cap`` never changes a decided winner, so it is not part of the key; a
+    scenario refused under it stays undecided, and a later scan resumes
+    there."""
     key = (rule, tb or TieBreak.lex())
     kept = dist._column
     if kept is None or kept[0] != key:
@@ -156,7 +167,7 @@ def _winner_ids(
     column = kept[1]
     for i, won in enumerate(column):
         if won is None:
-            won = column[i] = winner(rule, dist.scenarios[i][0], tb).id
+            won = column[i] = winner(rule, dist.scenarios[i][0], tb, cap=cap).id
         yield won
 
 
@@ -165,24 +176,35 @@ def win_probability(
     rule: Rule,
     target: int | Candidate,
     tb: TieBreak | None = None,
+    *,
+    cap: int | None = DEFAULT_COMPLETION_CAP,
 ) -> Fraction:
-    """Exact probability that the target wins under the rule and tie-break."""
+    """Exact probability that the target wins under the rule and tie-break.
+
+    ``cap`` bounds each scenario's ``winner`` call.
+    """
     target_id = target.id if isinstance(target, Candidate) else target
     mass = sum(
         count
-        for count, won in zip(dist._counts, _winner_ids(dist, rule, tb))
+        for count, won in zip(dist._counts, _winner_ids(dist, rule, tb, cap))
         if won == target_id
     )
     return Fraction(mass, dist._denominator)
 
 
-def evaluate(dist: ScenarioDistribution, query: EvaluationQuery) -> bool:
+def evaluate(
+    dist: ScenarioDistribution,
+    query: EvaluationQuery,
+    *,
+    cap: int | None = DEFAULT_COMPLETION_CAP,
+) -> bool:
     """True iff the target's win probability is strictly greater than r.
 
     Stops scanning as soon as the answer is forced: the accumulated winning
     mass already exceeds r, or even granting every unscanned scenario to the
     target could not.  Exact either way: with masses counted in units of
-    ``1/D``, ``acc/D > a/b`` is ``acc * b > a * D``.
+    ``1/D``, ``acc/D > a/b`` is ``acc * b > a * D``.  ``cap`` bounds each
+    scenario's ``winner`` call.
     """
     target_id = (
         query.target.id if isinstance(query.target, Candidate) else query.target
@@ -191,7 +213,7 @@ def evaluate(dist: ScenarioDistribution, query: EvaluationQuery) -> bool:
     bar = query.r.numerator * dist._denominator
     acc = 0
     remaining = dist._denominator
-    for count, won in zip(dist._counts, _winner_ids(dist, query.rule, query.tb)):
+    for count, won in zip(dist._counts, _winner_ids(dist, query.rule, query.tb, cap)):
         remaining -= count
         if won == target_id:
             acc += count
@@ -212,18 +234,24 @@ def _unit_split(
     weight-k order cast as k identical unit ballots.
 
     Unit ballots are immutable, so scenarios share one object per order.
+    The ballots are built as runs: each (order, weight) pair is a run of its
+    unit ballot, and a pair repeating the previous order extends that run,
+    so the runs are maximal.  Every weight is positive.
     """
-    ballots: list[WeightedBallot] = []
+    heads: list[WeightedBallot] = []
+    counts: list[int] = []
+    last = None
     for order, weight in zip(orders, weights):
         unit = _cache.get(order)
         if unit is None:
             unit = _cache[order] = WeightedBallot(order, 1)
-        ballots.extend([unit] * weight)
-    return Profile(
-        candidates=profile.candidates,
-        ballots=tuple(ballots),
-        strict_odd=profile.strict_odd,
-    )
+        if unit is last:
+            counts[-1] += weight
+        else:
+            heads.append(unit)
+            counts.append(weight)
+            last = unit
+    return Profile._from_runs(profile.candidates, heads, counts, profile.strict_odd)
 
 
 def reduction_from_preference_manipulation(

@@ -11,11 +11,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from operator import is_
 from typing import Iterator, Sequence
 
 from votelab import (
     Axis,
     Candidate,
+    InvalidProfile,
     PartialBallot,
     Profile,
     Rule,
@@ -24,6 +26,7 @@ from votelab import (
     WeightedBallot,
     achievable_winners,
     candidates_from_labels,
+    format_distribution,
     is_single_peaked,
     linear_extensions,
     single_peaked_orders,
@@ -83,6 +86,56 @@ def slot_aggregates(profile: Profile):
             fixed[a][b] += ballot.weight
     arrays = (tuple(merged), tuple(merged.values()))
     return total, complete, arrays, tuple(map(tuple, fixed))
+
+
+def slot_unit_split(
+    candidates: tuple[Candidate, ...],
+    orders: Sequence[Order],
+    weights: Sequence[int],
+    strict_odd: bool,
+    cache: dict[Order, WeightedBallot],
+) -> Profile:
+    """Each weight-k order cast as k slots of one shared unit ballot, the
+    slot tuple handed to the public constructor, whose scan finds the runs."""
+    slots: list[WeightedBallot] = []
+    for order, weight in zip(orders, weights):
+        if order not in cache:
+            cache[order] = WeightedBallot(order, 1)
+        slots += [cache[order]] * weight
+    return Profile(candidates, tuple(slots), strict_odd=strict_odd)
+
+
+def check_run_built(built: Profile, reference: Profile) -> None:
+    """Referee for a profile built from its runs (``Profile._from_runs``).
+
+    It must equal ``reference``, built by the public constructor from the
+    slot tuple, slot for slot and in every aggregate, and its runs must be
+    exactly the maximal runs a scan of its own slots finds.
+    """
+    assert built == reference and hash(built) == hash(reference)
+    heads, counts = built.runs
+    scanned = Profile(built.candidates, built.ballots, strict_odd=built.strict_odd).runs
+    assert len(heads) == len(scanned[0]) and all(map(is_, heads, scanned[0]))
+    assert list(counts) == list(scanned[1])
+    assert list(heads) == list(reference.runs[0])
+    assert list(counts) == list(reference.runs[1])
+    assert built.fixed_arrays == reference.fixed_arrays
+    assert built.total_weight == reference.total_weight
+    assert built.is_complete == reference.is_complete
+    if built.is_complete:
+        as_text = [
+            format_distribution(ScenarioDistribution(((p, Fraction(1)),)))
+            for p in (built, reference)
+        ]
+        assert as_text[0] == as_text[1]
+
+
+def profile_or_message(build) -> Profile | str:
+    """The profile ``build()`` returns, or the message of its InvalidProfile."""
+    try:
+        return build()
+    except InvalidProfile as exc:
+        return str(exc)
 
 
 def condorcet_of(completion: Profile) -> int | None:

@@ -16,12 +16,14 @@ from votelab import (
     Copeland,
     Copeland2,
     Cup,
+    EvaluationQuery,
     Hybrid,
     ManipulationInstance,
     Pairing,
     PartialBallot,
     Profile,
     Runoff,
+    ScenarioDistribution,
     Stv,
     TieBreak,
     VotelabError,
@@ -31,6 +33,7 @@ from votelab import (
     coarse_elicitation_over,
     completion_groups,
     cup3_fine_over,
+    evaluate,
     fine_elicitation_over,
     fine_sp_elicitation_over,
     hybrid_coarse_over,
@@ -42,6 +45,7 @@ from votelab import (
     reduction_from_preference_manipulation,
     single_peaked_orders,
     veto,
+    win_probability,
     winner,
 )
 from votelab.cli import main
@@ -96,6 +100,13 @@ def rand_case(rng: random.Random) -> dict:
     )
     coalition = frozenset(rng.sample(range(len(votes)), rng.randint(1, len(votes))))
     complete = Profile(cands(m), votes, strict_odd=False)
+    favor = TieBreak.favor(target)
+
+    def scenario():
+        # a distribution keeps the winners it decides, so each call gets a new one
+        return ScenarioDistribution(((complete, Fraction(1)),))
+
+    query = EvaluationQuery(complete.candidates[target], Fraction(0), rule, favor)
     coal = ManipulationInstance(rule, target, complete, coalition)
     agents = []
     for _ in range(rng.randint(1, 3)):
@@ -111,7 +122,11 @@ def rand_case(rng: random.Random) -> dict:
     sp_axis = axis if on_axis else None
     return {
         "achievable_winners": lambda cap: achievable_winners(rule, complete, cap=cap),
-        "winner": lambda cap: winner(rule, complete, TieBreak.favor(target), cap=cap),
+        "winner": lambda cap: winner(rule, complete, favor, cap=cap),
+        "evaluate": lambda cap: evaluate(scenario(), query, cap=cap),
+        "win_probability": lambda cap: win_probability(
+            scenario(), rule, target, favor, cap=cap
+        ),
         "possible_winners": lambda cap: possible_winners(rule, full, cap=cap),
         "fine_elicitation_over": lambda cap: fine_elicitation_over(rule, full, cap=cap),
         "coarse_elicitation_over": lambda cap: coarse_elicitation_over(rule, cast, cap=cap),
@@ -173,6 +188,41 @@ def test_winner_and_achievable_winners_lift_the_cap_on_a_hybrid_round():
         found = achievable_winners(rule, profile, cap=cap)
         assert {c.label for c in found} == {"A", "B", "G", "H"}
         assert winner(rule, profile, favor_h, cap=cap).label == "H"
+
+
+def test_evaluate_and_win_probability_lift_the_cap_on_a_hybrid_round():
+    profile = Profile(
+        cands(8), (vote(range(8)), vote(range(7, -1, -1))), strict_odd=False
+    )
+    rule = Hybrid(Pairing(((0, 1), (2, 3), (4, 5), (6, 7)), None))
+    favor_h = TieBreak.favor(7)
+    dist = ScenarioDistribution(((profile, Fraction(1)),))
+    query = EvaluationQuery(profile.candidates[7], Fraction(0), rule, favor_h)
+    for call in (
+        lambda cap: evaluate(dist, query, cap=cap),
+        lambda cap: win_probability(dist, rule, 7, favor_h, cap=cap),
+    ):
+        with pytest.raises(CapExceeded) as info:
+            call(15)
+        assert info.value.estimate == 16
+    # the refused scans left the column valid; this one resumes and fills it
+    assert win_probability(dist, rule, 7, favor_h, cap=16) == 1
+    # a decided winner is read back whatever the cap
+    assert evaluate(dist, query, cap=0)
+
+
+def test_cli_evaluate_takes_cap(tmp_path, capsys):
+    path = tmp_path / "dist.txt"
+    path.write_text("candidates: A B C D E F G H\nscenario p=1\n"
+                    "vote w=1 A>B>C>D>E>F>G>H\nvote w=1 H>G>F>E>D>C>B>A\n")
+    argv = ["evaluate", str(path), "--no-strict-odd", "--rule",
+            "hybrid:(A,B)(C,D)(E,F)(G,H)", "--target", "H", "--r", "0",
+            "--tb", "favor:H", "--cap"]
+    assert main(argv + ["15"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert main(argv + ["16"]) == 0
+    assert capsys.readouterr().out == "answer: true\nprobability: 1\n"
 
 
 def test_cli_winner_takes_cap(tmp_path, capsys):

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -18,6 +19,7 @@ from votelab import (
     ModelMismatch,
     Pairing,
     PartialBallot,
+    PartitionInstance,
     Profile,
     Runoff,
     ScenarioDistribution,
@@ -26,6 +28,8 @@ from votelab import (
     TieBreak,
     borda,
     evaluate,
+    gen_copeland_preference_manipulation,
+    gen_cup_preference_manipulation,
     plurality,
     preference_manipulate,
     product_distribution,
@@ -34,6 +38,8 @@ from votelab import (
     winner,
 )
 from votelab import evaluation
+from votelab.completions import completed_arrays, completion_groups, iter_assignments
+from votelab.manipulation import _preference_view
 
 import helpers as H
 from helpers import cands, vote
@@ -184,9 +190,9 @@ class TestEvaluate:
         decided: Counter = Counter()
         real = evaluation.winner
 
-        def counting(rule, profile, tb=None):
+        def counting(rule, profile, tb=None, **kwargs):
             decided[id(profile)] += 1
-            return real(rule, profile, tb)
+            return real(rule, profile, tb, **kwargs)
 
         monkeypatch.setattr(evaluation, "winner", counting)
         rng = random.Random(109)
@@ -369,6 +375,71 @@ class TestReduction:
             assert outcome == (preference_manipulate(inst) is not None)
             agree[outcome] += 1
         assert agree[True] and agree[False]
+
+    def test_every_small_reduction_matches_the_slot_split(self):
+        # every even bag of at most 4 values up to 4, under both generators
+        built = 0
+        for n in range(1, 5):
+            for bag in combinations_with_replacement(range(1, 5), n):
+                if sum(bag) % 2:
+                    continue
+                for gen in (gen_cup_preference_manipulation, gen_copeland_preference_manipulation):
+                    inst = gen(PartitionInstance(bag))
+                    dist, _ = reduction_from_preference_manipulation(inst)
+                    view = _preference_view(inst.profile)
+                    groups = completion_groups(view)
+                    cache: dict = {}
+                    for (scenario, _), assignment in zip(
+                        dist.scenarios, iter_assignments(groups), strict=True
+                    ):
+                        orders, weights = completed_arrays(view, groups, assignment)
+                        reference = H.slot_unit_split(
+                            view.candidates, orders, weights, view.strict_odd, cache
+                        )
+                        H.check_run_built(scenario, reference)
+                        built += 1
+        assert built > 1000
+
+    def test_random_unit_splits_match_the_slot_split(self):
+        rng = random.Random(20261019)
+        seen = set()
+        for _ in range(400):
+            m = rng.randint(2, 4)
+            strict = rng.random() < 0.5
+            base = Profile(cands(m), (vote(range(m)),), strict_odd=strict)
+            orders: list = []
+            for _ in range(rng.randint(1, 6)):
+                roll = rng.random()
+                if orders and roll < 0.3:
+                    orders.append(orders[-1])  # an adjacent repeat
+                elif roll < 0.4:
+                    order = H.rand_order(rng, m)
+                    orders.append(rng.choice(  # short, undeclared, repeating
+                        [order[:-1], order[:-1] + (m,), order[:-1] + order[:1]]
+                    ))
+                else:
+                    orders.append(H.rand_order(rng, m))
+            weights = [rng.randint(1, 3) for _ in orders]
+            cache: dict = {}
+            built = H.profile_or_message(
+                lambda: evaluation._unit_split(base, orders, weights, cache)
+            )
+            reference = H.profile_or_message(
+                lambda: H.slot_unit_split(base.candidates, orders, weights, strict, cache)
+            )
+            if isinstance(reference, str):
+                assert built == reference
+                seen.add(reference.split()[-1])
+            else:
+                H.check_run_built(built, reference)
+                seen.add(len(built.runs[0]) < len(orders))
+        # merged and unmerged splits; wrong-length, repeating and even-total errors
+        assert seen == {True, False, "candidates", "candidate", "this)"}
+
+    def test_exact_fractions_are_kept_as_given(self):
+        share = Fraction(1, 2)
+        dist = ScenarioDistribution(((A_WINS, share), (B_WINS, Fraction(1, 2))))
+        assert dist.scenarios[0][1] is share
 
     def test_unit_split_preserves_win_probability(self):
         heavy = Profile(C2, (vote((0, 1), 3), vote((1, 0), 2)))
