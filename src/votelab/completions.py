@@ -12,18 +12,18 @@ the stream are unaffected.  The completion cap is checked against the
 merged count before enumeration begins; nothing is ever truncated.
 
 ``search`` scores every joint completion with the rule and yields each
-assignment with the winners it can reach.  The pairwise projection of
-``elicitation`` yields the same (assignment, winners) stream for Cup and
-Copeland(2), so possible winners, elicitation and both manipulation models
-differ only in when they stop the stream, and in which ballots they leave
-free: ``fixed_view`` is the one place that encodes an uncertainty model.
+assignment with the winners it can reach; ``elicitation._winner_stream``
+builds the groups and yields that stream from the pairwise projection for
+Cup and Copeland(2).  Possible winners, the termination planner's engine
+and both manipulation models differ only in when they stop the stream and
+in which ballots they leave free, which ``fixed_view`` alone decides.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, repeat
 from typing import Collection, Iterator, Sequence
 
 from .errors import ModelMismatch, NotCompletableSP, charge, within
@@ -216,9 +216,12 @@ def fixed_view(profile: Profile, free: Collection[int] = ()) -> Profile:
     none, so it is blanked to full freedom.  Every other ballot must be a
     total order, else ModelMismatch, and is cast as that order, so the
     view's ``fixed_arrays`` cover every ballot outside ``free``.  Returns
-    the profile itself when nothing changes.
+    the profile itself, after one look at each run, when nothing is free and
+    every ballot is cast already.
     """
     m = profile.m
+    if not free and all(map(isinstance, profile.runs[0], repeat(WeightedBallot))):
+        return profile
     ballots = []
     for idx, ballot in enumerate(profile.ballots):
         if idx in free:
@@ -232,8 +235,6 @@ def fixed_view(profile: Profile, free: Collection[int] = ()) -> Profile:
                 )
             ballot = WeightedBallot(ballot.to_order(m), ballot.weight)
         ballots.append(ballot)
-    if all(new is old for new, old in zip(ballots, profile.ballots)):
-        return profile
     return replace(profile, ballots=tuple(ballots))
 
 

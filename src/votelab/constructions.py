@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .completions import DEFAULT_COMPLETION_CAP
-from .elicitation import fine_elicitation_over, fine_sp_elicitation_over
+from .elicitation import _elicitation_over
 from .errors import InvalidInstance
 from .manipulation import ManipulationInstance, preference_manipulate
 from .profiles import (
@@ -262,10 +262,8 @@ def verify_reduction(
     if target is not None:
         inst = ManipulationInstance(rule, target, profile)
         decision = preference_manipulate(inst, cap=cap) is not None
-    elif axis is None:
-        decision = fine_elicitation_over(rule, profile, cap=cap)
-    else:
-        decision = fine_sp_elicitation_over(rule, profile, axis, cap=cap)
+    else:  # the termination planner reads the axis, if there is one
+        decision = _elicitation_over(rule, profile, axis, cap)
     partition = has_equal_partition(p.numbers)
     holds = decision == partition if target is not None else decision != partition
     return ReductionReport(kind, p.numbers, decision, partition, holds)

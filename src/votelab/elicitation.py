@@ -9,6 +9,11 @@ fully known) and pairwise (individual ballots may be partial orders).
 A candidate is a *possible winner* when some joint completion, combined
 with some resolution of the rule's internal ties, elects it.  Elicitation
 is over exactly when a single possible winner remains.
+
+Every termination question is planned in one place, ``_elicitation_over``,
+from its input alone.  Where no polynomial path fits, ``_winner_stream``
+picks the engine, and the manipulation models read their witnesses from the
+same stream (``_witness``).
 """
 
 from __future__ import annotations
@@ -53,6 +58,8 @@ __all__ = [
     "possible_winners",
 ]
 
+Assignment = tuple[tuple[Order, ...], ...]
+
 
 def _sgn(x: int) -> int:
     return (x > 0) - (x < 0)
@@ -96,7 +103,7 @@ def _pairwise_possible_ids(
     cap: int | None,
     *,
     target: int | None = None,
-) -> Iterator[tuple[tuple[tuple[Order, ...], ...] | None, frozenset[int]]]:
+) -> Iterator[tuple[Assignment | None, frozenset[int]]]:
     """(assignment or None, achievable ids) per reachable majority sign
     pattern, in sorted order: ``search``'s stream for a pairwise rule.
 
@@ -222,9 +229,7 @@ def _pairwise_possible_ids(
     return stream()
 
 
-def _read_back(
-    groups: Sequence[OptionGroup], trail: Sequence, vec: int
-) -> tuple[tuple[Order, ...], ...]:
+def _read_back(groups: Sequence[OptionGroup], trail: Sequence, vec: int) -> Assignment:
     """The assignment whose clamped projection sum is ``vec``, walking each
     group's predecessors back from the last group; within a group, steps past
     the fixpoint reuse the fixpoint step."""
@@ -239,29 +244,35 @@ def _read_back(
     return tuple(reversed(assignment))
 
 
-def _target_first(groups: Sequence[OptionGroup], target: int) -> tuple[OptionGroup, ...]:
-    """The groups with target-topmost options first, so witnesses surface early."""
-    return tuple(
-        replace(g, options=tuple(sorted(g.options, key=lambda o: (o.index(target), o))))
-        for g in groups
-    )
-
-
 def _winner_stream(
     rule: Rule,
     profile: Profile,
-    groups: Sequence[OptionGroup],
     cap: int | None,
     *,
+    axis: Axis | None = None,
     target: int | None = None,
-) -> Iterator[tuple[tuple[tuple[Order, ...], ...] | None, frozenset[int]]]:
-    """The (assignment or None, achievable ids) stream of the engine that
-    fits the rule; ``search`` tries target-topmost options first."""
+) -> tuple[tuple[OptionGroup, ...], Iterator[tuple[Assignment | None, frozenset[int]]]]:
+    """The profile's option groups and the (assignment or None, achievable ids)
+    stream of the engine that fits the rule: the pairwise projection for Cup
+    and Copeland(2), else ``search``, trying target-topmost options first."""
+    groups = completion_groups(profile, axis=axis, cap=cap)
     if isinstance(rule, PAIRWISE_RULES):
-        return _pairwise_possible_ids(rule, profile, groups, cap, target=target)
-    if target is not None:
-        groups = _target_first(groups, target)
-    return search(rule, profile, groups, cap)
+        return groups, _pairwise_possible_ids(rule, profile, groups, cap, target=target)
+    if target is not None:  # target-topmost options first, so witnesses surface early
+        groups = tuple(
+            replace(g, options=tuple(sorted(g.options, key=lambda o: (o.index(target), o))))
+            for g in groups
+        )
+    return groups, search(rule, profile, groups, cap)
+
+
+def _witness(
+    rule: Rule, view: Profile, target: int, cap: int | None
+) -> tuple[Sequence[OptionGroup], Assignment | None]:
+    """One assignment of the view's free ballots electing the target under
+    ties in its favour (None if there is none), and the groups it indexes."""
+    groups, stream = _winner_stream(rule, view, cap, target=target)
+    return groups, next((assignment for assignment, ids in stream if target in ids), None)
 
 
 def _possible_ids(
@@ -276,9 +287,8 @@ def _possible_ids(
     validate_rule_for(rule, m)
     if m == 1:
         return frozenset((0,))
-    groups = completion_groups(profile, axis=axis, cap=cap)
     found: set[int] = set()
-    for _, ids in _winner_stream(rule, profile, groups, cap):
+    for _, ids in _winner_stream(rule, profile, cap, axis=axis)[1]:
         found |= ids
         if len(found) == m or (stop_at is not None and len(found) >= stop_at):
             break
@@ -302,6 +312,25 @@ def possible_winners(
     return frozenset(profile.candidates[i] for i in ids)
 
 
+def _elicitation_over(rule: Rule, profile: Profile, axis: Axis | None, cap: int | None) -> bool:
+    """Is exactly one candidate a possible winner?  The first fitting row
+    answers: the median peak (Cup, Copeland(2), an axis, odd total weight);
+    the three-candidate cup (no axis), unless its subset-sum work passes
+    ``cap``; the survivor walk (a hybrid, no axis, no genuinely partial
+    ballot); else the engine, stopped at two possible winners."""
+    m = profile.m
+    if isinstance(rule, PAIRWISE_RULES) and axis is not None and profile.total_weight % 2:
+        validate_rule_for(rule, m)
+        return cup_single_peaked_over(profile, axis)
+    if isinstance(rule, Cup) and axis is None and m <= 3:
+        with suppress(CapExceeded):  # the engine below has the same cap
+            return cup3_fine_over(rule.agenda, profile, cap=cap)
+    if isinstance(rule, Hybrid) and axis is None:
+        with suppress(ModelMismatch):  # only a genuinely partial ballot raises it
+            return hybrid_coarse_over(rule.pairing, profile, cap=cap)
+    return len(_possible_ids(rule, profile, axis=axis, cap=cap, stop_at=2)) == 1
+
+
 def fine_elicitation_over(
     rule: Rule,
     profile: Profile,
@@ -311,14 +340,9 @@ def fine_elicitation_over(
     """True iff every joint completion of the profile elects one candidate.
 
     Accepts any mix of complete ballots, partial ballots and wholly unknown
-    weight.  A cup over at most 3 candidates is answered by the polynomial
-    ``cup3_fine_over`` unless its subset-sum work exceeds ``cap``; otherwise
-    the search stops as soon as two distinct possible winners are seen.
+    weight; ``_elicitation_over`` picks the path.
     """
-    if isinstance(rule, Cup) and profile.m <= 3:
-        with suppress(CapExceeded):  # the search below has the same cap
-            return cup3_fine_over(rule.agenda, profile, cap=cap)
-    return len(_possible_ids(rule, profile, cap=cap, stop_at=2)) == 1
+    return _elicitation_over(rule, profile, None, cap)
 
 
 def coarse_elicitation_over(
@@ -331,13 +355,10 @@ def coarse_elicitation_over(
 
     The profile's only uncertainty may be wholly unknown agents
     (``unknown_weight``); a partial ballot that is not a total order raises
-    ModelMismatch.  A hybrid rule is answered by ``hybrid_coarse_over``,
-    which walks the sets of survivors of its round without listing any
-    completion; ``cap`` bounds that walk.
+    ModelMismatch.  The question is then a fine one with no partial ballot,
+    so a hybrid is answered by the survivor walk of ``hybrid_coarse_over``.
     """
-    if isinstance(rule, Hybrid):
-        return hybrid_coarse_over(rule.pairing, profile, cap=cap)
-    return fine_elicitation_over(rule, fixed_view(profile), cap=cap)
+    return _elicitation_over(rule, fixed_view(profile), None, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +506,7 @@ def condorcet_winner_fixed(profile: Profile) -> CondorcetStatus:
     m = profile.m
     total = profile.total_weight
     fixed = majority_matrix(profile).fixed
-    if m == 1:
-        return CondorcetStatus("true", profile.candidates[0])
-    for c in range(m):
+    for c in range(m):  # at m = 1 the lone candidate wins vacuously
         if all(2 * fixed[c][j] > total for j in range(m) if j != c):
             return CondorcetStatus("true", profile.candidates[c])
     blocked = all(
@@ -513,24 +532,21 @@ def fine_sp_elicitation_over(
 
     Raises NotCompletableSP if some ballot admits no single-peaked
     completion (including complete ballots that already violate the axis).
-    A cup with odd total weight is answered by the polynomial
-    ``cup_single_peaked_over``.
+    Cup and Copeland(2) with odd total weight take the median peak.
     """
-    if isinstance(rule, Cup) and profile.total_weight % 2:
-        validate_rule_for(rule, profile.m)
-        return cup_single_peaked_over(profile, axis)
-    return len(_possible_ids(rule, profile, axis=axis, cap=cap, stop_at=2)) == 1
+    return _elicitation_over(rule, profile, axis, cap)
 
 
 def cup_single_peaked_over(profile: Profile, axis: Axis) -> bool:
-    """Median-peak shortcut for cup elections restricted to single-peaked votes.
+    """Median-peak shortcut for Cup and Copeland(2) on single-peaked votes.
 
     With odd total weight every single-peaked completion has a Condorcet
-    winner, the candidate at the weighted median peak, and a cup elects it
-    under every agenda.  Elicitation is therefore over iff the median peak
-    is the same when every agent sits at its leftmost achievable peak and at
-    its rightmost.  Raises InvalidProfile on an even total weight, or on an
-    axis that does not order exactly the profile's candidates.
+    winner, the candidate at the weighted median peak (Black 1948), and a cup
+    under every agenda, Copeland and Copeland2 elect it.  Elicitation is
+    therefore over iff the median peak is the same when every agent sits at
+    its leftmost achievable peak and at its rightmost.  Raises InvalidProfile
+    on an even total weight, or on an axis that does not order exactly the
+    profile's candidates.
     """
     lo, hi = _median_peaks(profile, axis)
     return lo == hi
@@ -562,13 +578,11 @@ def hybrid_coarse_over(
     validate_rule_for(Hybrid(pairing), m)
     if m == 1:
         return True
-    unknown = profile.unknown_weight
     found: set[int] = set()
-    for survivors, tally in _hybrid_rounds(
-        pairing, *profile.fixed_arrays, m, profile.total_weight, True, cap
+    for winners in _hybrid_rounds(
+        pairing, *profile.fixed_arrays, m, profile.total_weight, True, cap, profile.unknown_weight
     ):
-        best = max(tally[c] for c in survivors)
-        found.update(c for c in survivors if tally[c] + unknown >= best)
+        found.update(winners)
         if len(found) > 1:
             return False
     return len(found) == 1

@@ -10,18 +10,18 @@ the target wins under tie-breaking for the target.
 
 Manipulation is possible exactly when the target is a possible winner of the
 profile cut back to what the manipulators may not change, so both models
-read a witness off the possible-winner stream of ``elicitation``: read back
-from the pairwise projection for Cup and Copeland(2) (a coalition Cup has
-its own bracket solver), found by walking the joint completions otherwise.
+take a witness from ``elicitation._witness``: read back from the pairwise
+projection for Cup and Copeland(2), found by walking the joint completions
+otherwise.  A coalition Cup keeps its bracket solver, which answers at any m
+where the stream would list m! orders per coalition ballot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .completions import OptionGroup, completed_profile, completion_groups, fixed_view
-from .elicitation import _winner_stream
+from .completions import completed_profile, fixed_view
+from .elicitation import _witness
 from .errors import InvalidInstance, ModelMismatch
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
@@ -108,18 +108,6 @@ def _preference_view(profile: Profile) -> Profile:
     return fixed_view(profile, free)
 
 
-def _witness(
-    rule: Rule, view: Profile, target: int, cap: int | None
-) -> tuple[Sequence[OptionGroup], tuple[tuple[Order, ...], ...] | None]:
-    """One assignment of the view's free ballots electing the target under
-    ties in its favour (None if there is none), and the groups it indexes."""
-    groups = completion_groups(view, cap=cap)
-    for assignment, ids in _winner_stream(rule, view, groups, cap, target=target):
-        if target in ids:
-            return groups, assignment
-    return groups, None
-
-
 # ---------------------------------------------------------------------------
 # Coalition model
 
@@ -185,11 +173,8 @@ def _cup_coalition_order(agenda: Agenda, probe: Profile, target: int) -> Order |
         witness[node] = table
         return table
 
-    root = solve(agenda) if not isinstance(agenda, int) else {agenda: None}
-    if target not in root:
+    if target not in solve(agenda):
         return None
-    if isinstance(agenda, int):
-        return (agenda,)
 
     beats: dict[int, list[int]] = {c: [] for c in range(m)}
 

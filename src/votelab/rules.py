@@ -21,7 +21,7 @@ most 2^m candidate sets, each tallied once and charged to ``cap``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import InvalidProfile, charge
@@ -566,16 +566,19 @@ def _hybrid_rounds(
     total: int,
     branch: bool,
     cap: int | None,
-) -> Iterator[tuple[frozenset[int], list[int]]]:
-    """(survivors, top-choice tallies) for each way the pairing's round may end.
+    slack: int = 0,
+) -> Iterator[list[int]]:
+    """The winners of each way the pairing's round may end.
 
     A candidate survives its pair when the orders' weight against it is at
     most half of ``total``; at exactly half, only the lower id survives
     unless ``branch`` is set.  The bye always survives.  Each set of
     survivors takes one survivor from every pair, so the sets double with
     each pair whose sides both survive.  The orders' weights go to their
-    highest-ranked survivor.  Raises CapExceeded when more than ``cap`` sets
-    would be tallied.
+    highest-ranked survivor; a survivor wins when ``slack`` more weight lifts
+    its tally to the best (0 for the rule itself), and without ``branch``
+    only the lowest id among the winners is kept.  Raises CapExceeded when
+    more than ``cap`` sets would be tallied.
     """
     counts = pairwise_counts(orders, weights, m)
 
@@ -588,7 +591,10 @@ def _hybrid_rounds(
     for tallied, picks in enumerate(product(*sides), 1):
         charge(tallied, cap, "hybrid survivor sets")
         survivors = frozenset(picks + bye)
-        yield survivors, _top_tallies(orders, weights, m, survivors)
+        tally = _top_tallies(orders, weights, m, survivors)
+        best = max(tally[c] for c in survivors)
+        winners = [c for c in survivors if tally[c] + slack >= best]
+        yield winners if branch else [min(winners)]
 
 
 def _achievable_ids(
@@ -620,14 +626,8 @@ def _achievable_ids(
     if isinstance(rule, Runoff):
         return _runoff_winners(orders, weights, m, total, branch)
     if isinstance(rule, Hybrid):
-        out: set[int] = set()
-        for survivors, tally in _hybrid_rounds(
-            rule.pairing, orders, weights, m, total, branch, cap
-        ):
-            best = max(tally[c] for c in survivors)
-            winners = [c for c in survivors if tally[c] == best]
-            out.update(winners if branch else (min(winners),))
-        return frozenset(out)
+        rounds = _hybrid_rounds(rule.pairing, orders, weights, m, total, branch, cap)
+        return frozenset(chain.from_iterable(rounds))
     raise InvalidProfile(f"unknown rule {rule!r}")
 
 

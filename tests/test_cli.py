@@ -84,6 +84,14 @@ class TestElicitationVerbs:
         code, out, _ = run(capsys, "coarse-over", path, "--rule", "hybrid:(B,C)")
         assert (code, out) == (0, "answer: true\n")
 
+    def test_whole_ballot_hybrid_takes_one_path_through_both_verbs(self, capsys, write):
+        path = write(
+            "candidates: A B C D E F\nvote w=5 A>B>C>D>E>F\nvote w=4 F>E>D>C>B>A\nunknown w=4\n"
+        )
+        for verb in ("coarse-over", "fine-over"):
+            code, out, err = run(capsys, verb, path, "--rule", "hybrid:(A,B)(C,D)(E,F)")
+            assert (code, out, err) == (0, "answer: false\n", "")
+
     def test_fine_over_complete_is_over(self, capsys, write):
         path = write("candidates: A B C\nvote w=1 A>B>C\n")
         code, out, _ = run(capsys, "fine-over", path, "--rule", "cup:((A,B),C)")
@@ -104,6 +112,17 @@ class TestElicitationVerbs:
         code, out, _ = run(capsys, "fine-sp-over", path, "--rule", "cup:((A,B),C)")
         assert code == 0
         assert out == "answer: true\n"  # median peak pinned at B whatever the rest
+
+    def test_fine_sp_over_copeland_takes_the_median_peak(self, capsys, write):
+        labels = " ".join(f"C{i}" for i in range(12))
+        path = write(
+            f"candidates: {labels}\naxis: {labels}\n"
+            f"vote w=3 {'>'.join(labels.split())}\n"
+            f"vote w=3 {'>'.join(reversed(labels.split()))}\n"
+            "partial w=2 pairs=C6>C7\nunknown w=1\n"
+        )
+        code, out, err = run(capsys, "fine-sp-over", path, "--rule", "copeland", "--cap", "0")
+        assert (code, out, err) == (0, "answer: false\n", "")
 
     def test_fine_sp_over_cup_even_total_takes_the_general_path(self, capsys, write):
         # the median-peak shortcut needs an odd total; the search does not

@@ -29,6 +29,8 @@ from votelab import (
     fine_elicitation_over,
     fine_sp_elicitation_over,
     hybrid_coarse_over,
+    parse_profile,
+    parse_rule,
     plurality,
     possible_winners,
     preference_manipulate,
@@ -578,3 +580,111 @@ class TestHybridCoarse:
         with pytest.raises(CapExceeded):
             coarse_elicitation_over(Hybrid(pairing), p, cap=1000)
         assert hybrid_coarse_over(pairing, p, cap=None)
+
+
+def _rand_pairing(rng, m):
+    ids = H.rand_order(rng, m)
+    return Pairing(tuple(zip(ids[0::2], ids[1::2])), ids[-1] if m % 2 else None)
+
+
+class TestPlanner:
+    """Each termination question takes the path its input fits, whichever
+    entry point was called."""
+
+    def test_whole_ballot_hybrid_takes_the_survivor_walk_from_every_entry(self):
+        rng = random.Random(89)
+        unknown_limit = {2: 5, 3: 3, 4: 2, 5: 1}
+        for _ in range(150):
+            m = rng.randint(2, 5)
+            pairing = _rand_pairing(rng, m)
+            ballots = []
+            for _ in range(rng.randint(0, 3)):
+                order, weight = H.rand_order(rng, m), rng.randint(1, 40)
+                ballot = (
+                    PartialBallot.from_order(order, weight)
+                    if rng.random() < 0.3
+                    else vote(order, weight)
+                )
+                ballots += [ballot] * rng.randint(1, 2)  # repeated ballot objects
+            unknown = rng.randint(0, unknown_limit[m])
+            if not ballots and not unknown:
+                ballots.append(vote(H.rand_order(rng, m), rng.randint(1, 40)))
+            p = Profile(cands(m), tuple(ballots), unknown_weight=unknown, strict_odd=False)
+            expected = H.brute_fine_over(Hybrid(pairing), p)
+            assert fine_elicitation_over(Hybrid(pairing), p) == expected
+            assert coarse_elicitation_over(Hybrid(pairing), p) == expected
+
+    def test_six_candidate_hybrid_is_answered_by_both_entry_points(self):
+        # 11,290,989,780 joint completions; the round ends in 8 survivor sets
+        text = (
+            "candidates: A B C D E F\n"
+            "vote w=5 A>B>C>D>E>F\n"
+            "vote w=4 F>E>D>C>B>A\n"
+            "unknown w=4\n"
+        )
+        p, _ = parse_profile(text, strict_odd=False)
+        rule = parse_rule("hybrid:(A,B)(C,D)(E,F)", p.candidates)
+        assert not fine_elicitation_over(rule, p, cap=8)
+        assert not coarse_elicitation_over(rule, p, cap=8)
+        assert not fine_elicitation_over(rule, p)
+
+    def test_genuinely_partial_hybrid_keeps_the_search(self):
+        p = Profile(cands(4), (vote((0, 1, 2, 3), 3), PartialBallot({(2, 3)}, 1)), 1)
+        with pytest.raises(ModelMismatch):
+            coarse_elicitation_over(Hybrid(Pairing(((0, 1), (2, 3)))), p)
+        assert fine_elicitation_over(Hybrid(Pairing(((0, 1), (2, 3)))), p) == H.brute_fine_over(
+            Hybrid(Pairing(((0, 1), (2, 3)))), p
+        )
+
+    def test_median_peak_answers_every_condorcet_consistent_rule(self):
+        rng = random.Random(97)
+        for _ in range(120):
+            m = rng.randint(2, 5)
+            axis = Axis(H.rand_order(rng, m))
+            sp_orders = sorted(H.single_peaked_orders(axis))
+            ballots = []
+            for _ in range(rng.randint(0, 3)):
+                ballot = vote(rng.choice(sp_orders), rng.randint(1, 40))
+                ballots += [ballot] * rng.randint(1, 2)
+            ballot = H.rand_sp_partial(rng, m, axis, rng.randint(1, 40))
+            ballots += [ballot] * rng.randint(0, 2)
+            unknown = rng.randint(0, 1)
+            if (sum(b.weight for b in ballots) + unknown) % 2 == 0:
+                ballots.append(vote(rng.choice(sp_orders), 1))
+            p = Profile(cands(m), tuple(ballots), unknown_weight=unknown)
+            for rule in (Copeland(), Copeland2(), Cup(H.rand_agenda(rng, range(m)))):
+                expected = H.brute_fine_over(rule, p, axis=axis)
+                # the median peak spends none of the cap
+                assert fine_sp_elicitation_over(rule, p, axis, cap=0) == expected
+
+    def test_twelve_candidate_copeland_is_answered_by_the_median_peak(self):
+        # the projection would refuse this with estimate 2,212,654
+        m = 12
+        p = Profile(
+            candidates_from_labels([f"C{i}" for i in range(m)]),
+            (
+                vote(tuple(range(m)), 3),
+                vote(tuple(reversed(range(m))), 3),
+                PartialBallot({(6, 7)}, 2),
+            ),
+            unknown_weight=1,
+        )
+        axis = Axis(tuple(range(m)))
+        for rule in (Copeland(), Copeland2()):
+            assert not fine_sp_elicitation_over(rule, p, axis)
+            assert not fine_sp_elicitation_over(rule, p, axis, cap=0)
+
+    def test_stv_hybrid_and_even_totals_keep_the_search_on_an_axis(self):
+        rng = random.Random(101)
+        for _ in range(60):
+            m = rng.randint(2, 4)
+            axis = Axis(H.rand_order(rng, m))
+            sp_orders = sorted(H.single_peaked_orders(axis))
+            ballots = [vote(rng.choice(sp_orders), rng.randint(1, 40))]
+            for _ in range(rng.randint(0, 2)):
+                ballots.append(H.rand_sp_partial(rng, m, axis, rng.randint(1, 40)))
+            p = Profile(cands(m), tuple(ballots), rng.randint(0, 1), strict_odd=False)
+            for rule in (Hybrid(_rand_pairing(rng, m)), Stv(), Copeland()):
+                assert fine_sp_elicitation_over(rule, p, axis) == H.brute_fine_over(
+                    rule, p, axis=axis
+                )

@@ -154,6 +154,30 @@ class TestCupCoalition:
                 assert winner(inst.rule, replay, TieBreak.favor(target)).id == target
         assert shared > 0
 
+    def test_ten_candidates_stay_within_the_default_cap(self):
+        # a coalition ballot may take 10! = 3,628,800 orders, past the cap,
+        # so the bracket answers without listing any of them
+        m = 10
+        agenda = 0
+        for c in range(1, m):
+            agenda = (agenda, c)
+        p = Profile(
+            cands(m),
+            (
+                vote(tuple(range(m)), 3),
+                vote(tuple(reversed(range(m))), 3),
+                vote(tuple(range(m)), 5),
+            ),
+        )
+        for target in (0, 5, 9):
+            inst = ManipulationInstance(Cup(agenda), target, p, coalition=frozenset({2}))
+            assignment = coalition_manipulate(inst)
+            assert assignment is not None
+            replay = replay_coalition(inst, assignment)
+            assert winner(inst.rule, replay, TieBreak.favor(target)).id == target
+        inst = ManipulationInstance(Cup(agenda), 9, p, coalition=frozenset({1}))
+        assert coalition_manipulate(inst) is None
+
 
 class TestGenericCoalition:
     def test_plurality_witness(self):
