@@ -11,12 +11,12 @@ elections, only how often each is visited, so decision procedures built on
 the stream are unaffected.  The completion cap is checked against the
 merged count before enumeration begins; nothing is ever truncated.
 
-``search`` scores every joint completion with the rule and yields each
-assignment with the winners it can reach; ``elicitation._winner_stream``
-builds the groups and yields that stream from the pairwise projection for
-Cup and Copeland(2).  Possible winners, the termination planner's engine
-and both manipulation models differ only in when they stop the stream and
-in which ballots they leave free, which ``fixed_view`` alone decides.
+No rule is read here: ``elicitation._winner_stream`` builds the groups and
+runs either engine over them, scoring each ``completed_arrays`` item with
+the rule or summing pairwise projections for Cup and Copeland(2).  Possible
+winners, the termination planner's engine and both manipulation models
+differ only in when they stop the stream and in which ballots they leave
+free, which ``fixed_view`` alone decides.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import ModelMismatch, NotCompletableSP, charge, within
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
     Axis,
+    Ballot,
     PartialBallot,
     Profile,
     WeightedBallot,
@@ -38,7 +39,6 @@ from .profiles import (
     is_single_peaked,
     linear_extensions,
 )
-from .rules import Rule, _achievable_ids
 
 Order = tuple[int, ...]
 
@@ -110,7 +110,9 @@ def completion_groups(
         _check_axis(axis, m)
     options_of: dict[frozenset[tuple[int, int]], tuple[Order, ...]] = {}
     grouped: dict[tuple[int, tuple[Order, ...]], list[int]] = {}
-    for idx, ballot in enumerate(profile.ballots):
+    end = 0
+    for ballot, count in zip(*profile.runs):
+        start, end = end, end + count
         if isinstance(ballot, WeightedBallot):
             if axis is not None and not is_single_peaked(ballot.order, axis):
                 raise NotCompletableSP(
@@ -120,7 +122,7 @@ def completion_groups(
         options = options_of.get(ballot.pairs)
         if options is None:
             options = options_of[ballot.pairs] = _options(ballot, m, axis, cap)
-        grouped.setdefault((ballot.weight, options), []).append(idx)
+        grouped.setdefault((ballot.weight, options), []).extend(range(start, end))
 
     groups = [
         OptionGroup(weight, len(indices), options, tuple(indices))
@@ -188,26 +190,6 @@ def completed_arrays(
     return tuple(orders_list), tuple(weights_list)
 
 
-def search(
-    rule: Rule,
-    profile: Profile,
-    groups: Sequence[OptionGroup],
-    cap: int | None,
-) -> Iterator[tuple[tuple[tuple[Order, ...], ...], frozenset[int]]]:
-    """Yield (assignment, achievable winner ids) for every joint completion.
-
-    Raises CapExceeded before the first item when the merged space is larger
-    than ``cap``, and while scoring a completion whose STV elimination search
-    passes it.  Callers stop the stream as soon as they have their answer.
-    """
-    check_cap(groups, cap)
-    m = profile.m
-    total = profile.total_weight
-    for assignment in iter_assignments(groups):
-        orders, weights = completed_arrays(profile, groups, assignment)
-        yield assignment, _achievable_ids(rule, orders, weights, m, total, cap=cap)
-
-
 def fixed_view(profile: Profile, free: Collection[int] = ()) -> Profile:
     """The profile under one uncertainty model: only the ballots at ``free``
     indices stay open.
@@ -222,9 +204,15 @@ def fixed_view(profile: Profile, free: Collection[int] = ()) -> Profile:
     m = profile.m
     if not free and all(map(isinstance, profile.runs[0], repeat(WeightedBallot))):
         return profile
+    # one view per (ballot object, free or not), so a run of one object
+    # stays one run wherever its slots are all free or all fixed
+    views: dict[tuple[int, bool], Ballot] = {}
     ballots = []
     for idx, ballot in enumerate(profile.ballots):
-        if idx in free:
+        key = (id(ballot), idx in free)
+        if key in views:
+            ballot = views[key]
+        elif key[1]:
             locked = ballot.locked if isinstance(ballot, PartialBallot) else frozenset()
             ballot = PartialBallot(locked, ballot.weight, locked)
         elif isinstance(ballot, PartialBallot):
@@ -234,7 +222,7 @@ def fixed_view(profile: Profile, free: Collection[int] = ()) -> Profile:
                     "ballots every vote must be a total order"
                 )
             ballot = WeightedBallot(ballot.to_order(m), ballot.weight)
-        ballots.append(ballot)
+        ballots.append(views.setdefault(key, ballot))
     return replace(profile, ballots=tuple(ballots))
 
 

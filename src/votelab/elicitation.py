@@ -12,8 +12,8 @@ is over exactly when a single possible winner remains.
 
 Every termination question is planned in one place, ``_elicitation_over``,
 from its input alone.  Where no polynomial path fits, ``_winner_stream``
-picks the engine, and the manipulation models read their witnesses from the
-same stream (``_witness``).
+picks the engine and runs it, and the manipulation models read their
+witnesses from the same stream (``_witness``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,15 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Collection, Iterator, Sequence
 
-from .completions import Order, OptionGroup, completion_groups, fixed_view, search
+from .completions import (
+    Order,
+    OptionGroup,
+    check_cap,
+    completed_arrays,
+    completion_groups,
+    fixed_view,
+    iter_assignments,
+)
 from .errors import CapExceeded, ModelMismatch, charge
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
@@ -41,6 +49,7 @@ from .rules import (
     Hybrid,
     Pairing,
     Rule,
+    _achievable_ids,
     _hybrid_rounds,
     achievable_from_sign,
     validate_rule_for,
@@ -105,16 +114,16 @@ def _pairwise_possible_ids(
     target: int | None = None,
 ) -> Iterator[tuple[Assignment | None, frozenset[int]]]:
     """(assignment or None, achievable ids) per reachable majority sign
-    pattern, in sorted order: ``search``'s stream for a pairwise rule.
+    pattern, in sorted order: the enumeration's stream for a pairwise rule.
 
     Every ballot option is projected onto the pairs whose majority sign is
     still open, and the projections are summed with deduplication.  Sums only
     grow, and once a pair's sum reaches ``(total - 2*base)//2 + 1`` its sign
     is +1 for good, so every running sum is clamped there without losing a
     reachable sign matrix.  A group of interchangeable ballots stops summing
-    at a fixpoint, when one more ballot adds no new clamped sum.  The summing,
-    bounded by ``cap``, runs before this returns; the rule is decided lazily,
-    once per pattern.
+    at a fixpoint, when one more ballot adds no new clamped sum.  The setup
+    (options times pairs, charged once) and the summing, each bounded by
+    ``cap``, run before this returns; the rule is decided lazily per pattern.
 
     A clamped sum is one int with a field of ``width`` bits per open pair,
     the first pair lowest.  A field holds at most twice the largest clamp or
@@ -132,12 +141,15 @@ def _pairwise_possible_ids(
     With a ``target`` every clamped sum keeps one predecessor, the sum it came
     from and the projection added, per group step (the fixpoint step stands
     for the rest) and per group.  A pattern the target wins is read back to
-    one option per ballot, as ``search`` assigns them.  Projections are
+    one option per ballot, as the enumeration assigns them.  Projections are
     non-negative, so each clamped sum on the way equals the true sum capped
     at its pair's clamp, and the read-back completion has that pattern.
     """
     m = profile.m
     total = profile.total_weight
+    # every option is placed and projected onto up to every pair before any sum
+    options = sum(len(group.options) for group in groups)
+    charge(options * (m * (m - 1) // 2), cap, "pairwise projections of options")
     base, group_pos, reach = _pair_bounds(profile, groups)
 
     forced: dict[tuple[int, int], int] = {}
@@ -254,7 +266,9 @@ def _winner_stream(
 ) -> tuple[tuple[OptionGroup, ...], Iterator[tuple[Assignment | None, frozenset[int]]]]:
     """The profile's option groups and the (assignment or None, achievable ids)
     stream of the engine that fits the rule: the pairwise projection for Cup
-    and Copeland(2), else ``search``, trying target-topmost options first."""
+    and Copeland(2), else every joint completion scored with the rule, target-
+    topmost options first, refused here past ``cap`` and while scoring when an
+    STV elimination passes it.  Callers stop the stream once they can answer."""
     groups = completion_groups(profile, axis=axis, cap=cap)
     if isinstance(rule, PAIRWISE_RULES):
         return groups, _pairwise_possible_ids(rule, profile, groups, cap, target=target)
@@ -263,7 +277,14 @@ def _winner_stream(
             replace(g, options=tuple(sorted(g.options, key=lambda o: (o.index(target), o))))
             for g in groups
         )
-    return groups, search(rule, profile, groups, cap)
+    check_cap(groups, cap)
+
+    def scored():
+        m, total = profile.m, profile.total_weight
+        for assignment in iter_assignments(groups):
+            orders, weights = completed_arrays(profile, groups, assignment)
+            yield assignment, _achievable_ids(rule, orders, weights, m, total, cap=cap)
+    return groups, scored()
 
 
 def _witness(

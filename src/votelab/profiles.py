@@ -142,6 +142,7 @@ class WeightedBallot:
         return frozenset((o[i], o[j]) for i in range(len(o)) for j in range(i + 1, len(o)))
 
 
+@dataclass(frozen=True, init=False, slots=True)
 class PartialBallot:
     """A consistent set of pairwise commitments with weight.
 
@@ -152,7 +153,9 @@ class PartialBallot:
     in the closure.
     """
 
-    __slots__ = ("pairs", "weight", "locked")
+    pairs: frozenset[Pair]
+    weight: int
+    locked: frozenset[Pair]
 
     def __init__(
         self,
@@ -168,21 +171,6 @@ class PartialBallot:
         object.__setattr__(self, "pairs", closure)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "locked", locked_set)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PartialBallot is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PartialBallot):
-            return NotImplemented
-        return (
-            self.pairs == other.pairs
-            and self.weight == other.weight
-            and self.locked == other.locked
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.pairs, self.weight, self.locked))
 
     def __repr__(self) -> str:
         return f"PartialBallot(pairs={sorted(self.pairs)}, weight={self.weight}, locked={sorted(self.locked)})"

@@ -20,6 +20,7 @@ most 2^m candidate sets, each tallied once and charged to ``cap``.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
 from itertools import chain, product
 from typing import Callable, Iterator, Sequence, Union
@@ -263,20 +264,24 @@ def validate_rule_for(rule: Rule, m: int) -> None:
 # ---------------------------------------------------------------------------
 # Rule specification strings
 
+#: The rules named by one bare word; rules are frozen, so one instance serves.
+_NAMED_RULES: dict[str, Rule] = {
+    "plurality": plurality(),
+    "veto": veto(),
+    "borda": borda(),
+    "copeland": Copeland(),
+    "copeland2": Copeland2(),
+    "runoff": Runoff(),
+    "stv": Stv(),
+}
+_RULE_NAMES = {rule: name for name, rule in _NAMED_RULES.items()}
+
 
 def parse_rule(text: str, candidates: Sequence[Candidate]) -> Rule:
     """Parse a rule specification string such as ``cup:((A,B),C)``."""
     text = text.strip()
-    if text in ("plurality", "veto", "borda"):
-        return Scoring(name=text)
-    if text == "copeland":
-        return Copeland()
-    if text == "copeland2":
-        return Copeland2()
-    if text == "runoff":
-        return Runoff()
-    if text == "stv":
-        return Stv()
+    if text in _NAMED_RULES:
+        return _NAMED_RULES[text]
     if text.startswith("scoring:"):
         try:
             values = tuple(int(x) for x in text[len("scoring:") :].split(","))
@@ -291,16 +296,10 @@ def parse_rule(text: str, candidates: Sequence[Candidate]) -> Rule:
 
 
 def format_rule(rule: Rule, candidates: Sequence[Candidate]) -> str:
+    if isinstance(rule, Hashable) and rule in _RULE_NAMES:
+        return _RULE_NAMES[rule]
     if isinstance(rule, Scoring):
-        return rule.name if rule.name else "scoring:" + ",".join(map(str, rule.vector))
-    if isinstance(rule, Copeland):
-        return "copeland"
-    if isinstance(rule, Copeland2):
-        return "copeland2"
-    if isinstance(rule, Runoff):
-        return "runoff"
-    if isinstance(rule, Stv):
-        return "stv"
+        return "scoring:" + ",".join(map(str, rule.vector))
     if isinstance(rule, Cup):
         return "cup:" + format_agenda(rule.agenda, candidates)
     if isinstance(rule, Hybrid):

@@ -124,6 +124,25 @@ class TestElicitationVerbs:
         code, out, err = run(capsys, "fine-sp-over", path, "--rule", "copeland", "--cap", "0")
         assert (code, out, err) == (0, "answer: false\n", "")
 
+    def test_fine_sp_over_even_total_copeland_charges_the_projection_setup(
+        self, capsys, write
+    ):
+        # 16 candidates: 55,587 single-peaked options times 120 pairs
+        labels = " ".join(f"C{i}" for i in range(16))
+        path = write(
+            f"candidates: {labels}\naxis: {labels}\n"
+            f"vote w=3 {'>'.join(labels.split())}\n"
+            f"vote w=3 {'>'.join(reversed(labels.split()))}\n"
+            "partial w=2 pairs=C8>C9\nunknown w=2\n"
+        )
+        code, out, err = run(
+            capsys, "fine-sp-over", path, "--rule", "copeland", "--no-strict-odd"
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: pairwise projections of options: 6670440, above the cap of 1000000\n"
+        )
+
     def test_fine_sp_over_cup_even_total_takes_the_general_path(self, capsys, write):
         # the median-peak shortcut needs an odd total; the search does not
         path = write("candidates: A B C\naxis: A B C\nvote w=1 B>A>C\npartial w=1\n")

@@ -180,6 +180,35 @@ class TestFixedView:
         assert view.ballots[2] == WeightedBallot((2, 0, 1), 1)
         assert view.ballots[3] is p.ballots[3]
 
+    def test_a_run_of_one_ballot_object_stays_one_run(self):
+        locked = PartialBallot({(0, 1), (1, 2)}, 1, locked={(0, 1)})
+        total = PartialBallot.from_order((2, 0, 1), 1)
+        p = Profile(cands(3), (locked,) * 5000 + (total,) * 5000, strict_odd=False)
+        view = _preference_view(p)
+        assert list(view.runs[1]) == [5000, 5000]
+        # the same view built slot by slot, one ballot object per slot
+        slot_built = Profile(
+            cands(3),
+            tuple(PartialBallot(b.locked, b.weight, b.locked) for b in p.ballots),
+            strict_odd=False,
+        )
+        assert len(slot_built.runs[0]) == 10_000
+        assert view.ballots == slot_built.ballots
+        assert completion_groups(view) == completion_groups(slot_built)
+
+    def test_free_slots_split_a_run_and_the_rest_reuse_one_view(self):
+        cast = vote((0, 1, 2), 1)
+        total = PartialBallot.from_order((2, 0, 1), 1)
+        p = Profile(cands(3), (cast,) * 6 + (total,))
+        view = fixed_view(p, {2, 3})
+        heads, counts = view.runs
+        assert list(counts) == [2, 2, 2, 1]
+        assert heads[0] is heads[2] is cast
+        assert heads[1] == PartialBallot(frozenset(), 1)
+        assert heads[3] == WeightedBallot((2, 0, 1), 1)
+        (group,) = completion_groups(view)
+        assert (group.count, group.indices) == (2, (2, 3))
+
     def test_partial_ballot_outside_free_raises(self):
         b = PartialBallot({(0, 1)}, 1, locked={(0, 1)})
         p = Profile(cands(3), (b, vote((2, 1, 0), 2)))

@@ -152,6 +152,20 @@ class TestPossibleWinners:
                 assert fine_elicitation_over(rule, p) == (len(expected) == 1)
 
 
+class TestProjectionSetup:
+    """Placing every option on every pair is charged to ``cap`` up front."""
+
+    def test_one_unknown_unit_over_seven_candidates(self):
+        p = Profile(cands(7), (), unknown_weight=1)
+        with pytest.raises(CapExceeded) as info:
+            possible_winners(Copeland(), p, cap=100_000)
+        assert info.value.estimate == 7 * 6 * 5 * 4 * 3 * 2 * 21 == 105_840
+        assert str(info.value) == (
+            "pairwise projections of options: 105840, above the cap of 100000"
+        )
+        assert len(possible_winners(Copeland(), p, cap=None)) == 7
+
+
 def _packed_case(rng: random.Random) -> tuple[Profile, set[str]]:
     """A profile small enough for the brute referees, with one of three
     stresses on the packed projection: two free ballots near ``MAX_WEIGHT``

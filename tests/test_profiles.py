@@ -105,6 +105,23 @@ class TestPartialBallot:
         b = PartialBallot.from_order((1, 0), 1, locked_all=True)
         assert b.locked == b.pairs
 
+    def test_repr_hash_frozen_and_replace(self):
+        b = PartialBallot({(0, 1), (1, 2)}, 3, locked={(0, 1)})
+        assert repr(b) == (
+            "PartialBallot(pairs=[(0, 1), (0, 2), (1, 2)], weight=3, locked=[(0, 1)])"
+        )
+        assert hash(b) == hash((b.pairs, b.weight, b.locked))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.weight = 5
+        assert dataclasses.replace(b, weight=5) == PartialBallot(b.pairs, 5, b.locked)
+        # replace runs the constructor: the pairs are closed, the locks checked
+        wider = dataclasses.replace(b, pairs={(0, 1), (1, 2), (2, 3)})
+        assert wider.pairs == frozenset(
+            {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
+        )
+        with pytest.raises(InvalidProfile):
+            dataclasses.replace(b, locked={(1, 0)})
+
 
 class TestProfile:
     def test_total_weight_includes_unknown(self):

@@ -179,6 +179,27 @@ class TestParseFormat:
         assert format_rule(rule, C4) == text
         assert parse_rule(format_rule(rule, C4), C4) == rule
 
+    @pytest.mark.parametrize(
+        "text, rule",
+        [
+            ("plurality", plurality()),
+            ("veto", veto()),
+            ("borda", borda()),
+            ("copeland", Copeland()),
+            ("copeland2", Copeland2()),
+            ("runoff", Runoff()),
+            ("stv", Stv()),
+        ],
+    )
+    def test_bare_names_name_their_rules(self, text, rule):
+        assert parse_rule(f" {text} ", C4) == rule
+        assert format_rule(rule, C4) == text
+
+    @pytest.mark.parametrize("thing", [object(), None, [], Scoring])
+    def test_format_refuses_what_is_not_a_rule(self, thing):
+        with pytest.raises(InvalidProfile):
+            format_rule(thing, C4)
+
     def test_hybrid_single_unpaired_candidate_is_the_bye(self):
         c3 = cands(3)
         rule = parse_rule("hybrid:(A,C)", c3)
