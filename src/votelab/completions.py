@@ -9,14 +9,21 @@ same option list form a group enumerated as a multiset, and the unknown
 pool is one group of unit agents.  This never changes the set of reachable
 elections, only how often each is visited, so decision procedures built on
 the stream are unaffected.  The completion cap is checked against the
-merged count before enumeration begins; nothing is ever truncated.
+merged count before enumeration begins; nothing is ever truncated.  An
+option list that could pass ``cap``, alone or added to the running sum of
+(length - 1) over the distinct lists before it, is counted before it is
+built, so ``cap`` bounds the orders built as well as the completions.
+
+``iter_assignments`` walks the merged space lazily, in O(number of groups)
+memory, so a stream stopped early costs only what it visited.
 
 No rule is read here: ``elicitation._winner_stream`` builds the groups and
-runs either engine over them, scoring each ``completed_arrays`` item with
-the rule or summing pairwise projections for Cup and Copeland(2).  Possible
-winners, the termination planner's engine and both manipulation models
-differ only in when they stop the stream and in which ballots they leave
-free, which ``fixed_view`` alone decides.
+runs either engine over them, scoring each assignment's orders (the fixed
+orders, then each group's) with the rule or summing pairwise projections
+for Cup and Copeland(2).  Possible winners, the termination planner's
+engine and both manipulation models differ only in when they stop the
+stream and in which ballots they leave free, which ``fixed_view`` alone
+decides.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ class OptionGroup:
 
 
 def _options(
-    ballot: PartialBallot, m: int, axis: Axis | None, cap: int | None
+    ballot: PartialBallot, m: int, axis: Axis | None, cap: int | None, spent: int
 ) -> tuple[Order, ...]:
     """Every order the ballot may take, lexicographic by candidate id.
 
@@ -68,14 +75,20 @@ def _options(
     counted, and refused past ``cap``, before any is built.  Every other
     ballot is walked by ``linear_extensions``, after its extensions are
     counted and refused past ``cap`` when that bound is above it.
+
+    ``spent`` is the caller's running total of (length - 1) over the lists
+    built before this one.  This list's count is charged on top of it
+    before any order is built, whenever the two together could pass ``cap``.
     """
     bound = math.factorial(m) if axis is None else 2 ** (m - 1)
     if not ballot.pairs:
         charge(bound, cap, "orders of a ballot without commitments")
+        charge(spent + bound - 1, cap, "options across the free ballots")
         if axis is None:
             return tuple(permutations(range(m)))
-    elif not within(bound, cap):
-        _count_extensions(ballot, m, cap, axis)
+    elif not (within(bound, cap) and within(spent + bound - 1, cap)):
+        count = _count_extensions(ballot, m, cap, axis)
+        charge(spent + count - 1, cap, "options across the free ballots")
     options = tuple(linear_extensions(ballot, m, cap, axis))
     if not options:
         raise NotCompletableSP(
@@ -98,8 +111,10 @@ def completion_groups(
     Args:
         axis: restrict every completion to be single-peaked on this axis,
             which must order exactly the profile's candidates.
-        cap: per-ballot guard against enormous option lists; the unknown
-            pool counts as one ballot.
+        cap: guard against enormous option lists.  Each list, and the sum
+            of (length - 1) over the distinct lists, must stay within it; the
+            unknown pool counts as one ballot.  Both are counted before the
+            list that would pass them is built.
 
     Options are lexicographic by candidate id, and groups are ordered by
     descending ballot weight.  Each distinct set of commitments has its
@@ -109,6 +124,7 @@ def completion_groups(
     if axis is not None:
         _check_axis(axis, m)
     options_of: dict[frozenset[tuple[int, int]], tuple[Order, ...]] = {}
+    spent = 0  # sum of (length - 1) over the lists in options_of
     grouped: dict[tuple[int, tuple[Order, ...]], list[int]] = {}
     end = 0
     for ballot, count in zip(*profile.runs):
@@ -121,7 +137,8 @@ def completion_groups(
             continue
         options = options_of.get(ballot.pairs)
         if options is None:
-            options = options_of[ballot.pairs] = _options(ballot, m, axis, cap)
+            options = options_of[ballot.pairs] = _options(ballot, m, axis, cap, spent)
+            spent += len(options) - 1
         grouped.setdefault((ballot.weight, options), []).extend(range(start, end))
 
     groups = [
@@ -131,7 +148,7 @@ def completion_groups(
     if profile.unknown_weight > 0:
         # an unknown agent is a ballot without commitments
         options = options_of.get(frozenset()) or _options(
-            PartialBallot(frozenset(), 1), m, axis, cap
+            PartialBallot(frozenset(), 1), m, axis, cap, spent
         )
         groups.append(OptionGroup(1, profile.unknown_weight, options, ()))
     groups.sort(key=lambda g: (-g.weight, g.indices))
@@ -156,22 +173,40 @@ def iter_assignments(
 
     Within a group the options assigned to its interchangeable ballots form
     a non-decreasing sequence of option indices, so each multiset appears
-    exactly once.  The stream is deterministic, and each group's
-    combinations are produced only as the walk reaches them.
+    exactly once.  The stream is deterministic: an odometer whose last group
+    turns fastest.
+
+    The walk is lazy and holds O(len(groups)) state: one
+    ``combinations_with_replacement`` iterator per group, restarted when the
+    group before it turns, so no group's multisets are ever stored.  The
+    first assignment of a space of any size comes at once.
     """
-    chosen: list[tuple[Order, ...]] = []
-
-    def walk(gi: int) -> Iterator[tuple[tuple[Order, ...], ...]]:
-        if gi == len(groups):
-            yield tuple(chosen)
+    spaces = [(group.options, group.count) for group in groups]
+    if not spaces:
+        yield ()
+        return
+    if any(count and not options for options, count in spaces):
+        return  # a group with ballots but no options has no multiset
+    # the last group is walked by a plain loop under a fixed head; the
+    # others turn only when it runs out
+    *outer, last = spaces
+    turning = [combinations_with_replacement(*space) for space in outer]
+    head = [next(it) for it in turning]
+    while True:
+        prefix = tuple(head)
+        for combo in combinations_with_replacement(*last):
+            yield prefix + (combo,)
+        gi = len(turning) - 1
+        while gi >= 0:
+            combo = next(turning[gi], None)
+            if combo is not None:
+                head[gi] = combo
+                break
+            turning[gi] = combinations_with_replacement(*outer[gi])
+            head[gi] = next(turning[gi])
+            gi -= 1
+        else:
             return
-        group = groups[gi]
-        for combo in combinations_with_replacement(group.options, group.count):
-            chosen.append(combo)
-            yield from walk(gi + 1)
-            chosen.pop()
-
-    return walk(0)
 
 
 def completed_arrays(

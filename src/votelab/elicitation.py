@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Collection, Iterator, Sequence
 
 from .completions import (
     Order,
     OptionGroup,
     check_cap,
-    completed_arrays,
     completion_groups,
     fixed_view,
     iter_assignments,
@@ -281,8 +280,13 @@ def _winner_stream(
 
     def scored():
         m, total = profile.m, profile.total_weight
+        fixed, fixed_weights = profile.fixed_arrays
+        # every assignment gives each group's ballots their weight in group order
+        weights = fixed_weights + tuple(
+            chain.from_iterable(repeat(g.weight, g.count) for g in groups)
+        )
         for assignment in iter_assignments(groups):
-            orders, weights = completed_arrays(profile, groups, assignment)
+            orders = sum(assignment, fixed)  # fixed orders, then each group's combo
             yield assignment, _achievable_ids(rule, orders, weights, m, total, cap=cap)
     return groups, scored()
 

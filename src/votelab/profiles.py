@@ -468,35 +468,50 @@ def linear_extensions(
     than m candidates raises InvalidProfile.
     """
     full, above, widen = _placement_masks(ballot, m, axis)
+    return _extensions(full, above, widen, cap)
+
+
+def _extensions(
+    full: int, above: list[int], widen: list[int], cap: int | None
+) -> Iterator[tuple[int, ...]]:
+    # One frame per placed prefix: [placed, reach, untried, produced on
+    # entry].  prefix ranks exactly the placed candidates of the top frame;
+    # reach ORs their widen masks, and is 0 before the first, which may be
+    # any candidate.  A frame's untried candidates are saved when it
+    # descends, and a frame that produced nothing marks its placed set dead.
+    if not full:  # no candidates: the empty order is the one extension
+        charge(1, cap, "extensions of a ballot")
+        yield ()
+        return
     produced = 0
     prefix: list[int] = []
     dead: set[int] = set()
-
-    def walk(placed: int, reach: int) -> Iterator[tuple[int, ...]]:
-        # prefix ranks exactly the placed candidates; reach ORs their widen
-        # masks, and is 0 before the first, which may be any candidate
-        nonlocal produced
-        if placed == full:
-            produced = charge(produced + 1, cap, "extensions of a ballot")
-            yield tuple(prefix)
-            return
-        if placed in dead:
-            return
-        before = produced
-        open_ = (reach or full) & ~placed
-        while open_:
-            bit = open_ & -open_
-            open_ ^= bit
+    frames = [[0, 0, full, 0]]
+    while frames:
+        frame = frames[-1]
+        placed, reach, untried, before = frame
+        while untried:
+            bit = untried & -untried
+            untried ^= bit
             cand = bit.bit_length() - 1
             if above[cand] & ~placed:
                 continue
-            prefix.append(cand)
-            yield from walk(placed | bit, reach | widen[cand])
-            prefix.pop()
-        if produced == before:
-            dead.add(placed)
-
-    return walk(0, 0)
+            child = placed | bit
+            if child == full:
+                produced = charge(produced + 1, cap, "extensions of a ballot")
+                yield (*prefix, cand)
+            elif child not in dead:
+                frame[2] = untried
+                prefix.append(cand)
+                child_reach = reach | widen[cand]
+                frames.append([child, child_reach, (child_reach or full) & ~child, produced])
+                break
+        else:
+            frames.pop()
+            if prefix:
+                prefix.pop()
+            if produced == before:
+                dead.add(placed)
 
 
 def _count_extensions(

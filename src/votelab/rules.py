@@ -472,6 +472,10 @@ def _scoring_scores(orders: Orders, weights: Weights, m: int, vector: tuple[int,
 
 def _top_tallies(orders: Orders, weights: Weights, m: int, alive: frozenset[int]) -> list[int]:
     tally = [0] * m
+    if len(alive) == m:  # every first choice is alive
+        for order, w in zip(orders, weights):
+            tally[order[0]] += w
+        return tally
     for order, w in zip(orders, weights):
         for cand in order:
             if cand in alive:
@@ -481,6 +485,7 @@ def _top_tallies(orders: Orders, weights: Weights, m: int, alive: frozenset[int]
 
 
 def _stv_winners(
+    rule: Stv,
     orders: Orders,
     weights: Weights,
     m: int,
@@ -517,11 +522,13 @@ def _stv_winners(
 
 
 def _runoff_winners(
+    rule: Runoff,
     orders: Orders,
     weights: Weights,
     m: int,
     total: int,
     branch: bool,
+    cap: int | None,
 ) -> frozenset[int]:
     alive = frozenset(range(m))
     tally = _top_tallies(orders, weights, m, alive)
@@ -596,6 +603,58 @@ def _hybrid_rounds(
         yield winners if branch else [min(winners)]
 
 
+def _scoring_ids(
+    rule: Scoring,
+    orders: Orders,
+    weights: Weights,
+    m: int,
+    total: int,
+    branch: bool,
+    cap: int | None,
+) -> frozenset[int]:
+    winners = _argmax_set(_scoring_scores(orders, weights, m, rule.vector_for(m)))
+    return winners if branch else frozenset((min(winners),))
+
+
+def _pairwise_ids(
+    rule: Cup | Copeland | Copeland2,
+    orders: Orders,
+    weights: Weights,
+    m: int,
+    total: int,
+    branch: bool,
+    cap: int | None,
+) -> frozenset[int]:
+    sign = sign_matrix(pairwise_counts(orders, weights, m), total)
+    return achievable_from_sign(rule, sign, branch=branch)
+
+
+def _hybrid_ids(
+    rule: Hybrid,
+    orders: Orders,
+    weights: Weights,
+    m: int,
+    total: int,
+    branch: bool,
+    cap: int | None,
+) -> frozenset[int]:
+    rounds = _hybrid_rounds(rule.pairing, orders, weights, m, total, branch, cap)
+    return frozenset(chain.from_iterable(rounds))
+
+
+#: The one rule table: each rule type's decider, called with
+#: (rule, orders, weights, m, total, branch, cap).
+_DECIDERS: dict[type, Callable[..., frozenset[int]]] = {
+    Scoring: _scoring_ids,
+    Cup: _pairwise_ids,
+    Copeland: _pairwise_ids,
+    Copeland2: _pairwise_ids,
+    Stv: _stv_winners,
+    Runoff: _runoff_winners,
+    Hybrid: _hybrid_ids,
+}
+
+
 def _achievable_ids(
     rule: Rule,
     orders: Orders,
@@ -613,21 +672,10 @@ def _achievable_ids(
     """
     if m == 1:
         return frozenset((0,))
-    if isinstance(rule, Scoring):
-        scores = _scoring_scores(orders, weights, m, rule.vector_for(m))
-        winners = _argmax_set(scores)
-        return winners if branch else frozenset((min(winners),))
-    if isinstance(rule, PAIRWISE_RULES):
-        sign = sign_matrix(pairwise_counts(orders, weights, m), total)
-        return achievable_from_sign(rule, sign, branch=branch)
-    if isinstance(rule, Stv):
-        return _stv_winners(orders, weights, m, total, branch, cap)
-    if isinstance(rule, Runoff):
-        return _runoff_winners(orders, weights, m, total, branch)
-    if isinstance(rule, Hybrid):
-        rounds = _hybrid_rounds(rule.pairing, orders, weights, m, total, branch, cap)
-        return frozenset(chain.from_iterable(rounds))
-    raise InvalidProfile(f"unknown rule {rule!r}")
+    decide = _DECIDERS.get(type(rule))
+    if decide is None:
+        raise InvalidProfile(f"unknown rule {rule!r}")
+    return decide(rule, orders, weights, m, total, branch, cap)
 
 
 # ---------------------------------------------------------------------------

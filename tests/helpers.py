@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from operator import is_
 from typing import Iterator, Sequence
 
@@ -32,6 +32,8 @@ from votelab import (
     single_peaked_orders,
     winner,
 )
+from votelab.errors import charge
+from votelab.profiles import _placement_masks
 
 Order = tuple[int, ...]
 
@@ -347,6 +349,105 @@ def brute_stv(
         return out
 
     return round_(frozenset(range(m)))
+
+
+# ---------------------------------------------------------------------------
+# The enumeration's walks and STV tally, as the plain code they replaced
+
+
+def recursive_assignments(groups: Sequence) -> Iterator[tuple[tuple[Order, ...], ...]]:
+    """``iter_assignments`` as one recursive ``yield from`` frame per group."""
+    chosen: list[tuple[Order, ...]] = []
+
+    def walk(gi: int) -> Iterator[tuple[tuple[Order, ...], ...]]:
+        if gi == len(groups):
+            yield tuple(chosen)
+            return
+        group = groups[gi]
+        for combo in combinations_with_replacement(group.options, group.count):
+            chosen.append(combo)
+            yield from walk(gi + 1)
+            chosen.pop()
+
+    return walk(0)
+
+
+def recursive_extensions(
+    ballot: PartialBallot, m: int, cap: int | None, axis: Axis | None = None
+) -> Iterator[Order]:
+    """``linear_extensions`` as one recursive frame per placed candidate,
+    with the same dead-set memo and the same charge per extension."""
+    full, above, widen = _placement_masks(ballot, m, axis)
+    produced = 0
+    prefix: list[int] = []
+    dead: set[int] = set()
+
+    def walk(placed: int, reach: int) -> Iterator[Order]:
+        nonlocal produced
+        if placed == full:
+            produced = charge(produced + 1, cap, "extensions of a ballot")
+            yield tuple(prefix)
+            return
+        if placed in dead:
+            return
+        before = produced
+        open_ = (reach or full) & ~placed
+        while open_:
+            bit = open_ & -open_
+            open_ ^= bit
+            cand = bit.bit_length() - 1
+            if above[cand] & ~placed:
+                continue
+            prefix.append(cand)
+            yield from walk(placed | bit, reach | widen[cand])
+            prefix.pop()
+        if produced == before:
+            dead.add(placed)
+
+    return walk(0, 0)
+
+
+def frontier_stv_winners(
+    orders: Sequence[Order],
+    weights: Sequence[int],
+    m: int,
+    total: int,
+    branch: bool,
+    cap: int | None,
+) -> frozenset[int]:
+    """STV one elimination level at a time over a frontier of alive sets,
+    each tallied by walking every order to its first alive candidate."""
+    out: set[int] = set()
+    frontier = {frozenset(range(m))}
+    states = 0
+    while frontier:
+        states = charge(states + len(frontier), cap, "STV elimination candidate sets")
+        following: set[frozenset[int]] = set()
+        for alive in frontier:
+            tally = walked_top_tallies(orders, weights, m, alive)
+            leader = max(alive, key=tally.__getitem__)
+            if 2 * tally[leader] > total:
+                out.add(leader)
+                continue
+            least = min(tally[c] for c in alive)
+            tied = [c for c in alive if tally[c] == least]
+            for cand in tied if branch else (max(tied),):
+                following.add(alive - {cand})
+        frontier = following
+    return frozenset(out)
+
+
+def walked_top_tallies(
+    orders: Sequence[Order], weights: Sequence[int], m: int, alive: frozenset[int]
+) -> list[int]:
+    """Each order's weight on its first alive candidate, found by a walk."""
+    tally = [0] * m
+    for order, w in zip(orders, weights):
+        for cand in order:
+            if cand in alive:
+                tally[cand] += w
+                break
+    return tally
 
 
 def cyclic_profile(m: int) -> Profile:

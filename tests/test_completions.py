@@ -1,5 +1,6 @@
 """Joint-completion groups, assignment streams, and caps."""
 
+import itertools
 import random
 import tracemalloc
 
@@ -8,17 +9,21 @@ import pytest
 from votelab import (
     Axis,
     CapExceeded,
+    Copeland,
     ModelMismatch,
     NotCompletableSP,
     PartialBallot,
     Profile,
     WeightedBallot,
+    borda,
     candidates_from_labels,
     completion_groups,
     completed_profile,
     iter_assignments,
+    possible_winners,
     space_size,
 )
+from votelab import completions
 from votelab.completions import OptionGroup, check_cap, completed_arrays, fixed_view
 from votelab.manipulation import _preference_view
 
@@ -123,6 +128,39 @@ class TestAssignments:
             "bc||bb", "bc||bc", "bc||cc",
             "cc||bb", "cc||bc", "cc||cc",
         ]
+
+    def test_stream_equals_the_recursive_walk(self):
+        # count-0 groups take one empty combo; a group with no options and a
+        # positive count empties the stream
+        rng = random.Random(41)
+        pool = list(itertools.permutations(range(3)))
+        for _ in range(400):
+            groups = tuple(
+                OptionGroup(
+                    rng.randint(1, 5),
+                    rng.randint(0, 3),
+                    tuple(rng.sample(pool, rng.choice((0, 1, 1, 2, 3, 4)))),
+                    (),
+                )
+                for _ in range(rng.randint(0, 4))
+            )
+            assert list(iter_assignments(groups)) == list(H.recursive_assignments(groups))
+        assert list(iter_assignments(())) == [()] == list(H.recursive_assignments(()))
+
+    def test_first_assignment_of_a_huge_space_comes_at_once(self):
+        # no group's multisets are stored: itertools.product would hold
+        # C(125, 6), about 4.7e9, combos of each group before the first item
+        orders = tuple(itertools.permutations(range(5)))
+        groups = tuple(OptionGroup(1, 6, orders, ()) for _ in range(3))
+        assert space_size(groups) > 10**12
+        tracemalloc.start()
+        try:
+            first = next(iter_assignments(groups))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == ((orders[0],) * 6,) * 3
+        assert peak < 2**20
 
     def test_completed_profile_preserves_positions(self):
         partial = PartialBallot({(1, 0)}, 2)
@@ -305,6 +343,29 @@ class TestCaps:
                 tracemalloc.stop()
             assert exc.value.estimate == count
             assert peak < 2**20
+
+    def test_option_lists_are_charged_as_they_are_built(self, monkeypatch):
+        # ten one-pair ballots at m = 8 hold 20,160 orders each; the sum of
+        # (length - 1) passes the cap at the fifth list, refused unbuilt
+        m = 8
+        pairs = list(itertools.combinations(range(m), 2))[:10]
+        ballots = (vote(range(m), 3),) + tuple(PartialBallot({pair}, 2) for pair in pairs)
+        p = Profile(cands(m), ballots)
+        built = [0]
+        walk = completions.linear_extensions
+
+        def counted(*args):
+            for order in walk(*args):
+                built[0] += 1
+                yield order
+
+        monkeypatch.setattr(completions, "linear_extensions", counted)
+        for rule in (Copeland(), borda()):
+            built[0] = 0
+            with pytest.raises(CapExceeded, match="options across the free ballots") as exc:
+                possible_winners(rule, p, cap=100_000)
+            assert built[0] == 4 * 20_160
+            assert exc.value.estimate == 5 * 20_159
 
     def test_committed_ballot_within_the_cap_is_listed(self):
         # a chain over eight of ten candidates leaves 10!/8! = 90 extensions

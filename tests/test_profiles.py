@@ -347,6 +347,30 @@ class TestLinearExtensions:
                 assert order.index(a) < order.index(b)
 
 
+    def test_walk_equals_the_recursive_walk_under_every_small_cap(self):
+        # the same orders in the same order, and a refusal at the same
+        # extension with the same estimate; an axis brings in dead placed sets
+        def drain(stream):
+            produced = []
+            try:
+                produced.extend(stream)
+            except CapExceeded as exc:
+                return produced, exc.estimate
+            return produced, None
+
+        rng = random.Random(43)
+        refused = 0
+        for _ in range(150):
+            m = rng.randint(1, 5)
+            axis = Axis(tuple(rng.sample(range(m), m))) if rng.random() < 0.5 else None
+            b = H.rand_partial(rng, m, 1)
+            for cap in (*range(51), None):
+                got = drain(linear_extensions(b, m, cap, axis))
+                assert got == drain(H.recursive_extensions(b, m, cap, axis))
+                refused += got[1] is not None
+        assert refused > 0
+
+
 class TestSinglePeaked:
     AXIS = Axis((0, 1, 2))
 

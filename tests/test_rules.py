@@ -36,6 +36,7 @@ from votelab import (
     veto,
     winner,
 )
+from votelab import rules as rules_module
 from votelab.rules import MAX_AGENDA_DEPTH, _achievable_ids, pairwise_counts, sign_matrix
 
 import helpers as H
@@ -414,6 +415,46 @@ class TestEliminationRules:
         assert winner(Runoff(), p).label == "B"
         assert winner(Stv(), p).label == "A"
 
+    def test_stv_and_runoff_equal_the_walked_tallies(self, monkeypatch):
+        # small weights give elimination ties and even totals; small caps
+        # refuse some frontiers, and the refusal must match too
+        def outcome(decide):
+            try:
+                return decide()
+            except CapExceeded as exc:
+                return ("refused", exc.estimate)
+
+        rng = random.Random(47)
+        cases = []
+        for _ in range(300):
+            m = rng.randint(2, 6)
+            n = rng.randint(1, 8)
+            orders = tuple(H.rand_order(rng, m) for _ in range(n))
+            weights = tuple(rng.randint(1, 3) for _ in range(n))
+            cases.append((orders, weights, m, sum(weights)))
+        modes = [(branch, cap) for branch in (True, False) for cap in (None, 0, 1, 2, 3, 5, 8)]
+
+        def run_all(rule):
+            return [
+                outcome(lambda: _achievable_ids(rule, o, w, m, total, branch=b, cap=cap))
+                for o, w, m, total in cases
+                for b, cap in modes
+            ]
+
+        stv = run_all(Stv())
+        referee = [
+            outcome(lambda: H.frontier_stv_winners(o, w, m, total, b, cap))
+            for o, w, m, total in cases
+            for b, cap in modes
+        ]
+        assert stv == referee
+        assert any(isinstance(ids, tuple) for ids in stv)  # some refusals
+        assert any(isinstance(ids, frozenset) and len(ids) > 1 for ids in stv)  # some ties
+        runoff = run_all(Runoff())
+        monkeypatch.setattr(rules_module, "_top_tallies", H.walked_top_tallies)
+        assert runoff == run_all(Runoff())
+        assert stv == run_all(Stv())
+
 
 class TestHybrid:
     def test_pair_then_plurality(self):
@@ -441,6 +482,13 @@ class TestHybrid:
 
 
 class TestRuleValidationAtCall:
+    def test_unknown_rule_is_refused_by_the_table(self):
+        orders, weights = ((0, 1), (1, 0)), (2, 1)
+        for thing in (object(), None, Scoring):
+            with pytest.raises(InvalidProfile, match="unknown rule"):
+                _achievable_ids(thing, orders, weights, 2, 3)
+        assert _achievable_ids(object(), ((0,),), (1,), 1, 1) == frozenset((0,))
+
     def test_cup_agenda_must_match_profile(self):
         p = Profile(cands(3), (vote((0, 1, 2), 1),))
         with pytest.raises(InvalidProfile):
