@@ -15,15 +15,17 @@ option list that could pass ``cap``, alone or added to the running sum of
 built, so ``cap`` bounds the orders built as well as the completions.
 
 ``iter_assignments`` walks the merged space lazily, in O(number of groups)
-memory, so a stream stopped early costs only what it visited.
+memory, so a stream stopped early costs only what it visited.  An optional
+hook, asked each time a group takes a multiset, may skip every assignment
+below it; the rest come in the same order.
 
 No rule is read here: ``elicitation._winner_stream`` builds the groups and
 runs either engine over them, scoring each assignment's orders (the fixed
-orders, then each group's) with the rule or summing pairwise projections
-for Cup and Copeland(2).  Possible winners, the termination planner's
-engine and both manipulation models differ only in when they stop the
-stream and in which ballots they leave free, which ``fixed_view`` alone
-decides.
+orders, then each group's) with the rule, and pruning with the rule's bound
+through the hook, or summing pairwise projections for Cup and Copeland(2).
+Possible winners, the termination planner's engine and both manipulation
+models differ only in when they stop the stream and in which ballots they
+leave free, which ``fixed_view`` alone decides.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, permutations, repeat
-from typing import Collection, Iterator, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 from .errors import ModelMismatch, NotCompletableSP, charge, within
 from .profiles import (
@@ -168,6 +170,7 @@ def check_cap(groups: Sequence[OptionGroup], cap: int | None) -> int:
 
 def iter_assignments(
     groups: Sequence[OptionGroup],
+    enter: Callable[[int, tuple[Order, ...]], bool] | None = None,
 ) -> Iterator[tuple[tuple[Order, ...], ...]]:
     """Yield one options-tuple per group (one order per ballot in the group).
 
@@ -175,6 +178,11 @@ def iter_assignments(
     a non-decreasing sequence of option indices, so each multiset appears
     exactly once.  The stream is deterministic: an odometer whose last group
     turns fastest.
+
+    ``enter``, when given, is called each time a group other than the last
+    takes a multiset, with the group's depth and that multiset; False skips
+    every assignment below, and the group turns on.  The assignments it lets
+    through come in the same order as without it.
 
     The walk is lazy and holds O(len(groups)) state: one
     ``combinations_with_replacement`` iterator per group, restarted when the
@@ -188,25 +196,32 @@ def iter_assignments(
     if any(count and not options for options, count in spaces):
         return  # a group with ballots but no options has no multiset
     # the last group is walked by a plain loop under a fixed head; the
-    # others turn only when it runs out
+    # others turn only when it runs out or ``enter`` refuses their multiset
     *outer, last = spaces
-    turning = [combinations_with_replacement(*space) for space in outer]
-    head = [next(it) for it in turning]
+    turning = [combinations_with_replacement(*space) for space in outer[:1]]
+    head: list[tuple[Order, ...]] = []
     while True:
+        gi = len(head)
+        if gi < len(outer):
+            for combo in turning[gi]:
+                if enter is None or enter(gi, combo):
+                    head.append(combo)
+                    break
+            else:  # the group ran out; the one before it turns on
+                turning.pop()
+                if not head:
+                    return
+                head.pop()
+                continue
+            if gi + 1 < len(outer):
+                turning.append(combinations_with_replacement(*outer[gi + 1]))
+            continue
         prefix = tuple(head)
         for combo in combinations_with_replacement(*last):
             yield prefix + (combo,)
-        gi = len(turning) - 1
-        while gi >= 0:
-            combo = next(turning[gi], None)
-            if combo is not None:
-                head[gi] = combo
-                break
-            turning[gi] = combinations_with_replacement(*outer[gi])
-            head[gi] = next(turning[gi])
-            gi -= 1
-        else:
+        if not head:
             return
+        head.pop()
 
 
 def completed_arrays(

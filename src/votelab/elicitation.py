@@ -12,7 +12,8 @@ is over exactly when a single possible winner remains.
 
 Every termination question is planned in one place, ``_elicitation_over``,
 from its input alone.  Where no polynomial path fits, ``_winner_stream``
-picks the engine and runs it, and the manipulation models read their
+picks the engine and runs it, pruning the enumeration by branch and bound
+where the rule has a bound, and the manipulation models read their
 witnesses from the same stream (``_witness``).
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import chain, combinations, repeat
-from typing import Collection, Iterator, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 from .completions import (
     Order,
@@ -50,6 +51,7 @@ from .rules import (
     Rule,
     _achievable_ids,
     _hybrid_rounds,
+    _rule_bound,
     achievable_from_sign,
     validate_rule_for,
 )
@@ -255,6 +257,97 @@ def _read_back(groups: Sequence[OptionGroup], trail: Sequence, vec: int) -> Assi
     return tuple(reversed(assignment))
 
 
+class _Pruner:
+    """``iter_assignments``' hook for a rule with a bound: prune a node when
+    the bound of every completion below it lies inside ``seen``.
+
+    ``stats[d]`` is the statistic of the fixed ballots and of the multisets
+    the first d groups hold now; the bound of a node at depth d reads it plus
+    the least and the most the later groups can add.  ``seen`` is read live,
+    so a caller may grow it while the stream runs.  Until the stream arms
+    the pruner, and while ``seen`` is empty, nothing is built and nothing is
+    pruned; then each option list's statistics are built once, and the fixed
+    ballots' once.  A node with one completion below is scored, not bounded.
+    """
+
+    armed = False
+
+    def __init__(
+        self,
+        rule: Rule,
+        profile: Profile,
+        groups: Sequence[OptionGroup],
+        seen: Collection[int],
+        bound: tuple[Callable, Callable],
+    ) -> None:
+        self.rule, self.profile, self.groups, self.seen = rule, profile, groups, seen
+        self.statistics, self.bound = bound
+        self.heads: list[tuple[Order, ...]] = [()] * len(groups)
+        self.stats: list[list[int]] = []
+
+    def __call__(self, depth: int, combo: tuple[Order, ...]) -> bool:
+        self.heads[depth] = combo
+        if not self.armed:
+            return True
+        del self.stats[depth + 1 :]
+        return not self.useless(depth + 1)
+
+    def _build(self) -> None:
+        statistics, rule, m, groups = self.statistics, self.rule, self.profile.m, self.groups
+        lists: dict[int, tuple] = {}  # id of an option list -> (stats by order, least, most)
+        for group in groups:
+            if id(group.options) not in lists:
+                vecs = statistics(rule, group.options, m)
+                columns = list(zip(*vecs))
+                lists[id(group.options)] = (
+                    dict(zip(group.options, vecs)),
+                    list(map(min, columns)),
+                    list(map(max, columns)),
+                )
+        # the identity order, at weight 0, gives the width when no ballot is fixed
+        weight_of: dict[Order, int] = {tuple(range(m)): 0}
+        for order, weight in zip(*self.profile.fixed_arrays):
+            weight_of[order] = weight_of.get(order, 0) + weight
+        vecs = statistics(rule, tuple(weight_of), m)
+        fixed = [sum(w * v for w, v in zip(weight_of.values(), column)) for column in zip(*vecs)]
+        # at depth d: the completions below, and the least and most groups d.. add
+        self.below, self.lo_rest, self.hi_rest = [1], [[0] * len(fixed)], [[0] * len(fixed)]
+        for group in reversed(groups):
+            _, least, most = lists[id(group.options)]
+            bulk = group.weight * group.count
+            self.below.append(self.below[-1] * group.size)
+            self.lo_rest.append([r + bulk * v for r, v in zip(self.lo_rest[-1], least)])
+            self.hi_rest.append([r + bulk * v for r, v in zip(self.hi_rest[-1], most)])
+        for table in (self.below, self.lo_rest, self.hi_rest):
+            table.reverse()
+        self.vecs = [lists[id(group.options)][0] for group in groups]
+        self.stats.append(fixed)
+
+    def useless(self, depth: int) -> bool:
+        """Does the bound below the first ``depth`` groups' multisets lie
+        inside ``seen``?"""
+        seen = self.seen
+        if not seen:
+            return False
+        stats = self.stats
+        if not stats:
+            self._build()
+        if self.below[depth] == 1:
+            return False
+        while len(stats) <= depth:
+            d = len(stats) - 1
+            stat, vecs, weight = stats[d], self.vecs[d], self.groups[d].weight
+            for order in self.heads[d]:
+                stat = [s + weight * v for s, v in zip(stat, vecs[order])]
+            stats.append(stat)
+        stat = stats[depth]
+        lo = [s + r for s, r in zip(stat, self.lo_rest[depth])]
+        hi = [s + r for s, r in zip(stat, self.hi_rest[depth])]
+        rule, bound = self.rule, self.bound
+        m, total = self.profile.m, self.profile.total_weight
+        return not any(bound(rule, c, lo, hi, m, total) for c in range(m) if c not in seen)
+
+
 def _winner_stream(
     rule: Rule,
     profile: Profile,
@@ -262,12 +355,21 @@ def _winner_stream(
     *,
     axis: Axis | None = None,
     target: int | None = None,
+    seen: Collection[int] = (),
 ) -> tuple[tuple[OptionGroup, ...], Iterator[tuple[Assignment | None, frozenset[int]]]]:
     """The profile's option groups and the (assignment or None, achievable ids)
     stream of the engine that fits the rule: the pairwise projection for Cup
-    and Copeland(2), else every joint completion scored with the rule, target-
+    and Copeland(2), else the joint completions scored with the rule, target-
     topmost options first, refused here past ``cap`` and while scoring when an
-    STV elimination passes it.  Callers stop the stream once they can answer."""
+    STV elimination passes it.  Callers stop the stream once they can answer.
+
+    The enumeration is branch and bound where the rule has a bound: it skips
+    every subtree of completions whose bound lies inside ``seen`` (read live;
+    a caller may grow it), and stops when the root's does, so it yields only
+    items that may add an id outside ``seen``, in the order it would yield
+    them all, from the point where it has scored two completions per order
+    the bound's build reads.
+    """
     groups = completion_groups(profile, axis=axis, cap=cap)
     if isinstance(rule, PAIRWISE_RULES):
         return groups, _pairwise_possible_ids(rule, profile, groups, cap, target=target)
@@ -276,7 +378,13 @@ def _winner_stream(
             replace(g, options=tuple(sorted(g.options, key=lambda o: (o.index(target), o))))
             for g in groups
         )
-    check_cap(groups, cap)
+    size = check_cap(groups, cap)
+    bound = _rule_bound(rule, profile.m)
+    # building the bound reads every order of each option list, at about the
+    # cost of scoring a completion per order, so the walk bounds nothing
+    # before it has scored twice that many completions
+    lead = 2 * sum({id(g.options): len(g.options) for g in groups}.values())
+    prune = _Pruner(rule, profile, groups, seen, bound) if bound and size > lead else None
 
     def scored():
         m, total = profile.m, profile.total_weight
@@ -285,9 +393,14 @@ def _winner_stream(
         weights = fixed_weights + tuple(
             chain.from_iterable(repeat(g.weight, g.count) for g in groups)
         )
-        for assignment in iter_assignments(groups):
+        bounded = None  # the size of seen when the root was last bounded
+        for walked, assignment in enumerate(iter_assignments(groups, prune), 1):
             orders = sum(assignment, fixed)  # fixed orders, then each group's combo
             yield assignment, _achievable_ids(rule, orders, weights, m, total, cap=cap)
+            if prune is not None and lead <= walked < size and len(seen) != bounded:
+                prune.armed, bounded = True, len(seen)
+                if prune.useless(0):
+                    return
     return groups, scored()
 
 
@@ -296,7 +409,8 @@ def _witness(
 ) -> tuple[Sequence[OptionGroup], Assignment | None]:
     """One assignment of the view's free ballots electing the target under
     ties in its favour (None if there is none), and the groups it indexes."""
-    groups, stream = _winner_stream(rule, view, cap, target=target)
+    others = set(range(view.m)) - {target}
+    groups, stream = _winner_stream(rule, view, cap, target=target, seen=others)
     return groups, next((assignment for assignment, ids in stream if target in ids), None)
 
 
@@ -313,7 +427,7 @@ def _possible_ids(
     if m == 1:
         return frozenset((0,))
     found: set[int] = set()
-    for _, ids in _winner_stream(rule, profile, cap, axis=axis)[1]:
+    for _, ids in _winner_stream(rule, profile, cap, axis=axis, seen=found)[1]:
         found |= ids
         if len(found) == m or (stop_at is not None and len(found) >= stop_at):
             break
@@ -330,8 +444,9 @@ def possible_winners(
 
     Raises CapExceeded rather than returning a truncated answer when the
     completion space (after symmetry merging) is larger than ``cap``, or
-    when one completion's STV elimination search reaches more than ``cap``
-    candidate sets.
+    when the STV elimination search of a completion the walk visits reaches
+    more than ``cap`` candidate sets; completions in a subtree the rule's
+    bound rules out are not visited.
     """
     ids = _possible_ids(rule, profile, cap=cap)
     return frozenset(profile.candidates[i] for i in ids)

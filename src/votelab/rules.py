@@ -642,17 +642,112 @@ def _hybrid_ids(
     return frozenset(chain.from_iterable(rounds))
 
 
+# ---------------------------------------------------------------------------
+# Bounds over sets of elections
+#
+# A bound reads a statistic, a list of ints to which each ballot adds its
+# weight times its order's entry in ``statistics(rule, orders, m)``.  Given
+# ``lo`` and ``hi``, the least and most of each coordinate over a set of
+# elections of total weight ``total``, ``bound(rule, c, lo, hi, m, total)``
+# is False only when c wins no election of the set under any resolution of
+# its ties.  The ids it keeps are a superset of the set's winners.
+
+
+def _scoring_statistics(rule: Scoring, orders: Sequence[Sequence[int]], m: int) -> list[list[int]]:
+    """Each candidate's score from one unit of weight on each order."""
+    vector = rule.vector_for(m)
+    out = []
+    for order in orders:
+        score = [0] * m
+        for position, cand in enumerate(order):
+            score[cand] = vector[position]
+        out.append(score)
+    return out
+
+
+def _scoring_bound(
+    rule: Scoring, c: int, lo: Sequence[int], hi: Sequence[int], m: int, total: int
+) -> bool:
+    """Does c's most score reach every candidate's least score?"""
+    return hi[c] >= max(lo)
+
+
+def _pair_at(i: int, j: int, m: int) -> int:
+    """Where the elimination statistic keeps the pair i < j: after the m
+    first-place weights, the pairs in lexicographic order."""
+    return m + i * (2 * m - i - 1) // 2 + j - i - 1
+
+
+def _elimination_statistics(
+    rule: Stv | Runoff, orders: Sequence[Sequence[int]], m: int
+) -> list[list[int]]:
+    """From one unit of weight on each order: each candidate's first-place
+    weight, then, at ``_pair_at(i, j, m)`` for each pair i < j, the weight
+    ranking i over j."""
+    at = [[_pair_at(i, j, m) if i < j else -1 for j in range(m)] for i in range(m)]
+    out = []
+    for order in orders:
+        stat = [0] * (m + m * (m - 1) // 2)
+        stat[order[0]] = 1
+        for k, i in enumerate(order):
+            row = at[i]
+            for j in order[k + 1 :]:
+                if i < j:
+                    stat[row[j]] = 1
+        out.append(stat)
+    return out
+
+
+def _reach(c: int, d: int, lo: Sequence[int], hi: Sequence[int], m: int, total: int) -> int:
+    """The most weight that may rank c over d: all of it less the least that
+    ranks d over c, for every ballot ranks one of them over the other."""
+    return hi[_pair_at(c, d, m)] if c < d else total - lo[_pair_at(d, c, m)]
+
+
+def _runoff_bound(
+    rule: Stv | Runoff, c: int, lo: Sequence[int], hi: Sequence[int], m: int, total: int
+) -> bool:
+    """Has c a partner d that c may beat or tie, such that no other candidate
+    must lead either of them in first places?
+
+    A strict first-place majority passes too: its holder beats every rival,
+    and none leads the runner-up.
+    """
+    for d in range(m):
+        if d != c and 2 * _reach(c, d, lo, hi, m, total) >= total:
+            cut = min(hi[c], hi[d])
+            if all(lo[x] <= cut for x in range(m) if x != c and x != d):
+                return True
+    return False
+
+
 #: The one rule table: each rule type's decider, called with
-#: (rule, orders, weights, m, total, branch, cap).
-_DECIDERS: dict[type, Callable[..., frozenset[int]]] = {
-    Scoring: _scoring_ids,
-    Cup: _pairwise_ids,
-    Copeland: _pairwise_ids,
-    Copeland2: _pairwise_ids,
-    Stv: _stv_winners,
-    Runoff: _runoff_winners,
-    Hybrid: _hybrid_ids,
+#: (rule, orders, weights, m, total, branch, cap), and its (statistics, bound)
+#: pair, or None where a rule has no bound: Cup and Copeland(2) take the
+#: pairwise projection, and a hybrid is not bounded.
+_DECIDERS: dict[type, tuple[Callable[..., frozenset[int]], tuple[Callable, Callable] | None]] = {
+    Scoring: (_scoring_ids, (_scoring_statistics, _scoring_bound)),
+    Cup: (_pairwise_ids, None),
+    Copeland: (_pairwise_ids, None),
+    Copeland2: (_pairwise_ids, None),
+    Stv: (_stv_winners, (_elimination_statistics, _runoff_bound)),
+    Runoff: (_runoff_winners, (_elimination_statistics, _runoff_bound)),
+    Hybrid: (_hybrid_ids, None),
 }
+
+
+def _rule_bound(rule: Rule, m: int) -> tuple[Callable, Callable] | None:
+    """The rule's (statistics, bound) pair at m candidates, or None.
+
+    STV shares runoff's bound up to three candidates, where the two rules
+    elect alike (one elimination, then the final pair).  Past three it has
+    none: first-place and head-to-head weights alone bound STV too loosely
+    to pay for their upkeep.
+    """
+    entry = _DECIDERS.get(type(rule))
+    if entry is None or (isinstance(rule, Stv) and m > 3):
+        return None
+    return entry[1]
 
 
 def _achievable_ids(
@@ -672,10 +767,10 @@ def _achievable_ids(
     """
     if m == 1:
         return frozenset((0,))
-    decide = _DECIDERS.get(type(rule))
-    if decide is None:
+    entry = _DECIDERS.get(type(rule))
+    if entry is None:
         raise InvalidProfile(f"unknown rule {rule!r}")
-    return decide(rule, orders, weights, m, total, branch, cap)
+    return entry[0](rule, orders, weights, m, total, branch, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from operator import is_
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from votelab import (
     Axis,
@@ -355,8 +355,11 @@ def brute_stv(
 # The enumeration's walks and STV tally, as the plain code they replaced
 
 
-def recursive_assignments(groups: Sequence) -> Iterator[tuple[tuple[Order, ...], ...]]:
-    """``iter_assignments`` as one recursive ``yield from`` frame per group."""
+def recursive_assignments(
+    groups: Sequence, enter: Callable[[int, tuple[Order, ...]], bool] | None = None
+) -> Iterator[tuple[tuple[Order, ...], ...]]:
+    """``iter_assignments`` as one recursive ``yield from`` frame per group;
+    ``enter`` is asked about each multiset of every group but the last."""
     chosen: list[tuple[Order, ...]] = []
 
     def walk(gi: int) -> Iterator[tuple[tuple[Order, ...], ...]]:
@@ -365,6 +368,8 @@ def recursive_assignments(groups: Sequence) -> Iterator[tuple[tuple[Order, ...],
             return
         group = groups[gi]
         for combo in combinations_with_replacement(group.options, group.count):
+            if enter is not None and gi < len(groups) - 1 and not enter(gi, combo):
+                continue
             chosen.append(combo)
             yield from walk(gi + 1)
             chosen.pop()

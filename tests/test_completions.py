@@ -147,6 +147,40 @@ class TestAssignments:
             assert list(iter_assignments(groups)) == list(H.recursive_assignments(groups))
         assert list(iter_assignments(())) == [()] == list(H.recursive_assignments(()))
 
+    def test_a_refusing_hook_skips_subtrees_in_the_same_order(self):
+        # the hook is offered each multiset of every group but the last, in
+        # the recursive walk's order; False drops the assignments below it
+        rng = random.Random(43)
+        pool = list(itertools.permutations(range(3)))
+        for _ in range(300):
+            groups = tuple(
+                OptionGroup(
+                    rng.randint(1, 5),
+                    rng.randint(0, 3),
+                    tuple(rng.sample(pool, rng.choice((1, 1, 2, 3, 4)))),
+                    (),
+                )
+                for _ in range(rng.randint(1, 5))
+            )
+            salt = rng.random()
+
+            def keeps(depth, combo):
+                return random.Random(f"{salt}{depth}{combo}").random() < 0.7
+
+            def asking(log):
+                return lambda depth, combo: log.append((depth, combo)) or keeps(depth, combo)
+
+            offers: list[list] = [[], []]
+            got = list(iter_assignments(groups, asking(offers[0])))
+            assert got == list(H.recursive_assignments(groups, asking(offers[1])))
+            assert offers[0] == offers[1]
+            assert all(depth < len(groups) - 1 for depth, _ in offers[0])
+            assert got == [
+                a
+                for a in iter_assignments(groups)
+                if all(keeps(d, a[d]) for d in range(len(groups) - 1))
+            ]
+
     def test_first_assignment_of_a_huge_space_comes_at_once(self):
         # no group's multisets are stored: itertools.product would hold
         # C(125, 6), about 4.7e9, combos of each group before the first item

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from votelab import (
+    DEFAULT_COMPLETION_CAP,
     Axis,
     CapExceeded,
     Copeland,
@@ -18,16 +19,23 @@ from votelab import (
     NotCompletableSP,
     Pairing,
     PartialBallot,
+    PartitionInstance,
     Profile,
+    Runoff,
+    Scoring,
     Stv,
     TieBreak,
+    borda,
     candidates_from_labels,
+    coalition_manipulate,
     coarse_elicitation_over,
     condorcet_winner_fixed,
     cup3_fine_over,
     cup_single_peaked_over,
     fine_elicitation_over,
     fine_sp_elicitation_over,
+    gen_stv_sp_elicitation,
+    has_equal_partition_dp,
     hybrid_coarse_over,
     parse_profile,
     parse_rule,
@@ -35,6 +43,8 @@ from votelab import (
     possible_winners,
     preference_manipulate,
     single_peaked_condorcet_winner,
+    space_size,
+    veto,
     winner,
 )
 
@@ -702,3 +712,126 @@ class TestPlanner:
                 assert fine_sp_elicitation_over(rule, p, axis) == H.brute_fine_over(
                     rule, p, axis=axis
                 )
+
+
+class TestBranchAndBound:
+    """The enumeration prunes subtrees whose rule bound adds nothing new."""
+
+    @staticmethod
+    def _count_scored(monkeypatch) -> list[int]:
+        """A one-item list counting the completions the enumeration scores."""
+        scored = [0]
+        achievable = E._achievable_ids
+
+        def counted(*args, **kwargs):
+            scored[0] += 1
+            return achievable(*args, **kwargs)
+
+        monkeypatch.setattr(E, "_achievable_ids", counted)
+        return scored
+
+    @staticmethod
+    def _answers(cases):
+        out = []
+        for rule, p, axis, target, votes, free in cases:
+            cast = Profile(p.candidates, votes, strict_odd=False)
+            pooled = Profile(p.candidates, votes, p.unknown_weight, strict_odd=False)
+            out.append((
+                possible_winners(rule, p, cap=None),
+                fine_elicitation_over(rule, p, cap=None),
+                fine_sp_elicitation_over(rule, p, axis, cap=None) if axis else None,
+                coarse_elicitation_over(rule, pooled, cap=None),
+                preference_manipulate(ManipulationInstance(rule, target, p), cap=None),
+                coalition_manipulate(ManipulationInstance(rule, target, cast, free), cap=None),
+            ))
+        return out
+
+    def test_pruned_stream_answers_as_the_full_walk(self, monkeypatch):
+        # the same answers and the same witnesses, the first electing
+        # assignment, as the walk given no hook; weights up to 40, repeated
+        # ballot objects, unknown units and an axis half the time
+        rng = random.Random(20261019)
+        cases = []
+        while len(cases) < 120:
+            m = rng.randint(2, 5)
+            axis = Axis(H.rand_order(rng, m)) if rng.random() < 0.5 else None
+            sp = sorted(H.single_peaked_orders(axis)) if axis else None
+            draw = (lambda: rng.choice(sp)) if axis else (lambda: H.rand_order(rng, m))
+            votes = []
+            for _ in range(rng.randint(1, 3)):
+                votes += [vote(draw(), rng.randint(1, 40))] * rng.randint(1, 2)
+            ballots = list(votes)
+            for _ in range(rng.randint(2, 5)):
+                weight = rng.randint(1, 40)
+                partial = (
+                    H.rand_sp_partial(rng, m, axis, weight)
+                    if axis
+                    else H.rand_partial(rng, m, weight, lock=rng.random() < 0.5)
+                )
+                ballots += [partial] * rng.randint(1, 2)
+            rng.shuffle(ballots)
+            p = Profile(cands(m), tuple(ballots), rng.randint(0, 2), strict_odd=False)
+            if H.completion_count(p, locked_only=True) > 3000:
+                continue
+            free = frozenset(rng.sample(range(len(votes)), rng.randint(1, min(2, len(votes)))))
+            if m > 4 and len(free) > 1:
+                continue
+            vector = tuple(sorted(rng.sample(range(12), m), reverse=True))
+            rule = rng.choice(
+                [plurality(), veto(), borda(), Scoring(vector=vector), Runoff(), Stv()]
+            )
+            cases.append((rule, p, axis, rng.randrange(m), tuple(votes), free))
+
+        scored = self._count_scored(monkeypatch)
+        pruned, pruned_scored = self._answers(cases), scored[0]
+        scored[0] = 0
+        monkeypatch.setattr(E, "_rule_bound", lambda rule, m: None)
+        full, full_scored = self._answers(cases), scored[0]
+        assert pruned == full
+        assert pruned_scored < full_scored // 2
+
+    def test_a_late_witness_is_still_the_first_of_the_full_walk(self, monkeypatch):
+        # Borda over four candidates with three free ballots: the first
+        # electing assignment is the 1,228th of 13,824, long after the walk
+        # starts pruning subtrees in which the target cannot win
+        ballots = (
+            vote((1, 3, 2, 0), 7),
+            vote((1, 0, 2, 3), 3),
+            vote((1, 0, 2, 3), 4),
+            PartialBallot(frozenset(), 3),
+            PartialBallot(frozenset(), 7),
+            PartialBallot(frozenset(), 2),
+        )
+        inst = ManipulationInstance(borda(), 0, Profile(cands(4), ballots, strict_odd=False))
+        scored = self._count_scored(monkeypatch)
+        pruned = preference_manipulate(inst)
+        assert pruned is not None and scored[0] < 1228
+        monkeypatch.setattr(E, "_rule_bound", lambda rule, m: None)
+        assert preference_manipulate(inst) == pruned
+
+    def test_non_splitting_stv_bags_of_ten_answer_at_the_default_cap(self):
+        # the reduction's hard side: every completion elects the same
+        # candidate, so every subtree below the first must be ruled out
+        rng = random.Random(2026)
+        answered = 0
+        while answered < 5:
+            bag = tuple(rng.randint(1, 40) for _ in range(10))
+            if sum(bag) % 2 or has_equal_partition_dp(bag):
+                continue
+            p, axis = gen_stv_sp_elicitation(PartitionInstance(bag))
+            if space_size(completion_groups(p, axis=axis)) > DEFAULT_COMPLETION_CAP:
+                continue  # the merged space alone is refused, as the next test pins
+            assert fine_sp_elicitation_over(Stv(), p, axis)
+            answered += 1
+
+    def test_the_merged_space_is_still_charged_up_front(self):
+        # pruning leaves the cap's meaning alone: twelve distinct bag values
+        # give 4**12 merged completions, refused before any is scored
+        bag = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 100)
+        assert not has_equal_partition_dp(bag)
+        p, axis = gen_stv_sp_elicitation(PartitionInstance(bag))
+        assert space_size(completion_groups(p, axis=axis)) == 4**12
+        with pytest.raises(CapExceeded) as exc:
+            fine_sp_elicitation_over(Stv(), p, axis)
+        assert exc.value.estimate == 4**12
+        assert fine_sp_elicitation_over(Stv(), p, axis, cap=4**12)

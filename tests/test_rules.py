@@ -1,12 +1,14 @@
 """Winner determination and rule parsing."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votelab import (
+    Axis,
     CapExceeded,
     Copeland,
     Copeland2,
@@ -34,10 +36,20 @@ from votelab import (
     plurality,
     possible_winners,
     veto,
+    completion_groups,
+    iter_assignments,
+    single_peaked_orders,
     winner,
 )
 from votelab import rules as rules_module
-from votelab.rules import MAX_AGENDA_DEPTH, _achievable_ids, pairwise_counts, sign_matrix
+from votelab.completions import completed_arrays
+from votelab.rules import (
+    MAX_AGENDA_DEPTH,
+    _achievable_ids,
+    _rule_bound,
+    pairwise_counts,
+    sign_matrix,
+)
 
 import helpers as H
 from helpers import cands, vote
@@ -454,6 +466,122 @@ class TestEliminationRules:
         monkeypatch.setattr(rules_module, "_top_tallies", H.walked_top_tallies)
         assert runoff == run_all(Runoff())
         assert stv == run_all(Stv())
+
+
+class TestBounds:
+    """Each rule's bound, alone: from the least and most of a statistic over
+    a set of elections it keeps every candidate that wins one of them."""
+
+    RULES = (plurality(), veto(), borda(), "vector", Stv(), Runoff())
+
+    @staticmethod
+    def statistic_of(rule, orders, weights, m):
+        statistics, _ = _rule_bound(rule, m)
+        columns = zip(*statistics(rule, orders, m))
+        return [sum(w * v for w, v in zip(weights, column)) for column in columns]
+
+    def test_the_statistic_is_the_rule_tally(self):
+        rng = random.Random(71)
+        for _ in range(200):
+            m = rng.randint(2, 5)
+            orders = tuple(H.rand_order(rng, m) for _ in range(rng.randint(1, 6)))
+            weights = tuple(rng.randint(1, 40) for _ in orders)
+            vector = tuple(sorted((rng.randint(0, 9) for _ in range(m)), reverse=True))
+            for rule in (borda(), Scoring(vector=vector) if vector[0] > vector[-1] else veto()):
+                scores = [0] * m
+                for order, weight in zip(orders, weights):
+                    for position, cand in enumerate(order):
+                        scores[cand] += weight * rule.vector_for(m)[position]
+                assert self.statistic_of(rule, orders, weights, m) == scores
+            first = [sum(w for o, w in zip(orders, weights) if o[0] == c) for c in range(m)]
+            counts = H.counts_of(orders, weights, m)
+            pairs = [counts[i][j] for i in range(m) for j in range(i + 1, m)]
+            for rule in (Stv(), Runoff()):
+                if _rule_bound(rule, m) is not None:
+                    assert self.statistic_of(rule, orders, weights, m) == first + pairs
+
+    def test_stv_shares_runoff_bound_up_to_three_candidates(self):
+        for m in (2, 3):
+            assert _rule_bound(Stv(), m) == _rule_bound(Runoff(), m) is not None
+        for m in (4, 5, 9):
+            assert _rule_bound(Stv(), m) is None
+            assert _rule_bound(Runoff(), m) is not None
+        for rule in (Copeland(), Copeland2(), Cup(((0, 1), 2)), Hybrid(Pairing(((0, 1),), 2))):
+            assert _rule_bound(rule, 3) is None
+
+    def test_ties_count_as_wins(self):
+        # one complete election is a box with lo == hi; small weights make
+        # its tied scores, first places and head-to-head counts common
+        rng = random.Random(72)
+        tied = 0
+        for _ in range(600):
+            m = rng.randint(2, 5)
+            orders = tuple(H.rand_order(rng, m) for _ in range(rng.randint(1, 4)))
+            weights = tuple(rng.randint(1, 2) for _ in orders)
+            total = sum(weights)
+            for rule in (plurality(), veto(), borda(), Runoff(), Stv()):
+                bound = _rule_bound(rule, m)
+                if bound is None:
+                    continue
+                stat = self.statistic_of(rule, orders, weights, m)
+                winners = _achievable_ids(rule, orders, weights, m, total, cap=None)
+                assert all(bound[1](rule, c, stat, stat, m, total) for c in winners), rule
+                tied += len(winners) > 1
+        assert tied > 300
+
+    def test_each_bound_keeps_every_winner_below_random_nodes(self):
+        # nodes of random completion spaces: weights up to 40, repeated
+        # ballot objects, unknown units, an axis half the time; the box is
+        # the least and most statistic over the completions below, then
+        # widened at random, for a bound must hold on any box around them
+        rng = random.Random(20261019)
+        kept_less = checked = 0
+        while checked < 400:
+            m = rng.choice((2, 3, 3, 4, 5))
+            axis = Axis(H.rand_order(rng, m)) if rng.random() < 0.5 else None
+            sp = sorted(single_peaked_orders(axis)) if axis else None
+            draw = (lambda: rng.choice(sp)) if axis else (lambda: H.rand_order(rng, m))
+            ballots = []
+            for _ in range(rng.randint(1, 3)):
+                ballots += [vote(draw(), rng.randint(1, 40))] * rng.randint(1, 2)
+            for _ in range(rng.randint(1, 3)):
+                weight = rng.randint(1, 40)
+                partial = (
+                    H.rand_sp_partial(rng, m, axis, weight)
+                    if axis
+                    else H.rand_partial(rng, m, weight)
+                )
+                ballots += [partial] * rng.randint(1, 2)
+            p = Profile(cands(m), tuple(ballots), rng.randint(0, 2), strict_odd=False)
+            if H.completion_count(p, axis=axis) > 3000:
+                continue
+            groups = completion_groups(p, axis=axis)
+            rule = rng.choice(self.RULES)
+            if rule == "vector":
+                rule = Scoring(vector=tuple(sorted(rng.sample(range(12), m), reverse=True)))
+            bound = _rule_bound(rule, m)
+            if bound is None:
+                continue
+            depth = rng.randint(0, len(groups))
+            head = tuple(
+                rng.choice(list(combinations_with_replacement(g.options, g.count)))
+                for g in groups[:depth]
+            )
+            total = p.total_weight
+            stats, winners = [], set()
+            for rest in iter_assignments(groups[depth:]):
+                orders, weights = completed_arrays(p, groups, head + rest)
+                stats.append(self.statistic_of(rule, orders, weights, m))
+                winners |= _achievable_ids(rule, orders, weights, m, total, cap=None)
+            lo, hi = list(map(min, zip(*stats))), list(map(max, zip(*stats)))
+            if rng.random() < 0.5:
+                lo = [x - rng.randint(0, 3) for x in lo]
+                hi = [x + rng.randint(0, 3) for x in hi]
+            kept = {c for c in range(m) if bound[1](rule, c, lo, hi, m, total)}
+            assert winners <= kept, (rule, p, head)
+            kept_less += len(kept) < m
+            checked += 1
+        assert kept_less > 100  # the bounds do leave candidates out
 
 
 class TestHybrid:
