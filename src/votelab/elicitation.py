@@ -22,6 +22,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import chain, combinations, repeat
+from operator import mul
 from typing import Callable, Collection, Iterator, Sequence
 
 from .completions import (
@@ -304,12 +305,11 @@ class _Pruner:
                     list(map(min, columns)),
                     list(map(max, columns)),
                 )
-        # the identity order, at weight 0, gives the width when no ballot is fixed
-        weight_of: dict[Order, int] = {tuple(range(m)): 0}
-        for order, weight in zip(*self.profile.fixed_arrays):
-            weight_of[order] = weight_of.get(order, 0) + weight
-        vecs = statistics(rule, tuple(weight_of), m)
-        fixed = [sum(w * v for w, v in zip(weight_of.values(), column)) for column in zip(*vecs)]
+        # the fixed orders are merged already; the identity order, at weight
+        # 0, gives the width when no ballot is fixed
+        orders, weights = self.profile.fixed_arrays
+        vecs = statistics(rule, (tuple(range(m)), *orders), m)
+        fixed = [sum(map(mul, (0, *weights), column)) for column in zip(*vecs)]
         # at depth d: the completions below, and the least and most groups d.. add
         self.below, self.lo_rest, self.hi_rest = [1], [[0] * len(fixed)], [[0] * len(fixed)]
         for group in reversed(groups):
@@ -374,10 +374,13 @@ def _winner_stream(
     if isinstance(rule, PAIRWISE_RULES):
         return groups, _pairwise_possible_ids(rule, profile, groups, cap, target=target)
     if target is not None:  # target-topmost options first, so witnesses surface early
-        groups = tuple(
-            replace(g, options=tuple(sorted(g.options, key=lambda o: (o.index(target), o))))
-            for g in groups
-        )
+        # each shared option list is sorted once and stays shared
+        lists = {id(g.options): g.options for g in groups}
+        ranked = {
+            key: tuple(sorted(options, key=lambda o: (o.index(target), o)))
+            for key, options in lists.items()
+        }
+        groups = tuple(replace(g, options=ranked[id(g.options)]) for g in groups)
     size = check_cap(groups, cap)
     bound = _rule_bound(rule, profile.m)
     # building the bound reads every order of each option list, at about the

@@ -29,7 +29,7 @@ from .profiles import (
     Profile,
     WeightedBallot,
 )
-from .rules import Rule, TieBreak, winner
+from .rules import Rule, TieBreak, _cand_id, winner
 from .manipulation import ManipulationInstance, _preference_view
 
 Order = tuple[int, ...]
@@ -183,7 +183,7 @@ def win_probability(
 
     ``cap`` bounds each scenario's ``winner`` call.
     """
-    target_id = target.id if isinstance(target, Candidate) else target
+    target_id = _cand_id(target)
     mass = sum(
         count
         for count, won in zip(dist._counts, _winner_ids(dist, rule, tb, cap))
@@ -206,9 +206,7 @@ def evaluate(
     ``1/D``, ``acc/D > a/b`` is ``acc * b > a * D``.  ``cap`` bounds each
     scenario's ``winner`` call.
     """
-    target_id = (
-        query.target.id if isinstance(query.target, Candidate) else query.target
-    )
+    target_id = _cand_id(query.target)
     den = query.r.denominator
     bar = query.r.numerator * dist._denominator
     acc = 0

@@ -64,14 +64,14 @@ class ManipulationInstance:
                 raise InvalidInstance(f"target id {target} is not in the profile")
             target = pool[target]
             object.__setattr__(self, "target", target)
-        if not 0 <= target.id < len(pool) or pool[target.id] != target:
+        if target not in pool:
             raise InvalidInstance(f"target {target} is not in the profile")
         if self.coalition is not None:
             coalition = frozenset(self.coalition)
             object.__setattr__(self, "coalition", coalition)
             n = len(self.profile.ballots)
             for idx in coalition:
-                if not 0 <= idx < n:
+                if not isinstance(idx, int) or not 0 <= idx < n:
                     raise InvalidInstance(f"coalition index {idx} out of range")
                 ballot = self.profile.ballots[idx]
                 if isinstance(ballot, PartialBallot) and ballot.locked:

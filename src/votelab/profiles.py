@@ -69,7 +69,11 @@ class Axis:
     order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sorted(self.order) != list(range(len(self.order))):
+        try:
+            valid = sorted(self.order) == list(range(len(self.order)))
+        except TypeError as exc:  # not a sequence, or entries that do not compare with ids
+            raise InvalidProfile(f"axis must order candidate ids, got {self.order!r}") from exc
+        if not valid:
             raise InvalidProfile(f"axis must order candidate ids 0..{len(self.order) - 1}")
 
     def position(self, cand: int) -> int:
@@ -164,8 +168,11 @@ class PartialBallot:
         locked: Sequence[Pair] | frozenset[Pair] = (),
     ):
         _check_weight(weight)
-        closure = transitive_closure(tuple(pairs))
-        locked_set = frozenset(locked)
+        try:
+            closure = transitive_closure(tuple(pairs))
+            locked_set = frozenset(locked)
+        except (TypeError, ValueError) as exc:
+            raise InvalidProfile(f"a partial ballot takes (preferred, other) pairs: {exc}") from exc
         if not locked_set <= closure:
             raise InvalidProfile("locked pairs must lie inside the closure of the ballot's pairs")
         object.__setattr__(self, "pairs", closure)
@@ -583,41 +590,14 @@ def is_single_peaked(order: Sequence[int], axis: Axis) -> bool:
 def single_peaked_orders(
     axis: Axis, cap: int | None = DEFAULT_COMPLETION_CAP
 ) -> Iterator[tuple[int, ...]]:
-    """All single-peaked total orders for an axis (2^(m-1) of them).
+    """All single-peaked total orders for an axis (2^(m-1) of them; the
+    empty axis has the one empty order).
 
-    Orders are produced in lexicographic candidate-id order within each
-    generation step; the overall stream is deterministic.  Raises
-    CapExceeded as soon as more than ``cap`` orders would be produced.
+    The extensions of a ballot without commitments, walked by
+    ``linear_extensions``: lazily, in lexicographic candidate-id order.
+    Raises CapExceeded as soon as more than ``cap`` orders would be produced.
     """
-    m = len(axis.order)
-    produced = 0
-    out: list[int] = []
-
-    def extend(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-        # invariant: out ranks exactly the axis segment (lo, hi) exclusive
-        nonlocal produced
-        if lo < 0 and hi >= m:
-            produced = charge(produced + 1, cap, "single-peaked orders")
-            yield tuple(out)
-            return
-        choices = []
-        if lo >= 0:
-            choices.append((axis.order[lo], lo - 1, hi))
-        if hi < m:
-            choices.append((axis.order[hi], lo, hi + 1))
-        choices.sort()
-        for cand, nlo, nhi in choices:
-            out.append(cand)
-            yield from extend(nlo, nhi)
-            out.pop()
-
-    def start() -> Iterator[tuple[int, ...]]:
-        for peak in range(m):
-            out.append(axis.order[peak])
-            yield from extend(peak - 1, peak + 1)
-            out.pop()
-
-    return start()
+    return linear_extensions(PartialBallot(frozenset(), 1), len(axis.order), cap, axis)
 
 
 def single_peaked_extensions(

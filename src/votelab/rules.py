@@ -92,6 +92,8 @@ class ScoringVector:
         v = self.values
         if len(v) < 2:
             raise InvalidProfile("scoring vector needs at least two positions")
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
+            raise InvalidProfile(f"scoring vector values must be integers, got {v!r}")
         if any(x < 0 for x in v):
             raise InvalidProfile("scoring vector values must be non-negative")
         if any(v[i] < v[i + 1] for i in range(len(v) - 1)):
@@ -113,7 +115,10 @@ class Scoring:
         if self.name is not None and self.name not in ("plurality", "veto", "borda"):
             raise InvalidProfile(f"unknown scoring family {self.name!r}")
         if self.vector is not None:
-            object.__setattr__(self, "vector", tuple(self.vector))
+            try:
+                object.__setattr__(self, "vector", tuple(self.vector))
+            except TypeError as exc:
+                raise InvalidProfile(f"a scoring vector is a sequence of integers: {exc}") from exc
             ScoringVector(self.vector)
 
     def vector_for(self, m: int) -> tuple[int, ...]:
@@ -179,7 +184,10 @@ class Pairing:
     bye: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(tuple(pair) for pair in self.pairs))
+        try:
+            object.__setattr__(self, "pairs", tuple((a, b) for a, b in self.pairs))
+        except (TypeError, ValueError) as exc:
+            raise InvalidProfile(f"each pair of a pairing holds two candidates: {exc}") from exc
         seen: list[int] = [c for pair in self.pairs for c in pair]
         if self.bye is not None:
             seen.append(self.bye)
@@ -535,11 +543,9 @@ def _runoff_winners(
     for cand in range(m):
         if 2 * tally[cand] > total:
             return frozenset((cand,))
-    if m == 2:
-        finals = [frozenset(range(2))]
-    elif branch:
+    ranked = sorted(range(m), key=lambda c: (-tally[c], c))
+    if branch:
         finals = []
-        ranked = sorted(range(m), key=lambda c: (-tally[c], c))
         for i in range(m):
             for j in range(i + 1, m):
                 pair = (ranked[i], ranked[j])
@@ -547,7 +553,6 @@ def _runoff_winners(
                 if all(tally[x] <= cut for x in range(m) if x not in pair):
                     finals.append(frozenset(pair))
     else:
-        ranked = sorted(range(m), key=lambda c: (-tally[c], c))
         finals = [frozenset(ranked[:2])]
     counts = pairwise_counts(orders, weights, m)
     out: set[int] = set()
@@ -833,10 +838,8 @@ def winner(
 def copeland_score(profile: Profile, candidate: int | Candidate) -> int:
     """Pairwise wins minus losses; ties contribute nothing."""
     orders, weights, m, total = _complete_arrays(profile)
-    counts = pairwise_counts(orders, weights, m)
-    sign = sign_matrix(counts, total)
-    cand = _cand_id(candidate)
-    return sum(sign[cand][j] for j in range(m) if j != cand)
+    sign = sign_matrix(pairwise_counts(orders, weights, m), total)
+    return copeland_scores_from_sign(sign)[_cand_id(candidate)]
 
 
 def cup_winner(agenda: Agenda, profile: Profile, tb: TieBreak | None = None) -> Candidate:

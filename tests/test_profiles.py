@@ -12,7 +12,12 @@ from votelab import (
     Axis,
     Candidate,
     CapExceeded,
+    Copeland,
+    Hybrid,
+    InvalidInstance,
     InvalidProfile,
+    ManipulationInstance,
+    Pairing,
     NotCompletableSP,
     PartialBallot,
     Profile,
@@ -26,6 +31,7 @@ from votelab import (
     single_peaked_orders,
     sp_completable,
     transitive_closure,
+    winner,
 )
 from votelab.profiles import _count_extensions
 
@@ -387,6 +393,23 @@ class TestSinglePeaked:
         assert len(list(single_peaked_orders(self.AXIS))) == 4
         assert len(list(single_peaked_orders(Axis((0, 1, 2, 3))))) == 8
 
+    def test_orders_are_the_filtered_permutations_in_order(self):
+        rng = random.Random(31)
+        for m in range(1, 8):
+            for order in (tuple(range(m)), tuple(rng.sample(range(m), m))):
+                axis = Axis(order)
+                expect = [o for o in itertools.permutations(range(m)) if is_single_peaked(o, axis)]
+                assert list(single_peaked_orders(axis)) == expect
+        assert list(single_peaked_orders(Axis(()))) == [()]
+
+    def test_orders_refuse_past_the_cap(self):
+        axis = Axis((3, 0, 4, 1, 2))
+        for cap in range(16):
+            with pytest.raises(CapExceeded, match="extensions of a ballot") as exc:
+                list(single_peaked_orders(axis, cap))
+            assert exc.value.estimate == cap + 1
+        assert len(list(single_peaked_orders(axis, 16))) == 16
+
     def test_every_generated_order_is_single_peaked(self):
         axis = Axis((2, 0, 3, 1))
         for order in single_peaked_orders(axis):
@@ -435,8 +458,8 @@ class TestSinglePeaked:
             b = source(rng, m, axis, 1) if source else H.rand_partial(rng, m, 1)
             expect = [
                 o
-                for o in sorted(single_peaked_orders(axis))
-                if all(o.index(x) < o.index(y) for x, y in b.pairs)
+                for o in itertools.permutations(range(m))
+                if is_single_peaked(o, axis) and all(o.index(x) < o.index(y) for x, y in b.pairs)
             ]
             assert list(single_peaked_extensions(b, m, axis, cap=None)) == expect
 
@@ -552,3 +575,34 @@ class TestValidationMessages:
         with pytest.raises(InvalidProfile) as info:
             Profile(cands(3), (vote(order, 1),))
         assert str(info.value) == f"ballot {order} must rank exactly the declared candidates"
+
+
+THREE = Profile(cands(3), (vote((0, 1, 2), 1),))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Axis((0, "a")),
+        lambda: Axis(5),
+        lambda: PartialBallot([(0, 1, 2)], 1),
+        lambda: PartialBallot(5, 1),
+        lambda: PartialBallot([(0, 1)], 1, locked=5),
+        lambda: ManipulationInstance(Copeland(), "A", THREE),
+        lambda: ManipulationInstance(Copeland(), 0, THREE, frozenset({"a"})),
+        lambda: winner(Hybrid(Pairing(((0, 1, 2),))), THREE),
+    ],
+    ids=[
+        "axis-entry",
+        "axis-not-a-sequence",
+        "pair-of-three",
+        "pairs-not-a-sequence",
+        "locked-not-a-sequence",
+        "target-label",
+        "coalition-index",
+        "pairing-of-three",
+    ],
+)
+def test_library_input_raises_a_typed_error(build):
+    with pytest.raises((InvalidProfile, InvalidInstance)):
+        build()

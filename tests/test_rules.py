@@ -1,6 +1,7 @@
 """Winner determination and rule parsing."""
 
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -100,6 +101,15 @@ class TestRuleValidation:
             ScoringVector((1, 1))
         with pytest.raises(InvalidProfile):
             ScoringVector((2, -1))
+
+    def test_scoring_vector_takes_only_integers(self):
+        # a float would elect by inexact arithmetic; a bool is not a score
+        for vector in ((1.5, 0), (1, "a"), (True, False), (Fraction(1), 0), 5):
+            with pytest.raises(InvalidProfile):
+                Scoring(vector=vector)
+        with pytest.raises(InvalidProfile):
+            ScoringVector((2.0, 1))
+        assert Scoring(vector=[2, 1, 0]).vector == (2, 1, 0)
 
     def test_scoring_needs_exactly_one_spec(self):
         with pytest.raises(InvalidProfile):
@@ -410,6 +420,26 @@ class TestEliminationRules:
             p = Profile(cands(3), ballots, strict_odd=False)
             assert achievable_winners(Runoff(), p) == achievable_winners(Stv(), p)
             assert winner(Runoff(), p) == winner(Stv(), p)
+
+    def test_runoff_of_two_follows_the_pairwise_majority(self):
+        # at m = 2 first places are the pairwise contest, so a tie in one is
+        # a tie in the other: branching elects both, lex elects id 0
+        rng = random.Random(13)
+        for _ in range(200):
+            ballots = tuple(
+                vote(rng.choice(((0, 1), (1, 0))), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 5))
+            )
+            if rng.random() < 0.5:  # mirror every ballot: first places tie
+                ballots += tuple(vote(b.order[::-1], b.weight) for b in ballots)
+            p = Profile(cands(2), ballots, strict_odd=False)
+            d = 2 * pairwise_counts(*H.raw_arrays(p), 2)[0][1] - p.total_weight
+            expect = {0} if d > 0 else {1} if d < 0 else {0, 1}
+            assert {c.id for c in achievable_winners(Runoff(), p)} == expect
+            assert winner(Runoff(), p).id == min(expect)
+            for c in (0, 1):
+                favored = winner(Runoff(), p, TieBreak.favor(c)).id
+                assert favored == (c if c in expect else min(expect))
 
     def test_runoff_differs_from_stv_with_four(self):
         # top-two runoff skips the gradual transfers that STV performs
