@@ -17,8 +17,8 @@ from votelab import (
     InvalidInstance,
     InvalidProfile,
     ManipulationInstance,
-    Pairing,
     NotCompletableSP,
+    Pairing,
     PartialBallot,
     Profile,
     WeightedBallot,
