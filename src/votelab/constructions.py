@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .completions import DEFAULT_COMPLETION_CAP
-from .elicitation import _elicitation_over
+from .elicitation import _elicitation_over, _subset_sum_in
 from .errors import InvalidInstance
 from .manipulation import ManipulationInstance, preference_manipulate
 from .profiles import (
@@ -87,14 +87,10 @@ def has_equal_partition(numbers: Sequence[int]) -> bool:
 
 
 def has_equal_partition_dp(numbers: Sequence[int]) -> bool:
-    """Equal-sum split by bitset subset-sum, pseudo-polynomial in the total."""
+    """Equal-sum split by ``_subset_sum_in``, the subset-sum kernel of the
+    three-candidate cup, asked for half the total: pseudo-polynomial in it."""
     total = sum(numbers)
-    if total % 2:
-        return False
-    bits = 1
-    for v in numbers:
-        bits |= bits << v
-    return bool(bits >> (total // 2) & 1)
+    return total % 2 == 0 and _subset_sum_in(numbers, total // 2, total // 2, None)
 
 
 def gen_cup_elicitation(

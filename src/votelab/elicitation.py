@@ -264,11 +264,11 @@ class _Pruner:
 
     ``stats[d]`` is the statistic of the fixed ballots and of the multisets
     the first d groups hold now; the bound of a node at depth d reads it plus
-    the least and the most the later groups can add.  ``seen`` is read live,
-    so a caller may grow it while the stream runs.  Until the stream arms
-    the pruner, and while ``seen`` is empty, nothing is built and nothing is
-    pruned; then each option list's statistics are built once, and the fixed
-    ballots' once.  A node with one completion below is scored, not bounded.
+    the least and the most the later groups can add.  ``seen`` is the
+    stream's own set, read live; armed only after a yield, the pruner finds
+    a winner in it.  Until then nothing is built and nothing is pruned; then
+    each option list's statistics are built once, and the fixed ballots'
+    once.  A node with one completion below is scored, not bounded.
     """
 
     armed = False
@@ -326,9 +326,6 @@ class _Pruner:
     def useless(self, depth: int) -> bool:
         """Does the bound below the first ``depth`` groups' multisets lie
         inside ``seen``?"""
-        seen = self.seen
-        if not seen:
-            return False
         stats = self.stats
         if not stats:
             self._build()
@@ -345,7 +342,7 @@ class _Pruner:
         hi = [s + r for s, r in zip(stat, self.hi_rest[depth])]
         rule, bound = self.rule, self.bound
         m, total = self.profile.m, self.profile.total_weight
-        return not any(bound(rule, c, lo, hi, m, total) for c in range(m) if c not in seen)
+        return not any(bound(rule, c, lo, hi, m, total) for c in range(m) if c not in self.seen)
 
 
 def _winner_stream(
@@ -355,7 +352,6 @@ def _winner_stream(
     *,
     axis: Axis | None = None,
     target: int | None = None,
-    seen: Collection[int] = (),
 ) -> tuple[tuple[OptionGroup, ...], Iterator[tuple[Assignment | None, frozenset[int]]]]:
     """The profile's option groups and the (assignment or None, achievable ids)
     stream of the engine that fits the rule: the pairwise projection for Cup
@@ -363,12 +359,13 @@ def _winner_stream(
     topmost options first, refused here past ``cap`` and while scoring when an
     STV elimination passes it.  Callers stop the stream once they can answer.
 
-    The enumeration is branch and bound where the rule has a bound: it skips
-    every subtree of completions whose bound lies inside ``seen`` (read live;
-    a caller may grow it), and stops when the root's does, so it yields only
-    items that may add an id outside ``seen``, in the order it would yield
-    them all, from the point where it has scored two completions per order
-    the bound's build reads.
+    The enumeration is branch and bound where the rule has a bound.  Its own
+    set ``seen`` starts as every candidate but the target for a witness, else
+    empty, and takes each completion's winners once it is yielded.  Subtrees
+    whose bound lies inside ``seen`` are skipped, and the walk stops when the
+    root's does, so it yields, in the order it would yield them all, only the
+    items that may add an id outside ``seen``, from the point where it has
+    scored two completions per order the bound's build reads.
     """
     groups = completion_groups(profile, axis=axis, cap=cap)
     if isinstance(rule, PAIRWISE_RULES):
@@ -387,6 +384,7 @@ def _winner_stream(
     # cost of scoring a completion per order, so the walk bounds nothing
     # before it has scored twice that many completions
     lead = 2 * sum({id(g.options): len(g.options) for g in groups}.values())
+    seen = set(range(profile.m)) - {target} if target is not None else set()
     prune = _Pruner(rule, profile, groups, seen, bound) if bound and size > lead else None
 
     def scored():
@@ -399,7 +397,9 @@ def _winner_stream(
         bounded = None  # the size of seen when the root was last bounded
         for walked, assignment in enumerate(iter_assignments(groups, prune), 1):
             orders = sum(assignment, fixed)  # fixed orders, then each group's combo
-            yield assignment, _achievable_ids(rule, orders, weights, m, total, cap=cap)
+            ids = _achievable_ids(rule, orders, weights, m, total, cap=cap)
+            yield assignment, ids
+            seen.update(ids)
             if prune is not None and lead <= walked < size and len(seen) != bounded:
                 prune.armed, bounded = True, len(seen)
                 if prune.useless(0):
@@ -412,8 +412,7 @@ def _witness(
 ) -> tuple[Sequence[OptionGroup], Assignment | None]:
     """One assignment of the view's free ballots electing the target under
     ties in its favour (None if there is none), and the groups it indexes."""
-    others = set(range(view.m)) - {target}
-    groups, stream = _winner_stream(rule, view, cap, target=target, seen=others)
+    groups, stream = _winner_stream(rule, view, cap, target=target)
     return groups, next((assignment for assignment, ids in stream if target in ids), None)
 
 
@@ -430,7 +429,7 @@ def _possible_ids(
     if m == 1:
         return frozenset((0,))
     found: set[int] = set()
-    for _, ids in _winner_stream(rule, profile, cap, axis=axis, seen=found)[1]:
+    for _, ids in _winner_stream(rule, profile, cap, axis=axis)[1]:
         found |= ids
         if len(found) == m or (stop_at is not None and len(found) >= stop_at):
             break

@@ -29,7 +29,7 @@ from .profiles import (
     Profile,
     WeightedBallot,
 )
-from .rules import Rule, TieBreak, _cand_id, winner
+from .rules import Rule, TieBreak, winner
 from .manipulation import ManipulationInstance, _preference_view
 
 Order = tuple[int, ...]
@@ -183,7 +183,7 @@ def win_probability(
 
     ``cap`` bounds each scenario's ``winner`` call.
     """
-    target_id = _cand_id(target)
+    target_id = dist.scenarios[0][0].candidate(target).id
     mass = sum(
         count
         for count, won in zip(dist._counts, _winner_ids(dist, rule, tb, cap))
@@ -206,7 +206,7 @@ def evaluate(
     ``1/D``, ``acc/D > a/b`` is ``acc * b > a * D``.  ``cap`` bounds each
     scenario's ``winner`` call.
     """
-    target_id = _cand_id(query.target)
+    target_id = dist.scenarios[0][0].candidate(query.target).id
     den = query.r.denominator
     bar = query.r.numerator * dist._denominator
     acc = 0

@@ -14,10 +14,11 @@ All structures are immutable after construction.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import is_not, itemgetter, mul, sub
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 from .errors import InvalidProfile, NotCompletableSP, charge
 
@@ -69,12 +70,13 @@ class Axis:
     order: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        order = self.order
         try:
-            valid = sorted(self.order) == list(range(len(self.order)))
-        except TypeError as exc:  # not a sequence, or entries that do not compare with ids
-            raise InvalidProfile(f"axis must order candidate ids, got {self.order!r}") from exc
+            valid = all(map(_is_int, order)) and sorted(order) == list(range(len(order)))
+        except TypeError:  # not a sequence
+            valid = False
         if not valid:
-            raise InvalidProfile(f"axis must order candidate ids 0..{len(self.order) - 1}")
+            raise InvalidProfile(f"axis must order the int candidate ids 0..m-1, got {order!r}")
 
     def position(self, cand: int) -> int:
         return self.order.index(cand)
@@ -85,8 +87,13 @@ def _check_axis(axis: Axis, m: int) -> None:
         raise InvalidProfile(f"the axis orders {len(axis.order)} candidates, not {m}")
 
 
+def _is_int(x: object) -> bool:
+    """Is ``x`` an int and not a bool?  Candidate ids, weights and scores are."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_weight(weight: int, what: str = "weight", least: int = 1) -> None:
-    if not isinstance(weight, int) or isinstance(weight, bool):
+    if not _is_int(weight):
         raise InvalidProfile(f"{what} must be an integer, got {weight!r}")
     if weight < least:
         raise InvalidProfile(f"{what} must be at least {least}, got {weight}")
@@ -125,16 +132,22 @@ def transitive_closure(pairs: Sequence[Pair]) -> frozenset[Pair]:
 class WeightedBallot:
     """A complete strict ranking cast with integer weight.
 
-    No candidate appears twice in ``order``; ``Profile`` relies on this.
+    ``order`` is stored as a tuple: a tuple is kept as given, another
+    sequence is converted.  No candidate appears twice in it; ``Profile``
+    relies on this.
     """
 
     order: tuple[int, ...]
     weight: int
 
-    def __init__(self, order: tuple[int, ...], weight: int) -> None:
+    def __init__(self, order: Sequence[int], weight: int) -> None:
         # an exact int in range needs none of _check_weight's tests
         if type(weight) is not int or not 0 < weight <= MAX_WEIGHT:
             _check_weight(weight)
+        if type(order) is not tuple:
+            if not isinstance(order, Sequence):
+                raise InvalidProfile(f"a ballot order is a sequence of ids, got {order!r}")
+            order = tuple(order)
         if len(set(order)) != len(order):
             raise InvalidProfile(f"ballot order {order} repeats a candidate")
         object.__setattr__(self, "order", order)
@@ -169,8 +182,10 @@ class PartialBallot:
     ):
         _check_weight(weight)
         try:
-            closure = transitive_closure(tuple(pairs))
-            locked_set = frozenset(locked)
+            pairs, locked_set = tuple(pairs), frozenset(locked)
+            if not all(map(_is_int, chain(*pairs, *locked_set))):
+                raise InvalidProfile("a partial ballot's pairs hold int candidate ids")
+            closure = transitive_closure(pairs)
         except (TypeError, ValueError) as exc:
             raise InvalidProfile(f"a partial ballot takes (preferred, other) pairs: {exc}") from exc
         if not locked_set <= closure:
@@ -322,8 +337,12 @@ class Profile:
             map(isinstance, self.runs[0], repeat(WeightedBallot))
         )
 
-    def candidate(self, cand_id: int) -> Candidate:
-        return self.candidates[cand_id]
+    def candidate(self, cand: int | Candidate) -> Candidate:
+        """The candidate that ``cand``, an id or a ``Candidate``, names;
+        InvalidProfile unless it names one of the profile's."""
+        if _is_int(cand) and 0 <= cand < self.m or cand in self.candidates:
+            return self.candidates[getattr(cand, "id", cand)]
+        raise InvalidProfile(f"{cand!r} is not a candidate of the profile")
 
     def by_label(self, label: str) -> Candidate:
         for c in self.candidates:

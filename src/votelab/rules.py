@@ -30,6 +30,7 @@ from .profiles import (
     DEFAULT_COMPLETION_CAP,
     Candidate,
     Profile,
+    _is_int,
     cached_attribute,
     pairwise_counts,
 )
@@ -92,7 +93,7 @@ class ScoringVector:
         v = self.values
         if len(v) < 2:
             raise InvalidProfile("scoring vector needs at least two positions")
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
+        if not all(map(_is_int, v)):
             raise InvalidProfile(f"scoring vector values must be integers, got {v!r}")
         if any(x < 0 for x in v):
             raise InvalidProfile("scoring vector values must be non-negative")
@@ -191,6 +192,8 @@ class Pairing:
         seen: list[int] = [c for pair in self.pairs for c in pair]
         if self.bye is not None:
             seen.append(self.bye)
+        if not all(map(_is_int, seen)):
+            raise InvalidProfile(f"a pairing holds int candidate ids, got {seen!r}")
         if len(set(seen)) != len(seen):
             raise InvalidProfile("pairing mentions a candidate twice")
 
@@ -825,13 +828,12 @@ def winner(
         ids = _achievable_ids(rule, orders, weights, m, total, branch=False, cap=cap)
         return profile.candidates[min(ids)]
     ids = _achievable_ids(rule, orders, weights, m, total, branch=True, cap=cap)
-    if tb.candidate is None or tb.candidate not in range(m):
-        raise InvalidProfile("tie-break candidate outside the profile")
+    c = profile.candidate(tb.candidate).id
     if tb.kind == "favor":
-        chosen = tb.candidate if tb.candidate in ids else min(ids)
+        chosen = c if c in ids else min(ids)
     else:
-        rest = ids - {tb.candidate}
-        chosen = min(rest) if rest else tb.candidate
+        rest = ids - {c}
+        chosen = min(rest) if rest else c
     return profile.candidates[chosen]
 
 
@@ -839,7 +841,7 @@ def copeland_score(profile: Profile, candidate: int | Candidate) -> int:
     """Pairwise wins minus losses; ties contribute nothing."""
     orders, weights, m, total = _complete_arrays(profile)
     sign = sign_matrix(pairwise_counts(orders, weights, m), total)
-    return copeland_scores_from_sign(sign)[_cand_id(candidate)]
+    return copeland_scores_from_sign(sign)[profile.candidate(candidate).id]
 
 
 def cup_winner(agenda: Agenda, profile: Profile, tb: TieBreak | None = None) -> Candidate:

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from votelab import (
     Candidate,
     CapExceeded,
     Copeland,
+    EvaluationQuery,
     Hybrid,
     InvalidInstance,
     InvalidProfile,
@@ -21,16 +23,21 @@ from votelab import (
     Pairing,
     PartialBallot,
     Profile,
+    ScenarioDistribution,
     WeightedBallot,
     completion_groups,
+    copeland_score,
+    evaluate,
     is_single_peaked,
     linear_extensions,
     majority_matrix,
+    plurality,
     single_peaked_condorcet_winner,
     single_peaked_extensions,
     single_peaked_orders,
     sp_completable,
     transitive_closure,
+    win_probability,
     winner,
 )
 from votelab.profiles import _count_extensions
@@ -549,6 +556,11 @@ class TestValidationMessages:
         ballot = WeightedBallot((1, 0), Count(3))
         assert ballot.weight == 3 and type(ballot.weight) is Count
 
+    def test_order_is_stored_as_a_tuple(self):
+        ballot = WeightedBallot([0, 1, 2], 1)
+        assert ballot == WeightedBallot((0, 1, 2), 1)
+        assert type(ballot.order) is tuple
+
     def test_repeated_candidate_message(self):
         with pytest.raises(InvalidProfile) as info:
             WeightedBallot((0, 2, 0), 1)
@@ -578,6 +590,7 @@ class TestValidationMessages:
 
 
 THREE = Profile(cands(3), (vote((0, 1, 2), 1),))
+THREE_DIST = ScenarioDistribution(((THREE, Fraction(1)),))
 
 
 @pytest.mark.parametrize(
@@ -591,6 +604,19 @@ THREE = Profile(cands(3), (vote((0, 1, 2), 1),))
         lambda: ManipulationInstance(Copeland(), "A", THREE),
         lambda: ManipulationInstance(Copeland(), 0, THREE, frozenset({"a"})),
         lambda: winner(Hybrid(Pairing(((0, 1, 2),))), THREE),
+        lambda: WeightedBallot(5, 1),
+        lambda: Axis((0.0, 1.0, 2.0)),
+        lambda: Axis((False, True)),
+        lambda: PartialBallot([(0.0, 1.0)], 1),
+        lambda: PartialBallot([(0, 1)], 1, locked=[(0.0, 1.0)]),
+        lambda: Pairing(((0.0, 1),), bye=2),
+        lambda: Pairing(((False, True),)),
+        lambda: copeland_score(THREE, 7),
+        lambda: copeland_score(THREE, -1),
+        lambda: THREE.candidate(-1),
+        lambda: THREE.candidate(Candidate(0, "Z")),
+        lambda: win_probability(THREE_DIST, plurality(), 7),
+        lambda: evaluate(THREE_DIST, EvaluationQuery(7, Fraction(1, 2), plurality())),
     ],
     ids=[
         "axis-entry",
@@ -601,6 +627,19 @@ THREE = Profile(cands(3), (vote((0, 1, 2), 1),))
         "target-label",
         "coalition-index",
         "pairing-of-three",
+        "order-not-a-sequence",
+        "axis-float",
+        "axis-bool",
+        "pair-of-floats",
+        "locked-pair-of-floats",
+        "pairing-float",
+        "pairing-bool",
+        "copeland-score-past-the-ids",
+        "copeland-score-negative-id",
+        "candidate-negative-id",
+        "candidate-of-another-profile",
+        "win-probability-target",
+        "evaluate-target",
     ],
 )
 def test_library_input_raises_a_typed_error(build):
