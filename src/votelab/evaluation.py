@@ -6,22 +6,32 @@ joint form itself: a scenario fixes every vote at once.  Independent agents
 are a special case built by ``product_distribution``.  All arithmetic is
 exact; no floats enter any decision.
 
-The recast of preference manipulation builds one scenario per completion,
-with each weight-k order cast as k unit ballots; the split hands ``Profile``
-the runs of unit ballots it builds, so no scenario is rescanned slot by
-slot.
+The recast of preference manipulation keeps one scenario per joint
+completion as the assignment ``iter_assignments`` yields over one view's
+option groups, and decides it from the view's fixed arrays plus the
+assignment's orders, merged as a unit split would merge them.  A scenario
+is cast as a ``Profile``, with each weight-k order as k unit ballots, only
+when a caller reads ``scenarios``; the split hands ``Profile`` the runs of
+unit ballots it builds, so no scenario is rescanned slot by slot.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .completions import check_cap, completed_arrays, completion_groups, iter_assignments
+from .completions import (
+    OptionGroup,
+    check_cap,
+    completed_arrays,
+    completion_groups,
+    iter_assignments,
+)
 from .errors import InvalidDistribution, ModelMismatch, charge
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
@@ -29,7 +39,14 @@ from .profiles import (
     Profile,
     WeightedBallot,
 )
-from .rules import Rule, TieBreak, winner
+from .rules import (
+    Rule,
+    TieBreak,
+    _checked_tie_break,
+    _positive_total,
+    _tie_broken_id,
+    winner,
+)
 from .manipulation import ManipulationInstance, _preference_view
 
 Order = tuple[int, ...]
@@ -78,6 +95,66 @@ def _brief(frac: Fraction) -> str:
     return str(frac) if bits <= 256 else f"a rational of {bits} bits"
 
 
+class _Completions(Sequence):
+    """The scenarios of a reduction, each stored as one assignment over the
+    view's option groups and read as (unit-split ``Profile``, share).
+
+    ``len`` reads no scenario.  Indexing or iterating builds a scenario's
+    ``Profile`` on its first read and keeps it, so every read returns the
+    same object.  Equality, hashing and ``repr`` are those of the tuple of
+    pairs, so a distribution compares, hashes and prints as one built from
+    that tuple.
+    """
+
+    def __init__(
+        self,
+        view: Profile,
+        groups: tuple[OptionGroup, ...],
+        assignments: tuple[tuple[tuple[Order, ...], ...], ...],
+    ) -> None:
+        self.view = view
+        self.groups = groups
+        self.assignments = assignments
+        self.share = Fraction(1, len(assignments))
+        self._read: list[tuple[Profile, Fraction] | None] = [None] * len(assignments)
+        self._units: dict[Order, WeightedBallot] = {}
+        self._fixed = dict(zip(*view.fixed_arrays))
+        self._weights = [group.weight for group in groups]
+
+    def __len__(self) -> int:
+        return len(self.assignments)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        pair = self._read[i]
+        if pair is None:
+            arrays = completed_arrays(self.view, self.groups, self.assignments[i])
+            pair = self._read[i] = (_unit_split(self.view, *arrays, self._units), self.share)
+        return pair
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _Completions)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def merged_arrays(self, i: int) -> tuple[tuple[Order, ...], tuple[int, ...]]:
+        """Scenario i's (orders, weights) as its unit split's
+        ``fixed_arrays`` reads them: the view's fixed orders, then each
+        group's, identical orders merged in first-seen order."""
+        merged = self._fixed.copy()
+        for weight, combo in zip(self._weights, self.assignments[i]):
+            for order in combo:
+                merged[order] = merged.get(order, 0) + weight
+        return tuple(merged), tuple(merged.values())
+
+
 @dataclass(frozen=True)
 class ScenarioDistribution:
     """Complete profiles with exact probabilities summing to one.
@@ -90,14 +167,23 @@ class ScenarioDistribution:
     replaces it.  A slot is only ever written with its one deterministic
     winner id, so a scan that stops early or raises leaves a valid column.
     None of this enters equality, hashing or ``repr``.
+
+    Scenarios given as profiles are kept as a tuple and decided by
+    ``winner``.  A reduction's scenarios are kept as assignments over one
+    view (see ``reduction_from_preference_manipulation``): ``scenarios`` is
+    then a read-only sequence that casts each as a unit-split ``Profile``
+    on first read, and a scan decides each from its merged arrays without
+    building one.  ``_base`` is a profile with the scenarios' candidates
+    (the first scenario, or the view), so targets are looked up on it.
     """
 
-    scenarios: tuple[tuple[Profile, Fraction], ...]
+    scenarios: Sequence[tuple[Profile, Fraction]]
     _counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _denominator: int = field(init=False, repr=False, compare=False)
     _column: tuple[tuple[Rule, TieBreak], list[int | None]] | None = field(
         init=False, repr=False, compare=False
     )
+    _base: Profile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.scenarios:
@@ -127,10 +213,31 @@ class ScenarioDistribution:
         object.__setattr__(self, "_counts", counts)
         object.__setattr__(self, "_denominator", denominator)
         object.__setattr__(self, "_column", None)
+        object.__setattr__(self, "_base", first)
+
+    @classmethod
+    def _of_completions(cls, scenarios: _Completions) -> ScenarioDistribution:
+        """The uniform distribution over a reduction's scenarios.
+
+        Every check of ``__post_init__`` holds by construction: each
+        scenario is a completion of one view, so all are complete and share
+        its candidates and total weight, and the shares are equal and
+        positive.  None is repeated per scenario.
+        """
+        dist = cls.__new__(cls)
+        count = len(scenarios)
+        dist.__dict__.update(
+            scenarios=scenarios,
+            _counts=(1,) * count,
+            _denominator=count,
+            _column=None,
+            _base=scenarios.view,
+        )
+        return dist
 
     @property
     def candidates(self) -> tuple[Candidate, ...]:
-        return self.scenarios[0][0].candidates
+        return self._base.candidates
 
 
 @dataclass(frozen=True)
@@ -158,16 +265,29 @@ def _winner_ids(
 
     ``cap`` never changes a decided winner, so it is not part of the key; a
     scenario refused under it stays undecided, and a later scan resumes
-    there."""
-    key = (rule, tb or TieBreak.lex())
+    there.  A reduction's scenarios are decided from their merged arrays,
+    with the rule and the tie-break checked once against the view."""
+    tb = tb or TieBreak.lex()
+    key = (rule, tb)
     kept = dist._column
     if kept is None or kept[0] != key:
         kept = (key, [None] * len(dist.scenarios))
         object.__setattr__(dist, "_column", kept)
     column = kept[1]
+    scenarios = dist.scenarios
+    if type(scenarios) is not _Completions:
+        for i, won in enumerate(column):
+            if won is None:
+                won = column[i] = winner(rule, scenarios[i][0], tb, cap=cap).id
+            yield won
+        return
+    view = scenarios.view
+    m, total = view.m, _positive_total(view.total_weight)
+    favoured = _checked_tie_break(rule, view, tb)
+    arrays = scenarios.merged_arrays
     for i, won in enumerate(column):
         if won is None:
-            won = column[i] = winner(rule, dist.scenarios[i][0], tb, cap=cap).id
+            won = column[i] = _tie_broken_id(rule, *arrays(i), m, total, tb, favoured, cap)
         yield won
 
 
@@ -181,9 +301,9 @@ def win_probability(
 ) -> Fraction:
     """Exact probability that the target wins under the rule and tie-break.
 
-    ``cap`` bounds each scenario's ``winner`` call.
+    ``cap`` bounds each scenario's decision, as for ``winner``.
     """
-    target_id = dist.scenarios[0][0].candidate(target).id
+    target_id = dist._base.candidate(target).id
     mass = sum(
         count
         for count, won in zip(dist._counts, _winner_ids(dist, rule, tb, cap))
@@ -204,9 +324,9 @@ def evaluate(
     mass already exceeds r, or even granting every unscanned scenario to the
     target could not.  Exact either way: with masses counted in units of
     ``1/D``, ``acc/D > a/b`` is ``acc * b > a * D``.  ``cap`` bounds each
-    scenario's ``winner`` call.
+    scenario's decision, as for ``winner``.
     """
-    target_id = dist.scenarios[0][0].candidate(query.target).id
+    target_id = dist._base.candidate(query.target).id
     den = query.r.denominator
     bar = query.r.numerator * dist._denominator
     acc = 0
@@ -265,8 +385,10 @@ def reduction_from_preference_manipulation(
     ties favouring the target, the query is true exactly when some
     completion elects the target, i.e. when the manipulation succeeds.
 
-    ``cap`` bounds both the scenario count and the unit ballots built over
-    all scenarios (scenarios times total weight).
+    Each scenario is kept as its assignment over the view's option groups;
+    its unit-split ``Profile`` is built only when ``scenarios`` is read.
+    ``cap`` bounds both the scenario count and the unit ballots a read of
+    every scenario builds (scenarios times total weight), charged here.
     """
     if inst.is_coalition:
         raise ModelMismatch("the reduction starts from a preference-model instance")
@@ -274,13 +396,9 @@ def reduction_from_preference_manipulation(
     groups = completion_groups(view, cap=cap)
     count = check_cap(groups, cap)
     charge(count * view.total_weight, cap, "unit ballots of the split")
-    share = Fraction(1, count)
-    unit_cache: dict[Order, WeightedBallot] = {}
-    scenarios = tuple(
-        (_unit_split(view, *completed_arrays(view, groups, assignment), unit_cache), share)
-        for assignment in iter_assignments(groups)
+    dist = ScenarioDistribution._of_completions(
+        _Completions(view, groups, tuple(iter_assignments(groups)))
     )
-    dist = ScenarioDistribution(scenarios)
     query = EvaluationQuery(
         target=inst.target,
         r=Fraction(0),

@@ -22,12 +22,13 @@ from dataclasses import dataclass
 
 from .completions import completed_profile, fixed_view
 from .elicitation import _witness
-from .errors import InvalidInstance, ModelMismatch
+from .errors import InvalidInstance, InvalidProfile, ModelMismatch
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
     Candidate,
     PartialBallot,
     Profile,
+    _is_int,
     majority_matrix,
 )
 from .rules import Agenda, Cup, Rule, validate_rule_for
@@ -57,21 +58,17 @@ class ManipulationInstance:
     coalition: frozenset[int] | None = None
 
     def __post_init__(self) -> None:
-        target = self.target
-        pool = self.profile.candidates
-        if isinstance(target, int):
-            if not 0 <= target < len(pool):
-                raise InvalidInstance(f"target id {target} is not in the profile")
-            target = pool[target]
-            object.__setattr__(self, "target", target)
-        if target not in pool:
-            raise InvalidInstance(f"target {target} is not in the profile")
+        try:
+            target = self.profile.candidate(self.target)
+        except InvalidProfile as exc:
+            raise InvalidInstance(f"target {self.target!r} is not in the profile") from exc
+        object.__setattr__(self, "target", target)
         if self.coalition is not None:
             coalition = frozenset(self.coalition)
             object.__setattr__(self, "coalition", coalition)
             n = len(self.profile.ballots)
             for idx in coalition:
-                if not isinstance(idx, int) or not 0 <= idx < n:
+                if not (_is_int(idx) and 0 <= idx < n):
                     raise InvalidInstance(f"coalition index {idx} out of range")
                 ballot = self.profile.ballots[idx]
                 if isinstance(ballot, PartialBallot) and ballot.locked:

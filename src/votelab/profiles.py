@@ -148,7 +148,11 @@ class WeightedBallot:
             if not isinstance(order, Sequence):
                 raise InvalidProfile(f"a ballot order is a sequence of ids, got {order!r}")
             order = tuple(order)
-        if len(set(order)) != len(order):
+        try:
+            distinct = len(set(order))
+        except TypeError as exc:  # an unhashable entry
+            raise InvalidProfile(f"ballot order {order} holds a non-id entry") from exc
+        if distinct != len(order):
             raise InvalidProfile(f"ballot order {order} repeats a candidate")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "weight", weight)
@@ -251,18 +255,27 @@ class Profile:
         _check_weight(self.unknown_weight, "unknown_weight", 0)
         universe = set(range(m))
         # a ballot object filling a run of slots needs only one check; an
-        # order repeats no candidate, so m declared ids are all of them
-        for ballot in self.runs[0]:
-            if isinstance(ballot, WeightedBallot):
-                order = ballot.order
-                if not (len(order) == m and universe.issuperset(order)):
-                    raise InvalidProfile(
-                        f"ballot {order} must rank exactly the declared candidates"
-                    )
-            else:
-                mentioned = {c for pair in ballot.pairs for c in pair}
-                if not mentioned <= universe:
-                    raise InvalidProfile("partial ballot mentions undeclared candidates")
+        # order repeats no candidate, so m declared ids are all of them, and
+        # its entries sum to an int only when each is one (1.0 == 1 passes
+        # the other tests)
+        try:
+            for ballot in self.runs[0]:
+                if isinstance(ballot, WeightedBallot):
+                    order = ballot.order
+                    if not (
+                        len(order) == m and universe.issuperset(order) and type(sum(order)) is int
+                    ):
+                        raise InvalidProfile(
+                            f"ballot {order} must rank exactly the declared candidates"
+                        )
+                else:
+                    mentioned = {c for pair in ballot.pairs for c in pair}
+                    if not mentioned <= universe:
+                        raise InvalidProfile("partial ballot mentions undeclared candidates")
+        except TypeError:  # the sum of entries whose types do not add (Decimal, float)
+            raise InvalidProfile(
+                f"ballot {order} must rank exactly the declared candidates"
+            ) from None
         total = self.total_weight
         if total > MAX_WEIGHT:
             raise InvalidProfile("total weight exceeds the 64-bit bound")

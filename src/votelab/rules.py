@@ -785,12 +785,43 @@ def _achievable_ids(
 # Public interface
 
 
-def _complete_arrays(profile: Profile) -> tuple[Orders, Weights, int, int]:
-    orders, weights = profile.complete_arrays()
-    total = profile.total_weight
+def _positive_total(total: int) -> int:
     if total < 1:
         raise InvalidProfile("an election needs positive total weight")
-    return orders, weights, profile.m, total
+    return total
+
+
+def _complete_arrays(profile: Profile) -> tuple[Orders, Weights, int, int]:
+    orders, weights = profile.complete_arrays()
+    return orders, weights, profile.m, _positive_total(profile.total_weight)
+
+
+def _checked_tie_break(rule: Rule, profile: Profile, tb: TieBreak) -> int | None:
+    """Check the rule against the profile's candidates, once per election
+    shape; the id of the candidate ``tb`` names, or None under lex."""
+    validate_rule_for(rule, profile.m)
+    return None if tb.kind == "lex" else profile.candidate(tb.candidate).id
+
+
+def _tie_broken_id(
+    rule: Rule,
+    orders: Orders,
+    weights: Weights,
+    m: int,
+    total: int,
+    tb: TieBreak,
+    favoured: int | None,
+    cap: int | None,
+) -> int:
+    """The winner id of the election (orders, weights) under ``tb``, whose
+    candidate id ``_checked_tie_break`` gave as ``favoured``."""
+    if tb.kind == "lex":
+        return min(_achievable_ids(rule, orders, weights, m, total, branch=False, cap=cap))
+    ids = _achievable_ids(rule, orders, weights, m, total, branch=True, cap=cap)
+    if tb.kind == "favor":
+        return favoured if favoured in ids else min(ids)
+    rest = ids - {favoured}
+    return min(rest) if rest else favoured
 
 
 def achievable_winners(
@@ -823,18 +854,10 @@ def winner(
     """
     tb = tb or TieBreak.lex()
     orders, weights, m, total = _complete_arrays(profile)
-    validate_rule_for(rule, m)
-    if tb.kind == "lex":
-        ids = _achievable_ids(rule, orders, weights, m, total, branch=False, cap=cap)
-        return profile.candidates[min(ids)]
-    ids = _achievable_ids(rule, orders, weights, m, total, branch=True, cap=cap)
-    c = profile.candidate(tb.candidate).id
-    if tb.kind == "favor":
-        chosen = c if c in ids else min(ids)
-    else:
-        rest = ids - {c}
-        chosen = min(rest) if rest else c
-    return profile.candidates[chosen]
+    favoured = _checked_tie_break(rule, profile, tb)
+    return profile.candidates[
+        _tie_broken_id(rule, orders, weights, m, total, tb, favoured, cap)
+    ]
 
 
 def copeland_score(profile: Profile, candidate: int | Candidate) -> int:

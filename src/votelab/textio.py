@@ -27,6 +27,8 @@ and the ballot is one validated ``WeightedBallot``.  Each fact about the line
 is checked once, in a fixed order (an open block with candidates, three
 tokens, the weight, the order naming every candidate once, the weight's
 range), and each failure gives the same message as a line parsed alone.
+The ballot's own check finds a repeated candidate, so the order is not
+scanned for repeats a second time.
 Nothing is kept from one parse to the next.
 """
 
@@ -63,15 +65,19 @@ def _parse_weight(token: str, line_no: int) -> int:
         _fail(line_no, f"bad weight {token[2:]!r}")
 
 
+_RANK_ONCE = "a vote must rank every candidate exactly once"
+
+
 def _parse_order(
     names: Sequence[str], labels: dict[str, int], line_no: int, message: str
 ) -> tuple[int, ...]:
-    """The ids of ``names``, which must name every candidate exactly once."""
+    """The ids of ``names``, one per candidate, else ``message``; a repeated
+    candidate is the caller's to refuse, with the same message."""
     try:
         order = tuple(map(labels.__getitem__, names))
     except KeyError as exc:
         _fail(line_no, f"unknown candidate {exc.args[0]!r}")
-    if not len(order) == len(labels) == len(set(order)):
+    if len(order) != len(labels):
         _fail(line_no, message)
     return order
 
@@ -173,13 +179,14 @@ class _Reader:
                     order = orders.get(order_token)
                     if order is None:
                         order = orders[order_token] = _parse_order(
-                            order_token.split(">"), self.labels, line_no,
-                            "a vote must rank every candidate exactly once",
+                            order_token.split(">"), self.labels, line_no, _RANK_ONCE
                         )
                     try:
                         ballot = WeightedBallot(order, weight)
                     except InvalidProfile as exc:
-                        _fail(line_no, str(exc))
+                        # a repeat in the order comes before the weight's range
+                        repeats = len(set(order)) < len(order)
+                        _fail(line_no, _RANK_ONCE if repeats else str(exc))
                 else:
                     ballot = self._directive(line_no, tokens)
                     if ballot is None:
@@ -206,10 +213,11 @@ class _Reader:
             self._need_block(line_no, head)
             if self.axis is not None:
                 _fail(line_no, "duplicate axis line")
-            self.axis = Axis(_parse_order(
-                tokens[1:], self.labels, line_no,
-                "the axis must order every candidate exactly once",
-            ))
+            message = "the axis must order every candidate exactly once"
+            order = _parse_order(tokens[1:], self.labels, line_no, message)
+            if len(set(order)) < len(order):
+                _fail(line_no, message)
+            self.axis = Axis(order)
         elif head == "candidates:":
             self._set_candidates(tokens[1:], line_no)
         elif head == "scenario" and self.scenarios is not None:

@@ -11,6 +11,7 @@ import pytest
 from votelab import (
     CapExceeded,
     Copeland,
+    Copeland2,
     Cup,
     EvaluationQuery,
     Hybrid,
@@ -28,12 +29,14 @@ from votelab import (
     TieBreak,
     borda,
     evaluate,
+    format_distribution,
     gen_copeland_preference_manipulation,
     gen_cup_preference_manipulation,
     plurality,
     preference_manipulate,
     product_distribution,
     reduction_from_preference_manipulation,
+    veto,
     win_probability,
     winner,
 )
@@ -47,6 +50,30 @@ from helpers import cands, vote
 C2 = cands(2)
 A_WINS = Profile(C2, (vote((0, 1), 3),))
 B_WINS = Profile(C2, (vote((1, 0), 3),))
+
+
+def rand_rules(rng: random.Random, m: int) -> dict:
+    """Every rule family over m candidates, by name."""
+    ids = H.rand_order(rng, m)
+    pairing = Pairing(tuple(zip(ids[0::2], ids[1::2])), ids[-1] if m % 2 else None)
+    return {
+        "plurality": plurality(), "borda": borda(), "veto": veto(),
+        "copeland": Copeland(), "copeland2": Copeland2(),
+        "cup": Cup(H.rand_agenda(rng, range(m))), "stv": Stv(), "runoff": Runoff(),
+        "hybrid": Hybrid(pairing),
+    }
+
+
+def rand_manipulation_profile(rng: random.Random) -> Profile:
+    """A small preference-manipulation profile: votes and partial ballots
+    with locked pairs, weights up to 40, some ballot objects filling several
+    slots, and up to two unknown units."""
+    m = rng.randint(2, 4)
+    pool = [vote(H.rand_order(rng, m), rng.randint(1, 40)) for _ in range(2)]
+    pool += [H.rand_partial(rng, m, rng.randint(1, 40), lock=True) for _ in range(2)]
+    ballots = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
+    unknown = rng.randint(0, 2 if m < 4 else 1)
+    return Profile(cands(m), ballots, unknown_weight=unknown, strict_odd=False)
 
 
 def two_one() -> ScenarioDistribution:
@@ -435,6 +462,78 @@ class TestReduction:
                 seen.add(len(built.runs[0]) < len(orders))
         # merged and unmerged splits; wrong-length, repeating and even-total errors
         assert seen == {True, False, "candidates", "candidate", "this)"}
+
+    def test_scans_match_the_distribution_of_its_scenarios(self):
+        # a reduction decides from assignments; the same scenarios given as
+        # profiles are decided by winner: every answer must agree
+        rng = random.Random(2510)
+        seen = set()
+        done = 0
+        while done < 60:
+            profile = rand_manipulation_profile(rng)
+            m = profile.m
+            inst = ManipulationInstance(plurality(), rng.randrange(m), profile)
+            dist, _ = reduction_from_preference_manipulation(inst)
+            if len(dist.scenarios) > 150:
+                continue
+            done += 1
+            asked = []
+            for name, rule in rand_rules(rng, m).items():
+                kind = rng.choice(("lex", "favor", "against"))
+                tb = TieBreak.lex() if kind == "lex" else getattr(TieBreak, kind)(rng.randrange(m))
+                target = rng.randrange(m)
+                r = Fraction(rng.randint(0, 4), 4)
+                query = EvaluationQuery(cands(m)[target], r, rule, tb)
+                # every scan of the reduction comes before any scenario is read
+                answers = (evaluate(dist, query), win_probability(dist, rule, target, tb))
+                asked.append((query, answers))
+                seen.add((name, kind))
+            given = ScenarioDistribution(tuple(dist.scenarios))
+            for query, answers in asked:
+                rule, target, tb = query.rule, query.target.id, query.tb
+                assert answers == (
+                    evaluate(given, query), win_probability(given, rule, target, tb)
+                )
+                assert answers[1] == H.scan_win_probability(given, rule, target, tb)
+            assert dist == given and given == dist and hash(dist) == hash(given)
+            if len(dist.scenarios) > 1:
+                assert dist != ScenarioDistribution(tuple(dist.scenarios)[::-1])
+            assert repr(dist) == repr(given)
+            assert dist.scenarios[::-2] == given.scenarios[::-2]
+            assert format_distribution(dist) == format_distribution(given)
+        assert len(seen) == 27
+
+    def test_a_reduction_answers_without_building_a_profile(self, monkeypatch):
+        decided = []
+        real = evaluation._tie_broken_id
+
+        def recording(rule, orders, weights, *rest):
+            decided.append((orders, weights))
+            return real(rule, orders, weights, *rest)
+
+        def unexpected(*args):
+            raise AssertionError("a scenario profile was built")
+
+        split = evaluation._unit_split
+        monkeypatch.setattr(evaluation, "_tie_broken_id", recording)
+        monkeypatch.setattr(evaluation, "_unit_split", unexpected)
+        rng = random.Random(2511)
+        for _ in range(30):
+            profile = rand_manipulation_profile(rng)
+            rule = rand_rules(rng, profile.m)[rng.choice(("borda", "stv", "cup"))]
+            inst = ManipulationInstance(rule, rng.randrange(profile.m), profile)
+            dist, query = reduction_from_preference_manipulation(inst)
+            count = len(dist.scenarios)
+            assert dist.candidates == inst.profile.candidates
+            decided.clear()
+            answer = evaluate(dist, query)
+            assert answer == (preference_manipulate(inst) is not None)
+            probability = win_probability(dist, rule, query.target, query.tb)
+            assert (probability > 0) == answer
+            assert len(decided) == count  # the column kept evaluate's decisions
+            with monkeypatch.context() as patch:
+                patch.setattr(evaluation, "_unit_split", split)
+                assert [p.fixed_arrays for p, _ in dist.scenarios] == decided
 
     def test_exact_fractions_are_kept_as_given(self):
         share = Fraction(1, 2)

@@ -591,6 +591,7 @@ class TestValidationMessages:
 
 THREE = Profile(cands(3), (vote((0, 1, 2), 1),))
 THREE_DIST = ScenarioDistribution(((THREE, Fraction(1)),))
+THREE_VOTES = Profile(cands(3), (vote((0, 1, 2)), vote((2, 1, 0)), vote((1, 0, 2))))
 
 
 @pytest.mark.parametrize(
@@ -617,6 +618,10 @@ THREE_DIST = ScenarioDistribution(((THREE, Fraction(1)),))
         lambda: THREE.candidate(Candidate(0, "Z")),
         lambda: win_probability(THREE_DIST, plurality(), 7),
         lambda: evaluate(THREE_DIST, EvaluationQuery(7, Fraction(1, 2), plurality())),
+        lambda: ManipulationInstance(Copeland(), True, THREE),
+        lambda: ManipulationInstance(Copeland(), 0, THREE_VOTES, frozenset({True})),
+        lambda: Profile(cands(3), (WeightedBallot((0.0, 1.0, 2.0), 1),)),
+        lambda: WeightedBallot([[0], [1]], 1),
     ],
     ids=[
         "axis-entry",
@@ -640,6 +645,10 @@ THREE_DIST = ScenarioDistribution(((THREE, Fraction(1)),))
         "candidate-of-another-profile",
         "win-probability-target",
         "evaluate-target",
+        "target-bool",
+        "coalition-index-bool",
+        "order-float-entries",
+        "order-unhashable-entries",
     ],
 )
 def test_library_input_raises_a_typed_error(build):
