@@ -20,8 +20,8 @@ hook, asked each time a group takes a multiset, may skip every assignment
 below it; the rest come in the same order.
 
 No rule is read here: ``elicitation._winner_stream`` builds the groups and
-runs either engine over them, scoring each assignment's orders (the fixed
-orders, then each group's) with the rule, and pruning with the rule's bound
+runs either engine over them, scoring each assignment's orders on top of
+the fixed ballots' tally, summed once, and pruning with the rule's bound
 through the hook, or summing pairwise projections for Cup and Copeland(2).
 Possible winners, the termination planner's engine and both manipulation
 models differ only in when they stop the stream and in which ballots they
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement, permutations, repeat
+from itertools import chain, combinations_with_replacement, permutations, repeat
 from typing import Callable, Collection, Iterator, Sequence
 
 from .errors import ModelMismatch, NotCompletableSP, charge, within
@@ -224,20 +224,19 @@ def iter_assignments(
         head.pop()
 
 
+def _assigned_weights(groups: Sequence[OptionGroup]) -> tuple[int, ...]:
+    """Each assigned order's weight, in the order an assignment lists them."""
+    return tuple(chain.from_iterable(repeat(g.weight, g.count) for g in groups))
+
+
 def completed_arrays(
     profile: Profile,
     groups: Sequence[OptionGroup],
     assignment: Sequence[tuple[Order, ...]],
 ) -> tuple[tuple[Order, ...], tuple[int, ...]]:
-    """Assemble the full (orders, weights) arrays of one joint completion."""
+    """The (orders, weights) of one joint completion: fixed, then assigned."""
     orders, weights = profile.fixed_arrays
-    orders_list = list(orders)
-    weights_list = list(weights)
-    for group, combo in zip(groups, assignment):
-        for order in combo:
-            orders_list.append(order)
-            weights_list.append(group.weight)
-    return tuple(orders_list), tuple(weights_list)
+    return sum(assignment, orders), weights + _assigned_weights(groups)
 
 
 def fixed_view(profile: Profile, free: Collection[int] = ()) -> Profile:

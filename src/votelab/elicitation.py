@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from itertools import chain, combinations, repeat
-from operator import mul
+from itertools import combinations
 from typing import Callable, Collection, Iterator, Sequence
 
 from .completions import (
     Order,
     OptionGroup,
+    _assigned_weights,
     check_cap,
     completion_groups,
     fixed_view,
@@ -51,6 +51,7 @@ from .rules import (
     Pairing,
     Rule,
     _achievable_ids,
+    _fixed_part,
     _hybrid_rounds,
     _rule_bound,
     achievable_from_sign,
@@ -262,13 +263,14 @@ class _Pruner:
     """``iter_assignments``' hook for a rule with a bound: prune a node when
     the bound of every completion below it lies inside ``seen``.
 
-    ``stats[d]`` is the statistic of the fixed ballots and of the multisets
-    the first d groups hold now; the bound of a node at depth d reads it plus
+    ``stats[d]`` is the tally of the fixed ballots and of the multisets the
+    first d groups hold now; the bound of a node at depth d reads it plus
     the least and the most the later groups can add.  ``seen`` is the
     stream's own set, read live; armed only after a yield, the pruner finds
-    a winner in it.  Until then nothing is built and nothing is pruned; then
-    each option list's statistics are built once, and the fixed ballots'
-    once.  A node with one completion below is scored, not bounded.
+    a winner in it.  Until then nothing is built and nothing is pruned;
+    then each option list's least and most are read once from ``units``,
+    the tallies at weight 1 the scorer keeps, and missing ones are added
+    there.  A node with one completion below is scored, not bounded.
     """
 
     armed = False
@@ -280,9 +282,11 @@ class _Pruner:
         groups: Sequence[OptionGroup],
         seen: Collection[int],
         bound: tuple[Callable, Callable],
+        base: list[int] | None,
+        units: dict,
     ) -> None:
         self.rule, self.profile, self.groups, self.seen = rule, profile, groups, seen
-        self.statistics, self.bound = bound
+        (self.tally, self.bound), self.base, self.units = bound, base, units
         self.heads: list[tuple[Order, ...]] = [()] * len(groups)
         self.stats: list[list[int]] = []
 
@@ -294,33 +298,28 @@ class _Pruner:
         return not self.useless(depth + 1)
 
     def _build(self) -> None:
-        statistics, rule, m, groups = self.statistics, self.rule, self.profile.m, self.groups
-        lists: dict[int, tuple] = {}  # id of an option list -> (stats by order, least, most)
+        tally, rule, m, groups = self.tally, self.rule, self.profile.m, self.groups
+        units = self.units
+        lists: dict[int, tuple] = {}  # id of an option list -> (least, most)
         for group in groups:
             if id(group.options) not in lists:
-                vecs = statistics(rule, group.options, m)
-                columns = list(zip(*vecs))
-                lists[id(group.options)] = (
-                    dict(zip(group.options, vecs)),
-                    list(map(min, columns)),
-                    list(map(max, columns)),
-                )
-        # the fixed orders are merged already; the identity order, at weight
-        # 0, gives the width when no ballot is fixed
-        orders, weights = self.profile.fixed_arrays
-        vecs = statistics(rule, (tuple(range(m)), *orders), m)
-        fixed = [sum(map(mul, (0, *weights), column)) for column in zip(*vecs)]
+                for order in group.options:
+                    if order not in units:
+                        units[order] = tally(rule, (order,), (1,), m)
+                columns = list(zip(*map(units.__getitem__, group.options)))
+                lists[id(group.options)] = (list(map(min, columns)), list(map(max, columns)))
+        # the scorer's base, unless the rule is decided from its orders
+        fixed = self.base or tally(rule, *self.profile.fixed_arrays, m)
         # at depth d: the completions below, and the least and most groups d.. add
         self.below, self.lo_rest, self.hi_rest = [1], [[0] * len(fixed)], [[0] * len(fixed)]
         for group in reversed(groups):
-            _, least, most = lists[id(group.options)]
+            least, most = lists[id(group.options)]
             bulk = group.weight * group.count
             self.below.append(self.below[-1] * group.size)
             self.lo_rest.append([r + bulk * v for r, v in zip(self.lo_rest[-1], least)])
             self.hi_rest.append([r + bulk * v for r, v in zip(self.hi_rest[-1], most)])
         for table in (self.below, self.lo_rest, self.hi_rest):
             table.reverse()
-        self.vecs = [lists[id(group.options)][0] for group in groups]
         self.stats.append(fixed)
 
     def useless(self, depth: int) -> bool:
@@ -333,9 +332,9 @@ class _Pruner:
             return False
         while len(stats) <= depth:
             d = len(stats) - 1
-            stat, vecs, weight = stats[d], self.vecs[d], self.groups[d].weight
+            stat, weight = stats[d], self.groups[d].weight
             for order in self.heads[d]:
-                stat = [s + weight * v for s, v in zip(stat, vecs[order])]
+                stat = [s + weight * v for s, v in zip(stat, self.units[order])]
             stats.append(stat)
         stat = stats[depth]
         lo = [s + r for s, r in zip(stat, self.lo_rest[depth])]
@@ -355,9 +354,10 @@ def _winner_stream(
 ) -> tuple[tuple[OptionGroup, ...], Iterator[tuple[Assignment | None, frozenset[int]]]]:
     """The profile's option groups and the (assignment or None, achievable ids)
     stream of the engine that fits the rule: the pairwise projection for Cup
-    and Copeland(2), else the joint completions scored with the rule, target-
-    topmost options first, refused here past ``cap`` and while scoring when an
-    STV elimination passes it.  Callers stop the stream once they can answer.
+    and Copeland(2), else the joint completions scored with the rule on top
+    of the fixed ballots' tally (``rules._fixed_part``), target-topmost
+    options first, refused here past ``cap`` and while scoring when an STV
+    elimination passes it.  Callers stop the stream once they can answer.
 
     The enumeration is branch and bound where the rule has a bound.  Its own
     set ``seen`` starts as every candidate but the target for a witness, else
@@ -379,25 +379,25 @@ def _winner_stream(
         }
         groups = tuple(replace(g, options=ranked[id(g.options)]) for g in groups)
     size = check_cap(groups, cap)
-    bound = _rule_bound(rule, profile.m)
-    # building the bound reads every order of each option list, at about the
+    m, total = profile.m, profile.total_weight
+    base, fixed, fixed_weights = _fixed_part(rule, *profile.fixed_arrays, m)
+    units: dict[Order, list[int]] = {}  # each order's tally at weight 1
+    bound = _rule_bound(rule, m)
+    # the bound's build reads every order of each option list, at about the
     # cost of scoring a completion per order, so the walk bounds nothing
     # before it has scored twice that many completions
     lead = 2 * sum({id(g.options): len(g.options) for g in groups}.values())
-    seen = set(range(profile.m)) - {target} if target is not None else set()
-    prune = _Pruner(rule, profile, groups, seen, bound) if bound and size > lead else None
+    seen = set(range(m)) - {target} if target is not None else set()
+    prune = None
+    if bound and size > lead:
+        prune = _Pruner(rule, profile, groups, seen, bound, base, units)
 
     def scored():
-        m, total = profile.m, profile.total_weight
-        fixed, fixed_weights = profile.fixed_arrays
-        # every assignment gives each group's ballots their weight in group order
-        weights = fixed_weights + tuple(
-            chain.from_iterable(repeat(g.weight, g.count) for g in groups)
-        )
+        weights = fixed_weights + _assigned_weights(groups)
         bounded = None  # the size of seen when the root was last bounded
         for walked, assignment in enumerate(iter_assignments(groups, prune), 1):
-            orders = sum(assignment, fixed)  # fixed orders, then each group's combo
-            ids = _achievable_ids(rule, orders, weights, m, total, cap=cap)
+            orders = sum(assignment, fixed)
+            ids = _achievable_ids(rule, orders, weights, m, total, base=base, units=units, cap=cap)
             yield assignment, ids
             seen.update(ids)
             if prune is not None and lead <= walked < size and len(seen) != bounded:

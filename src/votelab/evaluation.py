@@ -8,9 +8,9 @@ exact; no floats enter any decision.
 
 The recast of preference manipulation keeps one scenario per joint
 completion as the assignment ``iter_assignments`` yields over one view's
-option groups, and decides it from the view's fixed arrays plus the
-assignment's orders, merged as a unit split would merge them.  A scenario
-is cast as a ``Profile``, with each weight-k order as k unit ballots, only
+option groups.  A scan tallies the view's fixed ballots once and decides
+each scenario from that tally plus the assignment's orders.  A scenario is
+cast as a ``Profile``, with each weight-k order as k unit ballots, only
 when a caller reads ``scenarios``; the split hands ``Profile`` the runs of
 unit ballots it builds, so no scenario is rescanned slot by slot.
 """
@@ -27,6 +27,7 @@ from typing import Iterator
 
 from .completions import (
     OptionGroup,
+    _assigned_weights,
     check_cap,
     completed_arrays,
     completion_groups,
@@ -43,6 +44,7 @@ from .rules import (
     Rule,
     TieBreak,
     _checked_tie_break,
+    _fixed_part,
     _positive_total,
     _tie_broken_id,
     winner,
@@ -118,8 +120,6 @@ class _Completions(Sequence):
         self.share = Fraction(1, len(assignments))
         self._read: list[tuple[Profile, Fraction] | None] = [None] * len(assignments)
         self._units: dict[Order, WeightedBallot] = {}
-        self._fixed = dict(zip(*view.fixed_arrays))
-        self._weights = [group.weight for group in groups]
 
     def __len__(self) -> int:
         return len(self.assignments)
@@ -144,17 +144,6 @@ class _Completions(Sequence):
     def __repr__(self) -> str:
         return repr(tuple(self))
 
-    def merged_arrays(self, i: int) -> tuple[tuple[Order, ...], tuple[int, ...]]:
-        """Scenario i's (orders, weights) as its unit split's
-        ``fixed_arrays`` reads them: the view's fixed orders, then each
-        group's, identical orders merged in first-seen order."""
-        merged = self._fixed.copy()
-        for weight, combo in zip(self._weights, self.assignments[i]):
-            for order in combo:
-                merged[order] = merged.get(order, 0) + weight
-        return tuple(merged), tuple(merged.values())
-
-
 @dataclass(frozen=True)
 class ScenarioDistribution:
     """Complete profiles with exact probabilities summing to one.
@@ -172,9 +161,10 @@ class ScenarioDistribution:
     ``winner``.  A reduction's scenarios are kept as assignments over one
     view (see ``reduction_from_preference_manipulation``): ``scenarios`` is
     then a read-only sequence that casts each as a unit-split ``Profile``
-    on first read, and a scan decides each from its merged arrays without
-    building one.  ``_base`` is a profile with the scenarios' candidates
-    (the first scenario, or the view), so targets are looked up on it.
+    on first read, and a scan decides each from the view's fixed tally and
+    its assignment without building one.  ``_base`` is a profile with the
+    scenarios' candidates (the first scenario, or the view), so targets are
+    looked up on it.
     """
 
     scenarios: Sequence[tuple[Profile, Fraction]]
@@ -265,8 +255,9 @@ def _winner_ids(
 
     ``cap`` never changes a decided winner, so it is not part of the key; a
     scenario refused under it stays undecided, and a later scan resumes
-    there.  A reduction's scenarios are decided from their merged arrays,
-    with the rule and the tie-break checked once against the view."""
+    there.  A reduction's scenarios are decided from the view's fixed
+    tally plus each assignment's orders (``rules._fixed_part``), with the
+    rule and the tie-break checked once against the view."""
     tb = tb or TieBreak.lex()
     key = (rule, tb)
     kept = dist._column
@@ -284,10 +275,15 @@ def _winner_ids(
     view = scenarios.view
     m, total = view.m, _positive_total(view.total_weight)
     favoured = _checked_tie_break(rule, view, tb)
-    arrays = scenarios.merged_arrays
+    base, fixed, fixed_weights = _fixed_part(rule, *view.fixed_arrays, m)
+    weights = fixed_weights + _assigned_weights(scenarios.groups)
+    units: dict[Order, list[int]] = {}
     for i, won in enumerate(column):
         if won is None:
-            won = column[i] = _tie_broken_id(rule, *arrays(i), m, total, tb, favoured, cap)
+            orders = sum(scenarios.assignments[i], fixed)
+            won = column[i] = _tie_broken_id(
+                rule, orders, weights, m, total, tb, favoured, cap, base, units
+            )
         yield won
 
 

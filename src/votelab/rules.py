@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, combinations, product
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import InvalidProfile, charge
@@ -42,7 +42,6 @@ Agenda = Union[int, tuple]  # leaf: candidate id; node: (Agenda, Agenda)
 
 Orders = tuple[tuple[int, ...], ...]
 Weights = tuple[int, ...]
-Sign = Callable[[int, int], int]
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +446,55 @@ def copeland2_keys_from_sign(sign: Sequence[Sequence[int]]) -> list[tuple[int, i
 
 
 # ---------------------------------------------------------------------------
+# Tallies
+#
+# A tally is a list of ints to which each ballot adds its weight times its
+# order's tally at weight 1, so the tallies of a split of the ballots sum to
+# the election's.  A rule decided from its tally reads nothing else.
+
+
+def _scoring_tally(rule: Scoring, orders: Orders, weights: Weights, m: int) -> list[int]:
+    """Each candidate's score."""
+    vector = rule.vector_for(m)
+    scores = [0] * m
+    for order, w in zip(orders, weights):
+        for position, cand in enumerate(order):
+            scores[cand] += w * vector[position]
+    return scores
+
+
+def _pair_at(i: int, j: int, m: int) -> int:
+    """Where ``_pairs_tally`` keeps the pair i < j: after the m first-place
+    weights, the pairs in lexicographic order."""
+    return m + i * (2 * m - i - 1) // 2 + j - i - 1
+
+
+def _pairs_tally(rule: Rule, orders: Orders, weights: Weights, m: int) -> list[int]:
+    """Each candidate's first-place weight, then, at ``_pair_at(i, j, m)``
+    for each pair i < j, the weight ranking i over j."""
+    first = [0] * m
+    for order, w in zip(orders, weights):
+        first[order[0]] += w
+    counts = pairwise_counts(orders, weights, m)
+    return first + [n for i, row in enumerate(counts) for n in row[i + 1 :]]
+
+
+def _top_tallies(orders: Orders, weights: Weights, m: int, alive: frozenset[int]) -> list[int]:
+    """Top-choice weights among ``alive``: an STV round, or a hybrid's survivors."""
+    tally = [0] * m
+    if len(alive) == m:  # every first choice is alive
+        for order, w in zip(orders, weights):
+            tally[order[0]] += w
+        return tally
+    for order, w in zip(orders, weights):
+        for cand in order:
+            if cand in alive:
+                tally[cand] += w
+                break
+    return tally
+
+
+# ---------------------------------------------------------------------------
 # Per-rule winner sets on complete elections
 
 
@@ -473,26 +521,53 @@ def achievable_from_sign(
     return winners if branch else frozenset((min(winners),))
 
 
-def _scoring_scores(orders: Orders, weights: Weights, m: int, vector: tuple[int, ...]) -> list[int]:
-    scores = [0] * m
-    for order, w in zip(orders, weights):
-        for position, cand in enumerate(order):
-            scores[cand] += w * vector[position]
-    return scores
+def _scoring_ids(
+    rule: Scoring, tally: list[int], m: int, total: int, branch: bool, cap: int | None
+) -> frozenset[int]:
+    winners = _argmax_set(tally)
+    return winners if branch else frozenset((min(winners),))
 
 
-def _top_tallies(orders: Orders, weights: Weights, m: int, alive: frozenset[int]) -> list[int]:
-    tally = [0] * m
-    if len(alive) == m:  # every first choice is alive
-        for order, w in zip(orders, weights):
-            tally[order[0]] += w
-        return tally
-    for order, w in zip(orders, weights):
-        for cand in order:
-            if cand in alive:
-                tally[cand] += w
-                break
-    return tally
+def _pairwise_ids(
+    rule: Cup | Copeland | Copeland2, tally: list[int], m: int, total: int, branch: bool, cap
+) -> frozenset[int]:
+    sign = [[0] * m for _ in range(m)]
+    for (i, j), n in zip(combinations(range(m), 2), tally[m:]):  # as ``_pair_at`` lays them
+        d = 2 * n - total
+        sign[i][j] = s = (d > 0) - (d < 0)
+        sign[j][i] = -s
+    return achievable_from_sign(rule, sign, branch=branch)
+
+
+def _runoff_ids(
+    rule: Runoff, tally: list[int], m: int, total: int, branch: bool, cap: int | None
+) -> frozenset[int]:
+    for cand in range(m):
+        if 2 * tally[cand] > total:
+            return frozenset((cand,))
+    ranked = sorted(range(m), key=lambda c: (-tally[c], c))
+    if branch:
+        finals = []
+        for i in range(m):
+            for j in range(i + 1, m):
+                pair = (ranked[i], ranked[j])
+                cut = min(tally[pair[0]], tally[pair[1]])
+                if all(tally[x] <= cut for x in range(m) if x not in pair):
+                    finals.append(frozenset(pair))
+    else:
+        finals = [frozenset(ranked[:2])]
+    out: set[int] = set()
+    for final in finals:
+        a, b = sorted(final)
+        d = 2 * tally[_pair_at(a, b, m)] - total
+        if branch:
+            if d >= 0:
+                out.add(a)
+            if d <= 0:
+                out.add(b)
+        else:
+            out.add(a if d > 0 else (b if d < 0 else a))
+    return frozenset(out)
 
 
 def _stv_winners(
@@ -529,46 +604,6 @@ def _stv_winners(
             for cand in tied if branch else (max(tied),):
                 following.add(alive - {cand})
         frontier = following
-    return frozenset(out)
-
-
-def _runoff_winners(
-    rule: Runoff,
-    orders: Orders,
-    weights: Weights,
-    m: int,
-    total: int,
-    branch: bool,
-    cap: int | None,
-) -> frozenset[int]:
-    alive = frozenset(range(m))
-    tally = _top_tallies(orders, weights, m, alive)
-    for cand in range(m):
-        if 2 * tally[cand] > total:
-            return frozenset((cand,))
-    ranked = sorted(range(m), key=lambda c: (-tally[c], c))
-    if branch:
-        finals = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                pair = (ranked[i], ranked[j])
-                cut = min(tally[pair[0]], tally[pair[1]])
-                if all(tally[x] <= cut for x in range(m) if x not in pair):
-                    finals.append(frozenset(pair))
-    else:
-        finals = [frozenset(ranked[:2])]
-    counts = pairwise_counts(orders, weights, m)
-    out: set[int] = set()
-    for final in finals:
-        a, b = sorted(final)
-        d = 2 * counts[a][b] - total
-        if branch:
-            if d >= 0:
-                out.add(a)
-            if d <= 0:
-                out.add(b)
-        else:
-            out.add(a if d > 0 else (b if d < 0 else a))
     return frozenset(out)
 
 
@@ -611,32 +646,6 @@ def _hybrid_rounds(
         yield winners if branch else [min(winners)]
 
 
-def _scoring_ids(
-    rule: Scoring,
-    orders: Orders,
-    weights: Weights,
-    m: int,
-    total: int,
-    branch: bool,
-    cap: int | None,
-) -> frozenset[int]:
-    winners = _argmax_set(_scoring_scores(orders, weights, m, rule.vector_for(m)))
-    return winners if branch else frozenset((min(winners),))
-
-
-def _pairwise_ids(
-    rule: Cup | Copeland | Copeland2,
-    orders: Orders,
-    weights: Weights,
-    m: int,
-    total: int,
-    branch: bool,
-    cap: int | None,
-) -> frozenset[int]:
-    sign = sign_matrix(pairwise_counts(orders, weights, m), total)
-    return achievable_from_sign(rule, sign, branch=branch)
-
-
 def _hybrid_ids(
     rule: Hybrid,
     orders: Orders,
@@ -653,24 +662,11 @@ def _hybrid_ids(
 # ---------------------------------------------------------------------------
 # Bounds over sets of elections
 #
-# A bound reads a statistic, a list of ints to which each ballot adds its
-# weight times its order's entry in ``statistics(rule, orders, m)``.  Given
-# ``lo`` and ``hi``, the least and most of each coordinate over a set of
-# elections of total weight ``total``, ``bound(rule, c, lo, hi, m, total)``
-# is False only when c wins no election of the set under any resolution of
-# its ties.  The ids it keeps are a superset of the set's winners.
-
-
-def _scoring_statistics(rule: Scoring, orders: Sequence[Sequence[int]], m: int) -> list[list[int]]:
-    """Each candidate's score from one unit of weight on each order."""
-    vector = rule.vector_for(m)
-    out = []
-    for order in orders:
-        score = [0] * m
-        for position, cand in enumerate(order):
-            score[cand] = vector[position]
-        out.append(score)
-    return out
+# A bound reads the rule's tally.  Given ``lo`` and ``hi``, the least and
+# most of each coordinate over a set of elections of total weight
+# ``total``, ``bound(rule, c, lo, hi, m, total)`` is False only when c wins
+# no election of the set under any resolution of its ties.  The ids it
+# keeps are a superset of the set's winners.
 
 
 def _scoring_bound(
@@ -678,32 +674,6 @@ def _scoring_bound(
 ) -> bool:
     """Does c's most score reach every candidate's least score?"""
     return hi[c] >= max(lo)
-
-
-def _pair_at(i: int, j: int, m: int) -> int:
-    """Where the elimination statistic keeps the pair i < j: after the m
-    first-place weights, the pairs in lexicographic order."""
-    return m + i * (2 * m - i - 1) // 2 + j - i - 1
-
-
-def _elimination_statistics(
-    rule: Stv | Runoff, orders: Sequence[Sequence[int]], m: int
-) -> list[list[int]]:
-    """From one unit of weight on each order: each candidate's first-place
-    weight, then, at ``_pair_at(i, j, m)`` for each pair i < j, the weight
-    ranking i over j."""
-    at = [[_pair_at(i, j, m) if i < j else -1 for j in range(m)] for i in range(m)]
-    out = []
-    for order in orders:
-        stat = [0] * (m + m * (m - 1) // 2)
-        stat[order[0]] = 1
-        for k, i in enumerate(order):
-            row = at[i]
-            for j in order[k + 1 :]:
-                if i < j:
-                    stat[row[j]] = 1
-        out.append(stat)
-    return out
 
 
 def _reach(c: int, d: int, lo: Sequence[int], hi: Sequence[int], m: int, total: int) -> int:
@@ -729,33 +699,45 @@ def _runoff_bound(
     return False
 
 
-#: The one rule table: each rule type's decider, called with
-#: (rule, orders, weights, m, total, branch, cap), and its (statistics, bound)
-#: pair, or None where a rule has no bound: Cup and Copeland(2) take the
-#: pairwise projection, and a hybrid is not bounded.
-_DECIDERS: dict[type, tuple[Callable[..., frozenset[int]], tuple[Callable, Callable] | None]] = {
-    Scoring: (_scoring_ids, (_scoring_statistics, _scoring_bound)),
-    Cup: (_pairwise_ids, None),
-    Copeland: (_pairwise_ids, None),
-    Copeland2: (_pairwise_ids, None),
-    Stv: (_stv_winners, (_elimination_statistics, _runoff_bound)),
-    Runoff: (_runoff_winners, (_elimination_statistics, _runoff_bound)),
-    Hybrid: (_hybrid_ids, None),
+#: The one rule table: each rule type's tally, its decider, called with
+#: (rule, tally, m, total, branch, cap), and its bound.  STV and the hybrid
+#: tally each round afresh, so they have no tally and their deciders take
+#: (rule, orders, weights, m, total, branch, cap).  Cup and Copeland(2) take
+#: the pairwise projection instead of a bound; a hybrid is not bounded.
+_DECIDERS: dict[type, tuple[Callable | None, Callable[..., frozenset[int]], Callable | None]] = {
+    Scoring: (_scoring_tally, _scoring_ids, _scoring_bound),
+    Cup: (_pairs_tally, _pairwise_ids, None),
+    Copeland: (_pairs_tally, _pairwise_ids, None),
+    Copeland2: (_pairs_tally, _pairwise_ids, None),
+    Runoff: (_pairs_tally, _runoff_ids, _runoff_bound),
+    Stv: (None, _stv_winners, None),
+    Hybrid: (None, _hybrid_ids, None),
 }
 
 
 def _rule_bound(rule: Rule, m: int) -> tuple[Callable, Callable] | None:
-    """The rule's (statistics, bound) pair at m candidates, or None.
+    """The rule's (tally, bound) pair at m candidates, or None.
 
-    STV shares runoff's bound up to three candidates, where the two rules
-    elect alike (one elimination, then the final pair).  Past three it has
-    none: first-place and head-to-head weights alone bound STV too loosely
-    to pay for their upkeep.
+    STV shares runoff's up to three candidates, where the two rules elect
+    alike (one elimination, then the final pair).  Past three it has none:
+    first-place and head-to-head weights alone bound STV too loosely to pay
+    for their upkeep.
     """
-    entry = _DECIDERS.get(type(rule))
-    if entry is None or (isinstance(rule, Stv) and m > 3):
-        return None
-    return entry[1]
+    kind = Runoff if isinstance(rule, Stv) and m <= 3 else type(rule)
+    tally, _, bound = _DECIDERS.get(kind, (None, None, None))
+    return None if bound is None else (tally, bound)
+
+
+def _fixed_part(
+    rule: Rule, orders: Orders, weights: Weights, m: int
+) -> tuple[list[int] | None, Orders, Weights]:
+    """(base, orders, weights) for a caller deciding many elections that
+    share the ballots (orders, weights): their tally and no orders, or, for
+    a rule decided from its orders, None and the ballots themselves."""
+    tally = _DECIDERS.get(type(rule), (None,))[0]
+    if m == 1 or tally is None:
+        return None, orders, weights
+    return tally(rule, orders, weights, m), (), ()
 
 
 def _achievable_ids(
@@ -765,11 +747,16 @@ def _achievable_ids(
     m: int,
     total: int,
     *,
+    base: list[int] | None = None,
+    units: dict | None = None,
     branch: bool = True,
     cap: int | None = DEFAULT_COMPLETION_CAP,
 ) -> frozenset[int]:
     """Winner ids achievable over tie resolutions (or the lex singleton).
 
+    The election is (orders, weights) plus any ballots whose tally the
+    caller summed as ``base`` (``_fixed_part``); each order is then added as
+    its tally at weight 1, kept in the caller's ``units`` once made.
     ``cap`` bounds the candidate sets that STV's elimination search, or the
     hybrid's sets of survivors, may tally.
     """
@@ -778,7 +765,15 @@ def _achievable_ids(
     entry = _DECIDERS.get(type(rule))
     if entry is None:
         raise InvalidProfile(f"unknown rule {rule!r}")
-    return entry[0](rule, orders, weights, m, total, branch, cap)
+    tally, decide, _ = entry
+    if tally is None:
+        return decide(rule, orders, weights, m, total, branch, cap)
+    if base is None:
+        return decide(rule, tally(rule, orders, weights, m), m, total, branch, cap)
+    for order, w in zip(orders, weights):
+        unit = units.get(order) or units.setdefault(order, tally(rule, (order,), (1,), m))
+        base = [s + w * u for s, u in zip(base, unit)]
+    return decide(rule, base, m, total, branch, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -812,13 +807,15 @@ def _tie_broken_id(
     tb: TieBreak,
     favoured: int | None,
     cap: int | None,
+    base: list[int] | None = None,
+    units: dict | None = None,
 ) -> int:
-    """The winner id of the election (orders, weights) under ``tb``, whose
-    candidate id ``_checked_tie_break`` gave as ``favoured``."""
-    if tb.kind == "lex":
-        return min(_achievable_ids(rule, orders, weights, m, total, branch=False, cap=cap))
-    ids = _achievable_ids(rule, orders, weights, m, total, branch=True, cap=cap)
-    if tb.kind == "favor":
+    """The winner id of the election that ``_achievable_ids`` reads under
+    ``tb``, whose candidate id ``_checked_tie_break`` gave as ``favoured``."""
+    ids = _achievable_ids(
+        rule, orders, weights, m, total, base=base, units=units, branch=tb.kind != "lex", cap=cap
+    )
+    if tb.kind != "against":  # lex favours no one: ids is then its one winner
         return favoured if favoured in ids else min(ids)
     rest = ids - {favoured}
     return min(rest) if rest else favoured

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 import pytest
 
@@ -43,6 +43,7 @@ from votelab import (
 from votelab import evaluation
 from votelab.completions import completed_arrays, completion_groups, iter_assignments
 from votelab.manipulation import _preference_view
+from votelab.rules import _achievable_ids
 
 import helpers as H
 from helpers import cands, vote
@@ -507,9 +508,9 @@ class TestReduction:
         decided = []
         real = evaluation._tie_broken_id
 
-        def recording(rule, orders, weights, *rest):
-            decided.append((orders, weights))
-            return real(rule, orders, weights, *rest)
+        def recording(rule, orders, weights, m, total, tb, favoured, cap, base, units):
+            decided.append((orders, weights, base))
+            return real(rule, orders, weights, m, total, tb, favoured, cap, base, units)
 
         def unexpected(*args):
             raise AssertionError("a scenario profile was built")
@@ -531,9 +532,23 @@ class TestReduction:
             probability = win_probability(dist, rule, query.target, query.tb)
             assert (probability > 0) == answer
             assert len(decided) == count  # the column kept evaluate's decisions
+            # the scan hands the view's fixed ballots over as a tally (base)
+            # or ahead of each scenario's own orders; either way it decides
+            # the election each scenario read holds
+            view, m, total = dist.scenarios.view, profile.m, profile.total_weight
             with monkeypatch.context() as patch:
                 patch.setattr(evaluation, "_unit_split", split)
-                assert [p.fixed_arrays for p, _ in dist.scenarios] == decided
+                for (scenario, _), (orders, weights, base) in zip(
+                    dist.scenarios, decided, strict=True
+                ):
+                    merged: dict = {}
+                    shared = zip(*view.fixed_arrays) if base is not None else ()
+                    for order, weight in chain(shared, zip(orders, weights)):
+                        merged[order] = merged.get(order, 0) + weight
+                    assert (tuple(merged), tuple(merged.values())) == scenario.fixed_arrays
+                    assert _achievable_ids(
+                        rule, orders, weights, m, total, base=base, units={}
+                    ) == _achievable_ids(rule, *scenario.fixed_arrays, m, total)
 
     def test_exact_fractions_are_kept_as_given(self):
         share = Fraction(1, 2)

@@ -506,8 +506,9 @@ class TestBounds:
 
     @staticmethod
     def statistic_of(rule, orders, weights, m):
-        statistics, _ = _rule_bound(rule, m)
-        columns = zip(*statistics(rule, orders, m))
+        # as the pruner sums it: each order's tally at weight 1, times its weight
+        tally, _ = _rule_bound(rule, m)
+        columns = zip(*(tally(rule, (order,), (1,), m) for order in orders))
         return [sum(w * v for w, v in zip(weights, column)) for column in columns]
 
     def test_the_statistic_is_the_rule_tally(self):
