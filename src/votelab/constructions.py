@@ -23,6 +23,7 @@ from .profiles import (
     PartialBallot,
     Profile,
     WeightedBallot,
+    _is_int,
     candidates_from_labels,
 )
 from .rules import Agenda, Copeland, Cup, Rule, Stv
@@ -45,7 +46,7 @@ class PartitionInstance:
         if not numbers:
             raise InvalidInstance("the bag must contain at least one number")
         for v in numbers:
-            if not isinstance(v, int) or v <= 0:
+            if not _is_int(v) or v <= 0:
                 raise InvalidInstance(f"bag entries must be positive integers, got {v!r}")
         if sum(numbers) % 2:
             raise InvalidInstance("the bag total must be even")

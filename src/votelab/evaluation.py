@@ -82,6 +82,8 @@ def _as_probability(p) -> Fraction:
         raise InvalidDistribution(
             f"probability {p!r} is a float; supply an exact rational"
         )
+    if isinstance(p, bool):
+        raise InvalidDistribution(f"probability {p!r} is a bool; supply an exact rational")
     try:
         # a Decimal is read as its text, so its exponent is refused as well
         if isinstance(p, (str, Decimal)):

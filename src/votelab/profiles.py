@@ -257,13 +257,18 @@ class Profile:
         # a ballot object filling a run of slots needs only one check; an
         # order repeats no candidate, so m declared ids are all of them, and
         # its entries sum to an int only when each is one (1.0 == 1 passes
-        # the other tests)
+        # the other tests); of those, only the entries equal to 0 and 1 may
+        # be bools
         try:
             for ballot in self.runs[0]:
                 if isinstance(ballot, WeightedBallot):
                     order = ballot.order
                     if not (
-                        len(order) == m and universe.issuperset(order) and type(sum(order)) is int
+                        len(order) == m
+                        and universe.issuperset(order)
+                        and type(sum(order)) is int
+                        and type(order[order.index(0)]) is not bool
+                        and (m == 1 or type(order[order.index(1)]) is not bool)
                     ):
                         raise InvalidProfile(
                             f"ballot {order} must rank exactly the declared candidates"

@@ -351,6 +351,63 @@ def brute_stv(
     return round_(frozenset(range(m)))
 
 
+def brute_winners(rule: Rule, orders: Sequence[Order], weights: Sequence[int], m: int) -> set[int]:
+    """The ids that win the complete election under some resolution of the
+    rule's ties, each rule replayed from its definition."""
+    if m == 1:
+        return {0}
+    total = sum(weights)
+    counts = counts_of(orders, weights, m)
+
+    def tops(alive) -> list[int]:
+        tally = [0] * m
+        for order, w in zip(orders, weights):
+            tally[next(c for c in order if c in alive)] += w
+        return tally
+
+    def best(keys, among) -> set[int]:
+        return {c for c in among if keys[c] == max(keys[d] for d in among)}
+
+    def beats_or_ties(c: int, d: int) -> bool:
+        return 2 * counts[c][d] >= total
+
+    name = type(rule).__name__
+    if name == "Scoring":
+        vector = rule.vector_for(m)
+        scores = [0] * m
+        for order, w in zip(orders, weights):
+            for position, c in enumerate(order):
+                scores[c] += w * vector[position]
+        return best(scores, range(m))
+    if name == "Cup":
+        return bracket_achievable(rule.agenda, counts, total)
+    if name == "Stv":
+        return brute_stv(orders, weights, m)
+    sign = [[(2 * counts[c][d] > total) - (2 * counts[d][c] > total) for d in range(m)] for c in range(m)]
+    first = [sum(row) for row in sign]
+    if name == "Copeland":
+        return best(first, range(m))
+    if name == "Copeland2":
+        keys = [(first[c], sum(first[d] for d in range(m) if sign[c][d] > 0)) for c in range(m)]
+        return best(keys, range(m))
+    if name == "Runoff":
+        tally = tops(range(m))
+        if any(2 * t > total for t in tally):
+            return {tally.index(max(tally))}
+        out = set()
+        for a, b in combinations_with_replacement(range(m), 2):
+            cut = min(tally[a], tally[b])
+            if a != b and all(tally[x] <= cut for x in range(m) if x not in (a, b)):
+                out |= {c for c, d in ((a, b), (b, a)) if beats_or_ties(c, d)}
+        return out
+    sides = [[c for c, d in ((a, b), (b, a)) if beats_or_ties(c, d)] for a, b in rule.pairing.pairs]
+    bye = () if rule.pairing.bye is None else (rule.pairing.bye,)
+    out = set()
+    for picks in product(*sides):
+        out |= best(tops(set(picks + bye)), picks + bye)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The enumeration's walks and STV tally, as the plain code they replaced
 

@@ -128,6 +128,13 @@ class TestScenarioDistribution:
         with pytest.raises(InvalidDistribution, match="float"):
             ScenarioDistribution(((A_WINS, 0.5), (B_WINS, 0.5)))
 
+    def test_bool_probability_and_threshold_rejected(self):
+        # True == 1 and False == 0, so both would pass as numbers
+        with pytest.raises(InvalidDistribution, match="bool"):
+            ScenarioDistribution(((A_WINS, True),))
+        with pytest.raises(InvalidDistribution, match="bool"):
+            EvaluationQuery(C2[0], False, plurality())
+
     def test_int_and_string_probabilities_coerce_exactly(self):
         dist = ScenarioDistribution(((A_WINS, "2/3"), (B_WINS, Fraction(1, 3))))
         assert dist.scenarios[0][1] == Fraction(2, 3)

@@ -22,6 +22,7 @@ from votelab import (
     NotCompletableSP,
     Pairing,
     PartialBallot,
+    PartitionInstance,
     Profile,
     ScenarioDistribution,
     WeightedBallot,
@@ -622,6 +623,9 @@ THREE_VOTES = Profile(cands(3), (vote((0, 1, 2)), vote((2, 1, 0)), vote((1, 0, 2
         lambda: ManipulationInstance(Copeland(), 0, THREE_VOTES, frozenset({True})),
         lambda: Profile(cands(3), (WeightedBallot((0.0, 1.0, 2.0), 1),)),
         lambda: WeightedBallot([[0], [1]], 1),
+        lambda: Profile(cands(3), (WeightedBallot((True, 0, 2), 1),)),
+        lambda: Profile(cands(2), (WeightedBallot((1, False), 1),)),
+        lambda: PartitionInstance((True, True)),
     ],
     ids=[
         "axis-entry",
@@ -649,6 +653,9 @@ THREE_VOTES = Profile(cands(3), (vote((0, 1, 2)), vote((2, 1, 0)), vote((1, 0, 2
         "coalition-index-bool",
         "order-float-entries",
         "order-unhashable-entries",
+        "order-bool-entries",
+        "order-bool-zero",
+        "bag-bools",
     ],
 )
 def test_library_input_raises_a_typed_error(build):

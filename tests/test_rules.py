@@ -615,6 +615,63 @@ class TestBounds:
         assert kept_less > 100  # the bounds do leave candidates out
 
 
+class TestSplitTally:
+    """A caller deciding many elections that share ballots tallies those
+    once and passes each election's own orders on top."""
+
+    @staticmethod
+    def rand_rules(rng, m):
+        ids = H.rand_order(rng, m)
+        pairing = Pairing(tuple(zip(ids[0::2], ids[1::2])), ids[-1] if m % 2 else None)
+        rules = [plurality(), veto(), borda(), Runoff(), Stv(), Copeland(), Copeland2()]
+        rules += [Cup(H.rand_agenda(rng, range(m))), Hybrid(pairing)]
+        vector = tuple(sorted((rng.randint(0, 9) for _ in range(m)), reverse=True))
+        if m > 1 and vector[0] > vector[-1]:
+            rules.append(Scoring(vector=vector))
+        return rules
+
+    def test_a_summed_prefix_decides_as_the_whole_election(self):
+        # small weights and a small pool of orders give repeated orders and
+        # ties of every kind; every tie-break names every candidate
+        rng = random.Random(2026)
+        seen = set()
+        for _ in range(400):
+            m = rng.randint(1, 5)
+            pool = [H.rand_order(rng, m) for _ in range(rng.randint(1, 4))]
+            orders = tuple(rng.choice(pool) for _ in range(rng.randint(1, 7)))
+            weights = tuple(rng.randint(1, 3) for _ in orders)
+            cut = rng.randint(0, len(orders))
+            p = Profile(cands(m), tuple(map(vote, orders, weights)), strict_odd=False)
+            total = p.total_weight
+            tbs = [TieBreak.lex()]
+            tbs += [tb(c) for c in range(m) for tb in (TieBreak.favor, TieBreak.against)]
+            for rule in self.rand_rules(rng, m):
+                base, fixed, fixed_weights = rules_module._fixed_part(
+                    rule, orders[:cut], weights[:cut], m
+                )
+                rest, rest_weights = fixed + orders[cut:], fixed_weights + weights[cut:]
+                units: dict = {}
+                for branch in (False, True):  # the branched ids are kept
+                    split = _achievable_ids(
+                        rule, rest, rest_weights, m, total, base=base, units=units, branch=branch
+                    )
+                    whole = _achievable_ids(rule, orders, weights, m, total, branch=branch)
+                    assert split == whole, (rule, orders, weights, cut)
+                assert split == H.brute_winners(rule, orders, weights, m), (rule, orders, weights)
+                for tb in tbs:
+                    favoured = None if tb.kind == "lex" else tb.candidate
+                    won = rules_module._tie_broken_id(
+                        rule, rest, rest_weights, m, total, tb, favoured, None, base, units
+                    )
+                    assert won == winner(rule, p, tb).id, (rule, tb)
+                seen.add((type(rule), m, base is None, len(split) > 1))
+        assert {(Stv, m, True, True) for m in (2, 3, 4, 5)} <= seen
+        assert {(kind, 1, True, False) for kind in (Scoring, Cup, Hybrid)} <= seen
+        for kind in (Scoring, Runoff, Cup, Copeland, Copeland2):
+            assert {(kind, m, False, True) for m in (3, 4, 5)} <= seen, kind
+        assert {(Hybrid, m, True, True) for m in (3, 4, 5)} <= seen
+
+
 class TestHybrid:
     def test_pair_then_plurality(self):
         p = Profile(
