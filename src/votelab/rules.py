@@ -529,7 +529,8 @@ def _scoring_ids(
 
 
 def _pairwise_ids(
-    rule: Cup | Copeland | Copeland2, tally: list[int], m: int, total: int, branch: bool, cap
+    rule: Cup | Copeland | Copeland2, tally: list[int], m: int, total: int, branch: bool,
+    cap: int | None,
 ) -> frozenset[int]:
     sign = [[0] * m for _ in range(m)]
     for (i, j), n in zip(combinations(range(m), 2), tally[m:]):  # as ``_pair_at`` lays them

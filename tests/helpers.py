@@ -383,7 +383,10 @@ def brute_winners(rule: Rule, orders: Sequence[Order], weights: Sequence[int], m
         return bracket_achievable(rule.agenda, counts, total)
     if name == "Stv":
         return brute_stv(orders, weights, m)
-    sign = [[(2 * counts[c][d] > total) - (2 * counts[d][c] > total) for d in range(m)] for c in range(m)]
+    sign = [
+        [(2 * counts[c][d] > total) - (2 * counts[d][c] > total) for d in range(m)]
+        for c in range(m)
+    ]
     first = [sum(row) for row in sign]
     if name == "Copeland":
         return best(first, range(m))
