@@ -234,9 +234,15 @@ def completed_arrays(
     groups: Sequence[OptionGroup],
     assignment: Sequence[tuple[Order, ...]],
 ) -> tuple[tuple[Order, ...], tuple[int, ...]]:
-    """The (orders, weights) of one joint completion: fixed, then assigned."""
+    """Assemble the full (orders, weights) arrays of one joint completion."""
     orders, weights = profile.fixed_arrays
-    return sum(assignment, orders), weights + _assigned_weights(groups)
+    orders_list = list(orders)
+    weights_list = list(weights)
+    for group, combo in zip(groups, assignment):
+        for order in combo:
+            orders_list.append(order)
+            weights_list.append(group.weight)
+    return tuple(orders_list), tuple(weights_list)
 
 
 def fixed_view(profile: Profile, free: Collection[int] = ()) -> Profile:

@@ -396,18 +396,6 @@ def _parse_pairing(text: str, candidates: Sequence[Candidate]) -> Pairing:
 # Pairwise machinery shared by several rules
 
 
-def sign_matrix(counts: Sequence[Sequence[int]], total: int) -> list[list[int]]:
-    """sign[i][j] = 1 if i strictly beats j, -1 if j does, 0 on a tie."""
-    m = len(counts)
-    sign = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                d = 2 * counts[i][j] - total
-                sign[i][j] = 1 if d > 0 else (-1 if d < 0 else 0)
-    return sign
-
-
 def cup_achievable_from_sign(
     agenda: Agenda, sign: Sequence[Sequence[int]], branch: bool = True
 ) -> frozenset[int]:
@@ -479,6 +467,17 @@ def _pairs_tally(rule: Rule, orders: Orders, weights: Weights, m: int) -> list[i
     return first + [n for i, row in enumerate(counts) for n in row[i + 1 :]]
 
 
+def _pairs_sign(tally: Sequence[int], m: int, total: int) -> list[list[int]]:
+    """From a ``_pairs_tally``: sign[i][j] = 1 if i strictly beats j, -1 if
+    j does, 0 on a tie."""
+    sign = [[0] * m for _ in range(m)]
+    for (i, j), n in zip(combinations(range(m), 2), tally[m:]):  # as ``_pair_at`` lays them
+        d = 2 * n - total
+        sign[i][j] = s = (d > 0) - (d < 0)
+        sign[j][i] = -s
+    return sign
+
+
 def _top_tallies(orders: Orders, weights: Weights, m: int, alive: frozenset[int]) -> list[int]:
     """Top-choice weights among ``alive``: an STV round, or a hybrid's survivors."""
     tally = [0] * m
@@ -532,12 +531,7 @@ def _pairwise_ids(
     rule: Cup | Copeland | Copeland2, tally: list[int], m: int, total: int, branch: bool,
     cap: int | None,
 ) -> frozenset[int]:
-    sign = [[0] * m for _ in range(m)]
-    for (i, j), n in zip(combinations(range(m), 2), tally[m:]):  # as ``_pair_at`` lays them
-        d = 2 * n - total
-        sign[i][j] = s = (d > 0) - (d < 0)
-        sign[j][i] = -s
-    return achievable_from_sign(rule, sign, branch=branch)
+    return achievable_from_sign(rule, _pairs_sign(tally, m, total), branch=branch)
 
 
 def _runoff_ids(
@@ -561,13 +555,10 @@ def _runoff_ids(
     for final in finals:
         a, b = sorted(final)
         d = 2 * tally[_pair_at(a, b, m)] - total
-        if branch:
-            if d >= 0:
-                out.add(a)
-            if d <= 0:
-                out.add(b)
-        else:
-            out.add(a if d > 0 else (b if d < 0 else a))
+        if d >= 0:  # a lex tie goes to the lower id, a
+            out.add(a)
+        if d < 0 or (branch and d == 0):
+            out.add(b)
     return frozenset(out)
 
 
@@ -861,7 +852,7 @@ def winner(
 def copeland_score(profile: Profile, candidate: int | Candidate) -> int:
     """Pairwise wins minus losses; ties contribute nothing."""
     orders, weights, m, total = _complete_arrays(profile)
-    sign = sign_matrix(pairwise_counts(orders, weights, m), total)
+    sign = _pairs_sign(_pairs_tally(Copeland(), orders, weights, m), m, total)
     return copeland_scores_from_sign(sign)[profile.candidate(candidate).id]
 
 

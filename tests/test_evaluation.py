@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -43,7 +43,7 @@ from votelab import (
 from votelab import evaluation
 from votelab.completions import completed_arrays, completion_groups, iter_assignments
 from votelab.manipulation import _preference_view
-from votelab.rules import _achievable_ids
+from votelab.rules import _DECIDERS
 
 import helpers as H
 from helpers import cands, vote
@@ -539,23 +539,26 @@ class TestReduction:
             probability = win_probability(dist, rule, query.target, query.tb)
             assert (probability > 0) == answer
             assert len(decided) == count  # the column kept evaluate's decisions
-            # the scan hands the view's fixed ballots over as a tally (base)
-            # or ahead of each scenario's own orders; either way it decides
-            # the election each scenario read holds
-            view, m, total = dist.scenarios.view, profile.m, profile.total_weight
+            # the scan hands each scenario's election over whole, or, for a
+            # rule decided from its tally, as the fixed ballots' tally (base)
+            # plus the scenario's own orders; either way it is exactly the
+            # election the scenario read holds
+            tally, m = _DECIDERS[type(rule)][0], profile.m
             with monkeypatch.context() as patch:
                 patch.setattr(evaluation, "_unit_split", split)
                 for (scenario, _), (orders, weights, base) in zip(
                     dist.scenarios, decided, strict=True
                 ):
-                    merged: dict = {}
-                    shared = zip(*view.fixed_arrays) if base is not None else ()
-                    for order, weight in chain(shared, zip(orders, weights)):
-                        merged[order] = merged.get(order, 0) + weight
-                    assert (tuple(merged), tuple(merged.values())) == scenario.fixed_arrays
-                    assert _achievable_ids(
-                        rule, orders, weights, m, total, base=base, units={}
-                    ) == _achievable_ids(rule, *scenario.fixed_arrays, m, total)
+                    if base is None:
+                        merged: dict = {}
+                        for order, weight in zip(orders, weights, strict=True):
+                            merged[order] = merged.get(order, 0) + weight
+                        assert (tuple(merged), tuple(merged.values())) == scenario.fixed_arrays
+                        continue
+                    for order, weight in zip(orders, weights, strict=True):
+                        unit = tally(rule, (order,), (1,), m)
+                        base = [s + weight * u for s, u in zip(base, unit, strict=True)]
+                    assert base == tally(rule, *scenario.fixed_arrays, m)
 
     def test_exact_fractions_are_kept_as_given(self):
         share = Fraction(1, 2)

@@ -47,9 +47,10 @@ from votelab.completions import completed_arrays
 from votelab.rules import (
     MAX_AGENDA_DEPTH,
     _achievable_ids,
+    _pairs_sign,
+    _pairs_tally,
     _rule_bound,
     pairwise_counts,
-    sign_matrix,
 )
 
 import helpers as H
@@ -281,7 +282,7 @@ class TestPairwiseRules:
         orders, weights = p.complete_arrays()
         counts = pairwise_counts(orders, weights, 3)
         assert counts[0][1] == 4 and counts[1][0] == 3
-        sign = sign_matrix(counts, 7)
+        sign = _pairs_sign(_pairs_tally(Copeland(), orders, weights, 3), 3, 7)
         assert sign[0][1] == 1 and sign[1][0] == -1 and sign[0][0] == 0
 
     def test_copeland_cycle_scores_zero(self):
