@@ -20,9 +20,10 @@ hook, asked each time a group takes a multiset, may skip every assignment
 below it; the rest come in the same order.
 
 No rule is read here: ``elicitation._winner_stream`` builds the groups and
-runs either engine over them, scoring each assignment's orders on top of
-the fixed ballots' tally, summed once, and pruning with the rule's bound
-through the hook, or summing pairwise projections for Cup and Copeland(2).
+runs either engine over them on the rule's tally: the enumeration scores
+each assignment's orders on top of the fixed ballots' tally, summed once,
+and prunes with the rule's bound through the hook; the projection sums each
+option's tally on the open pairs, for Cup and Copeland(2).
 Possible winners, the termination planner's engine and both manipulation
 models differ only in when they stop the stream and in which ballots they
 leave free, which ``fixed_view`` alone decides.

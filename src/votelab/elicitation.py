@@ -41,7 +41,6 @@ from .profiles import (
     Profile,
     _median_peaks,
     majority_matrix,
-    pairwise_counts,
 )
 from .rules import (
     PAIRWISE_RULES,
@@ -53,6 +52,10 @@ from .rules import (
     _achievable_ids,
     _fixed_part,
     _hybrid_rounds,
+    _pair_at,
+    _pairs_sign,
+    _pairs_tally,
+    _reach,
     _rule_bound,
     achievable_from_sign,
     validate_rule_for,
@@ -73,39 +76,23 @@ __all__ = [
 Assignment = tuple[tuple[Order, ...], ...]
 
 
-def _sgn(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 # ---------------------------------------------------------------------------
 # Possible winners over joint completions
 
 
-def _positions(order: Sequence[int], m: int) -> list[int]:
-    pos = [0] * m
-    for idx, cand in enumerate(order):
-        pos[cand] = idx
-    return pos
-
-
-def _pair_bounds(
-    profile: Profile, groups: Sequence[OptionGroup]
-) -> tuple[list[list[int]], list[list[list[int]]], list[list[int]]]:
-    """Fixed pairwise counts, each group's option positions, and
-    ``reach[i][j]``: the most weight a completion can rank i over j with."""
-    m = profile.m
-    base = pairwise_counts(*profile.fixed_arrays, m)
-    group_pos = [
-        [_positions(order, m) for order in group.options] for group in groups
-    ]
-    reach = [row[:] for row in base]
-    for i, j in combinations(range(m), 2):
-        for group, positions in zip(groups, group_pos):
-            ahead = [pos[i] < pos[j] for pos in positions]
-            bulk = group.weight * group.count
-            reach[i][j] += bulk * (True in ahead)
-            reach[j][i] += bulk * (False in ahead)
-    return base, group_pos, reach
+def _list_bounds(
+    tally: Callable, rule: Rule, groups: Sequence[OptionGroup], m: int, units: dict
+) -> list[tuple[list[int], list[int]]]:
+    """Per group, the least and the most of each coordinate of the rule's tally
+    over its option list's orders at weight 1, read once per distinct list
+    from ``units``, where missing tallies are added."""
+    lists: dict[int, tuple[list[int], list[int]]] = {}  # id of an option list -> bounds
+    for key, options in {id(g.options): g.options for g in groups}.items():
+        missing = [order for order in options if order not in units]
+        units.update((order, tally(rule, (order,), (1,), m)) for order in missing)
+        columns = list(zip(*map(units.__getitem__, options)))
+        lists[key] = (list(map(min, columns)), list(map(max, columns)))
+    return [lists[id(group.options)] for group in groups]
 
 
 def _pairwise_possible_ids(
@@ -119,14 +106,15 @@ def _pairwise_possible_ids(
     """(assignment or None, achievable ids) per reachable majority sign
     pattern, in sorted order: the enumeration's stream for a pairwise rule.
 
-    Every ballot option is projected onto the pairs whose majority sign is
-    still open, and the projections are summed with deduplication.  Sums only
-    grow, and once a pair's sum reaches ``(total - 2*base)//2 + 1`` its sign
-    is +1 for good, so every running sum is clamped there without losing a
-    reachable sign matrix.  A group of interchangeable ballots stops summing
-    at a fixpoint, when one more ballot adds no new clamped sum.  The setup
-    (options times pairs, charged once) and the summing, each bounded by
-    ``cap``, run before this returns; the rule is decided lazily per pattern.
+    Each option's tally at weight 1 is projected onto the pairs open between
+    the least and the most tally (``_list_bounds``), and the projections are
+    summed with deduplication.  Sums only grow, and once a pair's sum
+    reaches ``(total - 2*base)//2 + 1`` its sign is +1 for good, so every
+    running sum is clamped there without losing a reachable sign matrix.  A
+    group of interchangeable ballots stops summing at a fixpoint, when one
+    more ballot adds no new clamped sum.  The setup (options times pairs,
+    charged once) and the summing, each bounded by ``cap``, run before this
+    returns; the rule is decided lazily per pattern.
 
     A clamped sum is one int with a field of ``width`` bits per open pair,
     the first pair lowest.  A field holds at most twice the largest clamp or
@@ -153,27 +141,27 @@ def _pairwise_possible_ids(
     # every option is placed and projected onto up to every pair before any sum
     options = sum(len(group.options) for group in groups)
     charge(options * (m * (m - 1) // 2), cap, "pairwise projections of options")
-    base, group_pos, reach = _pair_bounds(profile, groups)
+    base = _pairs_tally(rule, *profile.fixed_arrays, m)
+    units: dict[Order, list[int]] = {}
+    lo, hi = base, base
+    for group, (least, most) in zip(groups, _list_bounds(_pairs_tally, rule, groups, m, units)):
+        bulk = group.weight * group.count
+        lo = [s + bulk * v for s, v in zip(lo, least)]
+        hi = [s + bulk * v for s, v in zip(hi, most)]
 
-    forced: dict[tuple[int, int], int] = {}
-    open_pairs: list[tuple[int, int]] = []
-    for i, j in combinations(range(m), 2):
-        s_lo, s_hi = _sgn(total - 2 * reach[j][i]), _sgn(2 * reach[i][j] - total)
-        if s_lo == s_hi:
-            forced[(i, j)] = s_lo
-        else:
-            open_pairs.append((i, j))
+    # a pair whose sign is the same at its least and its most is forced
+    sign_lo, sign_hi = _pairs_sign(lo, m, total), _pairs_sign(hi, m, total)
+    open_pairs = [(i, j) for i, j in combinations(range(m), 2) if sign_lo[i][j] != sign_hi[i][j]]
+    coords = [_pair_at(i, j, m) for i, j in open_pairs]  # where the tally keeps them
 
-    sat = [(total - 2 * base[i][j]) // 2 + 1 for i, j in open_pairs]
+    sat = [(total - 2 * base[k]) // 2 + 1 for k in coords]
     width = (2 * max([*sat, *(g.weight for g in groups), 1])).bit_length() + 1
     shifts = range(0, width * len(open_pairs), width)
     top = width - 1
     guards = [at + top for at in shifts]
     S = sum(s << at for s, at in zip(sat, shifts))
     G = sum(1 << at for at in guards)
-    S1 = S - sum(
-        1 << at for (i, j), at in zip(open_pairs, shifts) if (total - 2 * base[i][j]) % 2 == 0
-    )
+    S1 = S - sum(1 << at for k, at in zip(coords, shifts) if (total - 2 * base[k]) % 2 == 0)
     work = 0
 
     def add_clamped(
@@ -202,10 +190,11 @@ def _pairwise_possible_ids(
     # step's predecessors, and the predecessors of the running totals
     trail = []
     totals: Collection[int] = {0}
-    for group, positions in zip(groups, group_pos):
+    for group in groups:
         scaled: dict[int, Order] = {}
-        for order, pos in zip(group.options, positions):
-            ahead = [at for (i, j), at in zip(open_pairs, shifts) if pos[i] < pos[j]]
+        for order in group.options:
+            unit = units[order]
+            ahead = [at for k, at in zip(coords, shifts) if unit[k]]
             scaled.setdefault(sum(group.weight << at for at in ahead), order)
         steps: list[dict] = []
         sums: Collection[int] = {0}
@@ -234,8 +223,8 @@ def _pairwise_possible_ids(
 
     def stream():
         for open_signs in sorted(patterns):
-            sign = [[0] * m for _ in range(m)]
-            for (i, j), s in (*forced.items(), *zip(open_pairs, open_signs)):
+            sign = [row[:] for row in sign_lo]
+            for (i, j), s in zip(open_pairs, open_signs):
                 sign[i][j], sign[j][i] = s, -s
             ids = achievable_from_sign(rule, sign)
             won = target in ids
@@ -268,9 +257,9 @@ class _Pruner:
     the least and the most the later groups can add.  ``seen`` is the
     stream's own set, read live; armed only after a yield, the pruner finds
     a winner in it.  Until then nothing is built and nothing is pruned;
-    then each option list's least and most are read once from ``units``,
-    the tallies at weight 1 the scorer keeps, and missing ones are added
-    there.  A node with one completion below is scored, not bounded.
+    then ``_list_bounds`` reads each option list's least and most from
+    ``units``, the tallies at weight 1 the scorer keeps.  A node with one
+    completion below is scored, not bounded.
     """
 
     armed = False
@@ -299,21 +288,12 @@ class _Pruner:
 
     def _build(self) -> None:
         tally, rule, m, groups = self.tally, self.rule, self.profile.m, self.groups
-        units = self.units
-        lists: dict[int, tuple] = {}  # id of an option list -> (least, most)
-        for group in groups:
-            if id(group.options) not in lists:
-                for order in group.options:
-                    if order not in units:
-                        units[order] = tally(rule, (order,), (1,), m)
-                columns = list(zip(*map(units.__getitem__, group.options)))
-                lists[id(group.options)] = (list(map(min, columns)), list(map(max, columns)))
+        bounds = _list_bounds(tally, rule, groups, m, self.units)
         # the scorer's base, unless the rule is decided from its orders
         fixed = self.base or tally(rule, *self.profile.fixed_arrays, m)
         # at depth d: the completions below, and the least and most groups d.. add
         self.below, self.lo_rest, self.hi_rest = [1], [[0] * len(fixed)], [[0] * len(fixed)]
-        for group in reversed(groups):
-            least, most = lists[id(group.options)]
+        for group, (least, most) in zip(reversed(groups), reversed(bounds)):
             bulk = group.weight * group.count
             self.below.append(self.below[-1] * group.size)
             self.lo_rest.append([r + bulk * v for r, v in zip(self.lo_rest[-1], least)])
@@ -533,38 +513,34 @@ def _subset_sum_in(weights: Sequence[int], lo: int, hi: int, cap: int | None) ->
 
 def _two_front_feasible(
     groups: Sequence[OptionGroup],
-    group_pos: Sequence[Sequence[list[int]]],
-    base: Sequence[Sequence[int]],
-    total: int,
+    units: dict,
+    base: Sequence[int],
+    profile: Profile,
     p: tuple[int, int],
     q: tuple[int, int],
     cap: int | None,
 ) -> bool:
     """Can some completion push both pairs ``p`` and ``q`` to at least half?
 
-    Every ballot option is projected to the two booleans "p holds" and
-    "q holds".  Options satisfying both dominate; ballots that can satisfy
+    Every ballot option is projected to "p holds" and "q holds", read by
+    ``rules._reach`` from its tally in ``units`` (the fixed ballots' from
+    ``base``).  Options satisfying both dominate; ballots that can satisfy
     either but not both trade one front against the other, and the split of
     their weights is decided exactly by a subset-sum scan.
     """
+    m, total = profile.m, profile.total_weight
     need = (total + 1) // 2
-    sum_p = base[p[0]][p[1]]
-    sum_q = base[q[0]][q[1]]
+    fixed = sum(profile.fixed_arrays[1])
+    sum_p, sum_q = (_reach(*pair, base, base, m, fixed) for pair in (p, q))
     swing: list[int] = []
-    for group, positions in zip(groups, group_pos):
-        can = {
-            (pos[p[0]] < pos[p[1]], pos[q[0]] < pos[q[1]]) for pos in positions
-        }
-        bulk = group.weight * group.count
-        if (True, True) in can:
-            sum_p += bulk
-            sum_q += bulk
-        elif (True, False) in can and (False, True) in can:
+    for group in groups:
+        tallies = [units[order] for order in group.options]
+        can = {(_reach(*p, u, u, m, 1), _reach(*q, u, u, m, 1)) for u in tallies}
+        if (1, 1) not in can and {(1, 0), (0, 1)} <= can:  # torn between the fronts
             swing.extend([group.weight] * group.count)
-        elif (True, False) in can:
-            sum_p += bulk
-        elif (False, True) in can:
-            sum_q += bulk
+        else:  # every front some option serves is served
+            sum_p += group.weight * group.count * max(side for side, _ in can)
+            sum_q += group.weight * group.count * max(side for _, side in can)
     pool = sum(swing)
     lo = need - sum_p
     hi = sum_q + pool - need
@@ -584,21 +560,29 @@ def cup3_fine_over(
     helper, splitting the weight of genuinely torn ballots exactly.
     Elicitation is over iff one possible winner remains.  The cap bounds
     that split's subset-sum work (CapExceeded beyond it); None is unbounded.
+    Each boost is read by ``rules._reach`` from the bounds ``_list_bounds`` gives.
     """
     m = profile.m
     if m > 3:
         raise ModelMismatch(f"the shortcut handles at most 3 candidates, got {m}")
-    validate_rule_for(Cup(agenda), m)
+    rule = Cup(agenda)
+    validate_rule_for(rule, m)
     if m == 1:
         return True
 
     groups = completion_groups(profile, cap=None)
-    base, group_pos, reach = _pair_bounds(profile, groups)
+    base = _pairs_tally(rule, *profile.fixed_arrays, m)
+    units: dict[Order, list[int]] = {}
+    lo, hi = base, base
+    for group, (least, most) in zip(groups, _list_bounds(_pairs_tally, rule, groups, m, units)):
+        bulk = group.weight * group.count
+        lo = [s + bulk * v for s, v in zip(lo, least)]
+        hi = [s + bulk * v for s, v in zip(hi, most)]
     total = profile.total_weight
     need = (total + 1) // 2
 
     if m == 2:
-        possible = [c for c in (0, 1) if reach[c][1 - c] >= need]
+        possible = [c for c in (0, 1) if _reach(c, 1 - c, lo, hi, m, total) >= need]
         return len(possible) == 1
 
     semi, bye = agenda
@@ -610,12 +594,10 @@ def cup3_fine_over(
     for c, other in ((x, y), (y, x)):
         # Boosting c over both rivals is conflict-free per ballot, so the
         # two maxima are reached simultaneously.
-        if reach[c][other] >= need and reach[c][bye] >= need:
+        if min(_reach(c, d, lo, hi, m, total) for d in (other, bye)) >= need:
             possible.add(c)
     for helper, rival in ((x, y), (y, x)):
-        if _two_front_feasible(
-            groups, group_pos, base, total, (bye, helper), (helper, rival), cap
-        ):
+        if _two_front_feasible(groups, units, base, profile, (bye, helper), (helper, rival), cap):
             possible.add(bye)
             break
     return len(possible) == 1

@@ -277,11 +277,13 @@ def _winner_ids(
     view = scenarios.view
     m, total = view.m, _positive_total(view.total_weight)
     favoured = _checked_tie_break(rule, view, tb)
-    base, fixed, fixed_weights = _fixed_part(rule, *view.fixed_arrays, m)
-    weights = fixed_weights + _assigned_weights(scenarios.groups)
     units: dict[Order, list[int]] = {}
+    weights = None  # set with the fixed tally at the first undecided scenario
     for i, won in enumerate(column):
         if won is None:
+            if weights is None:
+                base, fixed, fixed_weights = _fixed_part(rule, *view.fixed_arrays, m)
+                weights = fixed_weights + _assigned_weights(scenarios.groups)
             orders = sum(scenarios.assignments[i], fixed)
             won = column[i] = _tie_broken_id(
                 rule, orders, weights, m, total, tb, favoured, cap, base, units

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations, product
 from typing import Callable, Iterator, Sequence, Union
 
@@ -457,14 +458,27 @@ def _pair_at(i: int, j: int, m: int) -> int:
     return m + i * (2 * m - i - 1) // 2 + j - i - 1
 
 
+@cache
+def _pair_rows(m: int) -> tuple[int, ...]:
+    """``_pair_at(i, 0, m)`` for each i < m, so the pair i < j sits at
+    ``rows[i] + j``; one small tuple is kept per candidate count."""
+    return tuple(_pair_at(i, 0, m) for i in range(m))
+
+
 def _pairs_tally(rule: Rule, orders: Orders, weights: Weights, m: int) -> list[int]:
     """Each candidate's first-place weight, then, at ``_pair_at(i, j, m)``
     for each pair i < j, the weight ranking i over j."""
-    first = [0] * m
+    tally = [0] * (m + m * (m - 1) // 2)
+    rows = _pair_rows(m)
     for order, w in zip(orders, weights):
-        first[order[0]] += w
-    counts = pairwise_counts(orders, weights, m)
-    return first + [n for i, row in enumerate(counts) for n in row[i + 1 :]]
+        tally[order[0]] += w
+        ahead: list[int] = []
+        for j in order:
+            for i in ahead:
+                if i < j:
+                    tally[rows[i] + j] += w
+            ahead.append(j)
+    return tally
 
 
 def _pairs_sign(tally: Sequence[int], m: int, total: int) -> list[list[int]]:

@@ -176,6 +176,24 @@ class TestProjectionSetup:
         assert len(possible_winners(Copeland(), p, cap=None)) == 7
 
 
+    def test_the_summing_is_charged_with_the_same_estimate(self):
+        # one vote and a pool of unknown units leave every pair open; the
+        # pool's sums, up to its fixpoint, are charged as they are made
+        for unknown, cap, estimate in ((31, 10_000, 12_210), (12, 2_000, 3_192)):
+            p, _ = parse_profile(
+                f"candidates: A B C\nvote w=1 A>B>C\nunknown w={unknown}\n", strict_odd=False
+            )
+            message = f"pairwise-projection sums: {estimate}, above the cap of {cap}"
+            calls = (
+                lambda: possible_winners(Copeland(), p, cap=cap),
+                lambda: preference_manipulate(ManipulationInstance(Copeland(), 0, p), cap=cap),
+            )
+            for call in calls:
+                with pytest.raises(CapExceeded) as info:
+                    call()
+                assert info.value.estimate == estimate and str(info.value) == message
+
+
 def _packed_case(rng: random.Random) -> tuple[Profile, set[str]]:
     """A profile small enough for the brute referees, with one of three
     stresses on the packed projection: two free ballots near ``MAX_WEIGHT``

@@ -560,6 +560,36 @@ class TestReduction:
                         base = [s + weight * u for s, u in zip(base, unit, strict=True)]
                     assert base == tally(rule, *scenario.fixed_arrays, m)
 
+    def test_a_scan_tallies_the_fixed_ballots_only_to_decide(self, monkeypatch):
+        tallied, decided = [], []
+        fixed_part, tie_broken_id = evaluation._fixed_part, evaluation._tie_broken_id
+
+        def counting_part(*args):
+            tallied.append(args)
+            return fixed_part(*args)
+
+        def counting_id(*args):
+            decided.append(args)
+            return tie_broken_id(*args)
+
+        monkeypatch.setattr(evaluation, "_fixed_part", counting_part)
+        monkeypatch.setattr(evaluation, "_tie_broken_id", counting_id)
+        rng = random.Random(2712)
+        idle = 0
+        for _ in range(40):
+            profile = rand_manipulation_profile(rng)
+            rule = rand_rules(rng, profile.m)[rng.choice(("borda", "cup", "runoff"))]
+            inst = ManipulationInstance(rule, rng.randrange(profile.m), profile)
+            dist, query = reduction_from_preference_manipulation(inst, cap=None)
+            # evaluate, then win_probability under the same rule and tie-break
+            for scan in (evaluate, lambda d, q: win_probability(d, q.rule, q.target, q.tb)):
+                tallied.clear()
+                decided.clear()
+                scan(dist, query)
+                assert len(tallied) == (1 if decided else 0)
+                idle += not decided
+        assert idle >= 5  # win_probability read all of evaluate's column
+
     def test_exact_fractions_are_kept_as_given(self):
         share = Fraction(1, 2)
         dist = ScenarioDistribution(((A_WINS, share), (B_WINS, Fraction(1, 2))))

@@ -673,6 +673,27 @@ class TestSplitTally:
         assert {(Hybrid, m, True, True) for m in (3, 4, 5)} <= seen
 
 
+class TestPairsTally:
+    def test_agrees_with_the_folded_pairwise_counts(self):
+        # the tally is read off each order directly; the referee folds the
+        # m x m counts into the first places and the upper triangle
+        rng = random.Random(2727)
+        seen = set()
+        for _ in range(300):
+            m = rng.randint(1, 7)
+            pool = [H.rand_order(rng, m) for _ in range(rng.randint(1, 3))]
+            orders = tuple(rng.choice(pool) for _ in range(rng.randint(0, 6)))
+            sizes = (1, rng.randint(1, 9), 2**62 + rng.randint(0, 9))
+            weights = tuple(rng.choice(sizes) for _ in orders)
+            counts = pairwise_counts(orders, weights, m)
+            first = [sum(w for o, w in zip(orders, weights) if o[0] == c) for c in range(m)]
+            folded = first + [counts[i][j] for i in range(m) for j in range(i + 1, m)]
+            assert _pairs_tally(Copeland(), orders, weights, m) == folded, (orders, weights)
+            seen.add((m, len(orders) > len(set(orders)), not orders))
+        assert {m for m, _, _ in seen} == set(range(1, 8))
+        assert any(repeated for _, repeated, _ in seen) and any(empty for _, _, empty in seen)
+
+
 class TestHybrid:
     def test_pair_then_plurality(self):
         p = Profile(
