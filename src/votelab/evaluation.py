@@ -11,8 +11,7 @@ completion as the assignment ``iter_assignments`` yields over one view's
 option groups.  A scan tallies the view's fixed ballots once and decides
 each scenario from that tally plus the assignment's orders.  A scenario is
 cast as a ``Profile``, with each weight-k order as k unit ballots, only
-when a caller reads ``scenarios``; the split hands ``Profile`` the runs of
-unit ballots it builds, so no scenario is rescanned slot by slot.
+when a caller reads ``scenarios``.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .rules import (
     _fixed_part,
     _positive_total,
     _tie_broken_id,
-    winner,
 )
 from .manipulation import ManipulationInstance, _preference_view
 
@@ -119,12 +117,17 @@ class _Completions(Sequence):
         self.view = view
         self.groups = groups
         self.assignments = assignments
+        self.weights = _assigned_weights(groups)
         self.share = Fraction(1, len(assignments))
         self._read: list[tuple[Profile, Fraction] | None] = [None] * len(assignments)
         self._units: dict[Order, WeightedBallot] = {}
 
     def __len__(self) -> int:
         return len(self.assignments)
+
+    def own_arrays(self, i: int) -> tuple[tuple[Order, ...], tuple[int, ...]]:
+        """Scenario i's (orders, weights) less the view's fixed ballots."""
+        return sum(self.assignments[i], ()), self.weights
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -159,14 +162,14 @@ class ScenarioDistribution:
     winner id, so a scan that stops early or raises leaves a valid column.
     None of this enters equality, hashing or ``repr``.
 
-    Scenarios given as profiles are kept as a tuple and decided by
-    ``winner``.  A reduction's scenarios are kept as assignments over one
-    view (see ``reduction_from_preference_manipulation``): ``scenarios`` is
-    then a read-only sequence that casts each as a unit-split ``Profile``
-    on first read, and a scan decides each from the view's fixed tally and
-    its assignment without building one.  ``_base`` is a profile with the
-    scenarios' candidates (the first scenario, or the view), so targets are
-    looked up on it.
+    Scenarios given as profiles are kept as a tuple.  A reduction's
+    scenarios are kept as assignments over one view (see
+    ``reduction_from_preference_manipulation``): ``scenarios`` is then a
+    read-only sequence that casts each as a unit-split ``Profile`` on first
+    read, and a scan decides each from the view's fixed tally and its
+    assignment without building one.  ``_base`` is a profile with the
+    scenarios' candidates and total weight (the first scenario, or the
+    view), so targets are looked up and the rule is checked on it.
     """
 
     scenarios: Sequence[tuple[Profile, Fraction]]
@@ -257,9 +260,11 @@ def _winner_ids(
 
     ``cap`` never changes a decided winner, so it is not part of the key; a
     scenario refused under it stays undecided, and a later scan resumes
-    there.  A reduction's scenarios are decided from the view's fixed
-    tally plus each assignment's orders (``rules._fixed_part``), with the
-    rule and the tie-break checked once against the view."""
+    there.  The rule and the tie-break are checked once, against ``_base``.
+    Each election is the tally of the ballots its scenarios share
+    (``rules._fixed_part``) plus its own orders: for a reduction the view's
+    fixed ballots and the assignment, for a scenario given as a profile no
+    ballots and its ``fixed_arrays``."""
     tb = tb or TieBreak.lex()
     key = (rule, tb)
     kept = dist._column
@@ -267,26 +272,23 @@ def _winner_ids(
         kept = (key, [None] * len(dist.scenarios))
         object.__setattr__(dist, "_column", kept)
     column = kept[1]
-    scenarios = dist.scenarios
-    if type(scenarios) is not _Completions:
-        for i, won in enumerate(column):
-            if won is None:
-                won = column[i] = winner(rule, scenarios[i][0], tb, cap=cap).id
-            yield won
-        return
-    view = scenarios.view
-    m, total = view.m, _positive_total(view.total_weight)
-    favoured = _checked_tie_break(rule, view, tb)
+    scenarios, profile = dist.scenarios, dist._base
+    m, total = profile.m, _positive_total(profile.total_weight)
+    favoured = _checked_tie_break(rule, profile, tb)
+    if type(scenarios) is _Completions:
+        shared, own = profile.fixed_arrays, scenarios.own_arrays
+    else:
+        shared, own = ((), ()), lambda i: scenarios[i][0].fixed_arrays
     units: dict[Order, list[int]] = {}
-    weights = None  # set with the fixed tally at the first undecided scenario
+    fixed = None  # set with the shared tally at the first undecided scenario
     for i, won in enumerate(column):
         if won is None:
-            if weights is None:
-                base, fixed, fixed_weights = _fixed_part(rule, *view.fixed_arrays, m)
-                weights = fixed_weights + _assigned_weights(scenarios.groups)
-            orders = sum(scenarios.assignments[i], fixed)
+            if fixed is None:
+                base, fixed, fixed_weights = _fixed_part(rule, *shared, m)
+            orders, weights = own(i)
             won = column[i] = _tie_broken_id(
-                rule, orders, weights, m, total, tb, favoured, cap, base, units
+                rule, fixed + orders, fixed_weights + weights, m, total, tb, favoured, cap,
+                base, units,
             )
         yield won
 
@@ -351,25 +353,16 @@ def _unit_split(
     """The election (orders, weights) over the profile's candidates, each
     weight-k order cast as k identical unit ballots.
 
-    Unit ballots are immutable, so scenarios share one object per order.
-    The ballots are built as runs: each (order, weight) pair is a run of its
-    unit ballot, and a pair repeating the previous order extends that run,
-    so the runs are maximal.  Every weight is positive.
+    Unit ballots are immutable, so scenarios share one object per order, and
+    ``Profile``'s scan finds each run of a shared unit ballot.
     """
-    heads: list[WeightedBallot] = []
-    counts: list[int] = []
-    last = None
+    slots: list[WeightedBallot] = []
     for order, weight in zip(orders, weights):
         unit = _cache.get(order)
         if unit is None:
             unit = _cache[order] = WeightedBallot(order, 1)
-        if unit is last:
-            counts[-1] += weight
-        else:
-            heads.append(unit)
-            counts.append(weight)
-            last = unit
-    return Profile._from_runs(profile.candidates, heads, counts, profile.strict_odd)
+        slots += [unit] * weight
+    return Profile(profile.candidates, tuple(slots), strict_odd=profile.strict_odd)
 
 
 def reduction_from_preference_manipulation(

@@ -290,32 +290,6 @@ class Profile:
                 "(construct with strict_odd=False to allow this)"
             )
 
-    @classmethod
-    def _from_runs(
-        cls,
-        candidates: tuple[Candidate, ...],
-        heads: Sequence[Ballot],
-        counts: Sequence[int],
-        strict_odd: bool,
-    ) -> Profile:
-        """The profile with no unknown weight whose ballots are ``counts[k]``
-        adjacent slots of ``heads[k]``, in order.
-
-        The builder supplies the runs that ``runs`` would find, so they are
-        not scanned for: every count is positive and adjacent heads are
-        distinct objects.  Every check of ``__post_init__`` still runs.
-        """
-        profile = cls.__new__(cls)
-        profile.__dict__.update(
-            candidates=candidates,
-            ballots=tuple(chain.from_iterable(map(repeat, heads, counts))),
-            unknown_weight=0,
-            strict_odd=strict_odd,
-            runs=(heads, counts),
-        )
-        profile.__post_init__()
-        return profile
-
     @property
     def m(self) -> int:
         return len(self.candidates)
@@ -332,9 +306,6 @@ class Profile:
         objects.  Runs are found by identity, not equality.  Without an
         adjacent repeat the heads are ``ballots`` itself.  Every aggregate
         reads a run once, as ``counts[k]`` slots of weight ``heads[k].weight``.
-        A builder that already holds its runs may supply them through
-        ``_from_runs`` instead of this scan; they must be maximal in the same
-        way.
         """
         b = self.ballots
         n = len(b)

@@ -108,7 +108,7 @@ def slot_unit_split(
 
 
 def check_run_built(built: Profile, reference: Profile) -> None:
-    """Referee for a profile built from its runs (``Profile._from_runs``).
+    """Referee for a profile built by a unit split (``evaluation._unit_split``).
 
     It must equal ``reference``, built by the public constructor from the
     slot tuple, slot for slot and in every aggregate, and its runs must be

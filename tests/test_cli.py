@@ -264,13 +264,13 @@ class TestEvaluate:
         import votelab.evaluation as evaluation
 
         calls = []
-        real = evaluation.winner
+        real = evaluation._tie_broken_id
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "winner", counting)
+        monkeypatch.setattr(evaluation, "_tie_broken_id", counting)
         path = write(self.DIST, "dist.txt")
         code, out, _ = run(
             capsys, "evaluate", path, "--rule", "plurality", "--target", "B", "--r", "1/4"

@@ -43,6 +43,7 @@ from votelab import (
 from votelab import evaluation
 from votelab.completions import completed_arrays, completion_groups, iter_assignments
 from votelab.manipulation import _preference_view
+from votelab import rules as rules_module
 from votelab.rules import _DECIDERS
 
 import helpers as H
@@ -222,14 +223,16 @@ class TestEvaluate:
     def test_interleaved_calls_agree_with_the_referee(self, monkeypatch):
         # calls in a row under one (rule, tie-break) decide each scenario at
         # most once, in whatever order evaluate and win_probability reach it
+        # a scenario given as a profile is decided from its own fixed_arrays,
+        # so the orders object names the scenario
         decided: Counter = Counter()
-        real = evaluation.winner
+        real = evaluation._tie_broken_id
 
-        def counting(rule, profile, tb=None, **kwargs):
-            decided[id(profile)] += 1
-            return real(rule, profile, tb, **kwargs)
+        def counting(rule, orders, *args):
+            decided[id(orders)] += 1
+            return real(rule, orders, *args)
 
-        monkeypatch.setattr(evaluation, "winner", counting)
+        monkeypatch.setattr(evaluation, "_tie_broken_id", counting)
         rng = random.Random(109)
         early = completed = 0
         for _ in range(40):
@@ -294,6 +297,27 @@ class TestEvaluate:
                 assert repr(dist) == text
         # scans stopped early, and later calls finished those columns
         assert early and completed
+
+    def test_a_scan_checks_the_rule_once(self, monkeypatch):
+        # scenarios given as profiles share the rule check and the tie-break
+        checked = []
+        real = rules_module.validate_rule_for
+
+        def counting(rule, m):
+            checked.append(m)
+            return real(rule, m)
+
+        orders = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1))
+        dist = ScenarioDistribution(
+            tuple((Profile(cands(3), (vote(o),)), Fraction(1, 4)) for o in orders)
+        )
+        for rule in (borda(), Cup(((0, 1), 2)), Stv()):
+            with monkeypatch.context() as patch:
+                patch.setattr(rules_module, "validate_rule_for", counting)
+                checked.clear()
+                probability = win_probability(dist, rule, 0, TieBreak.favor(1))
+                assert checked == [3]
+            assert probability == H.scan_win_probability(dist, rule, 0, TieBreak.favor(1))
 
     def test_rules_built_from_lists_are_scanned(self):
         base = cands(3)

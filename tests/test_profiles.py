@@ -243,34 +243,6 @@ class TestRuns:
             assert p.fixed_arrays == arrays
             assert majority_matrix(p).fixed == fixed
 
-    def test_run_built_profiles_match_the_public_constructor(self):
-        rng = random.Random(20261019)
-        seen = set()
-        for _ in range(400):
-            m = rng.randint(2, 4)
-            slots = self._slots(rng, m)
-            if rng.random() < 0.2:
-                bad = rng.choice([vote(H.rand_order(rng, m - 1)), PartialBallot({(0, m)}, 1)])
-                slots[rng.randint(0, len(slots)):0] = [bad] * rng.randint(1, 3)
-            runs = [list(run) for _, run in itertools.groupby(slots, key=id)]
-            heads = [run[0] for run in runs]
-            counts = [len(run) for run in runs]
-            strict = rng.random() < 0.5
-            built = H.profile_or_message(
-                lambda: Profile._from_runs(cands(m), heads, counts, strict)
-            )
-            reference = H.profile_or_message(
-                lambda: Profile(cands(m), tuple(slots), strict_odd=strict)
-            )
-            if isinstance(reference, str):
-                assert built == reference
-                seen.add(reference.split()[0])
-            else:
-                H.check_run_built(built, reference)
-                seen.add(reference.is_complete)
-        # complete and partial profiles, short and undeclared heads, even totals
-        assert seen == {True, False, "ballot", "partial", "total"}
-
     def test_distinct_slots_are_their_own_runs(self):
         ballots = tuple(vote((i % 2, 1 - i % 2), 1) for i in range(5))
         p = Profile(cands(2), ballots)
