@@ -31,6 +31,12 @@ from .rules import Agenda, Copeland, Cup, Rule, Stv
 REDUCTION_KINDS = ("cup-elicit", "stv-sp-elicit", "cup-manip", "copeland-manip")
 
 
+def _check_entries(numbers: Sequence[int]) -> None:
+    for v in numbers:
+        if not _is_int(v) or v <= 0:
+            raise InvalidInstance(f"bag entries must be positive integers, got {v!r}")
+
+
 @dataclass(frozen=True)
 class PartitionInstance:
     """A bag of positive integers with an even total, stored sorted.
@@ -45,9 +51,7 @@ class PartitionInstance:
         numbers = tuple(sorted(self.numbers))
         if not numbers:
             raise InvalidInstance("the bag must contain at least one number")
-        for v in numbers:
-            if not _is_int(v) or v <= 0:
-                raise InvalidInstance(f"bag entries must be positive integers, got {v!r}")
+        _check_entries(numbers)
         if sum(numbers) % 2:
             raise InvalidInstance("the bag total must be even")
         object.__setattr__(self, "numbers", numbers)
@@ -89,7 +93,9 @@ def has_equal_partition(numbers: Sequence[int]) -> bool:
 
 def has_equal_partition_dp(numbers: Sequence[int]) -> bool:
     """Equal-sum split by ``_subset_sum_in``, the subset-sum kernel of the
-    three-candidate cup, asked for half the total: pseudo-polynomial in it."""
+    three-candidate cup, asked for half the total: pseudo-polynomial in it.
+    InvalidInstance unless every entry is a positive int, as in a bag."""
+    _check_entries(numbers)
     total = sum(numbers)
     return total % 2 == 0 and _subset_sum_in(numbers, total // 2, total // 2, None)
 

@@ -91,6 +91,20 @@ def _as_probability(p) -> Fraction:
         raise InvalidDistribution(f"bad probability {p!r}") from exc
 
 
+def _pairs(items, shape: str) -> Iterator[tuple]:
+    """The entries of ``items``, each unpacked as a pair as it is reached;
+    InvalidDistribution with the message ``shape`` when one is not a pair."""
+    try:
+        for first, second in items:
+            yield first, second
+    except (TypeError, ValueError):  # not iterable, or an entry not a pair
+        raise InvalidDistribution(shape) from None
+
+
+_SCENARIO_SHAPE = "a scenario must be a (Profile, probability) pair"
+_AGENT_SHAPE = "an agent must be (weight, [(order, probability), ...])"
+
+
 def _brief(frac: Fraction) -> str:
     """The rational as text, or its size when it is too long to print."""
     bits = abs(frac.numerator).bit_length() + frac.denominator.bit_length()
@@ -184,7 +198,9 @@ class ScenarioDistribution:
         if not self.scenarios:
             raise InvalidDistribution("a distribution needs at least one scenario")
         normalized = []
-        for profile, p in self.scenarios:
+        for profile, p in _pairs(self.scenarios, _SCENARIO_SHAPE):
+            if not isinstance(profile, Profile):
+                raise InvalidDistribution(_SCENARIO_SHAPE)
             frac = _as_probability(p)
             if frac <= 0:
                 raise InvalidDistribution(f"probability {_brief(frac)} is not positive")
@@ -418,10 +434,10 @@ def product_distribution(
         raise InvalidDistribution("need at least one agent")
     size = 1
     options = []
-    for weight, marginal in agents:
+    for weight, marginal in _pairs(agents, _AGENT_SHAPE):
         if not marginal:
             raise InvalidDistribution("an agent's marginal cannot be empty")
-        probs = [_as_probability(p) for _, p in marginal]
+        probs = [_as_probability(p) for _, p in _pairs(marginal, _AGENT_SHAPE)]
         mass = sum(probs)
         if mass != 1:
             raise InvalidDistribution(f"an agent's marginal sums to {_brief(mass)}, not 1")

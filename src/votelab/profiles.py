@@ -82,8 +82,11 @@ class Axis:
         return self.order.index(cand)
 
 
-def _check_axis(axis: Axis, m: int) -> None:
-    if len(axis.order) != m:
+def _check_axis(axis: Axis, m: int | None = None) -> None:
+    """InvalidProfile unless ``axis`` is an ``Axis``, over m candidates when m is given."""
+    if not isinstance(axis, Axis):
+        raise InvalidProfile(f"an axis must be an Axis, got {type(axis).__name__}")
+    if m is not None and len(axis.order) != m:
         raise InvalidProfile(f"the axis orders {len(axis.order)} candidates, not {m}")
 
 
@@ -246,6 +249,10 @@ class Profile:
         m = len(self.candidates)
         if m == 0:
             raise InvalidProfile("a profile needs at least one candidate")
+        if not all(map(isinstance, self.candidates, repeat(Candidate))):
+            raise InvalidProfile(
+                "candidates must be Candidate objects (see candidates_from_labels)"
+            )
         ids = [c.id for c in self.candidates]
         if ids != list(range(m)):
             raise InvalidProfile("candidate ids must be dense and in declaration order")
@@ -605,6 +612,7 @@ def single_peaked_orders(
     ``linear_extensions``: lazily, in lexicographic candidate-id order.
     Raises CapExceeded as soon as more than ``cap`` orders would be produced.
     """
+    _check_axis(axis)
     return linear_extensions(PartialBallot(frozenset(), 1), len(axis.order), cap, axis)
 
 

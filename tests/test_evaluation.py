@@ -332,6 +332,30 @@ class TestEvaluate:
         assert evaluate(dist, EvaluationQuery(base[0], Fraction(1, 2), hybrid))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ScenarioDistribution(((5, Fraction(1)),)),
+        lambda: ScenarioDistribution(((A_WINS, Fraction(1), 3),)),
+        lambda: ScenarioDistribution(5),
+        lambda: product_distribution(C2, [5]),
+        lambda: product_distribution(C2, [(1, 5)]),
+        lambda: product_distribution(C2, [(1, [5])]),
+    ],
+    ids=[
+        "scenario-not-a-profile",
+        "scenario-of-three",
+        "scenarios-not-a-sequence",
+        "agent-not-a-pair",
+        "marginal-not-a-sequence",
+        "marginal-entry-not-a-pair",
+    ],
+)
+def test_malformed_distribution_raises_a_typed_error(build):
+    with pytest.raises(InvalidDistribution):
+        build()
+
+
 class TestProductDistribution:
     def test_independent_agents_multiply(self):
         dist = product_distribution(

@@ -28,7 +28,10 @@ from votelab import (
     WeightedBallot,
     completion_groups,
     copeland_score,
+    cup_single_peaked_over,
     evaluate,
+    fine_sp_elicitation_over,
+    has_equal_partition_dp,
     is_single_peaked,
     linear_extensions,
     majority_matrix,
@@ -598,6 +601,15 @@ THREE_VOTES = Profile(cands(3), (vote((0, 1, 2)), vote((2, 1, 0)), vote((1, 0, 2
         lambda: Profile(cands(3), (WeightedBallot((True, 0, 2), 1),)),
         lambda: Profile(cands(2), (WeightedBallot((1, False), 1),)),
         lambda: PartitionInstance((True, True)),
+        lambda: fine_sp_elicitation_over(plurality(), THREE, (0, 1, 2)),
+        lambda: completion_groups(THREE, axis=(0, 1, 2)),
+        lambda: linear_extensions(PartialBallot([(0, 1)], 1), 3, axis=(0, 1, 2)),
+        lambda: cup_single_peaked_over(THREE, (0, 1, 2)),
+        lambda: single_peaked_orders((0, 1, 2)),
+        lambda: sp_completable(PartialBallot([(0, 1)], 1), 3, (0, 1, 2)),
+        lambda: Profile(("A", "B")),
+        lambda: has_equal_partition_dp([-1, 1]),
+        lambda: has_equal_partition_dp([True, True]),
     ],
     ids=[
         "axis-entry",
@@ -628,6 +640,15 @@ THREE_VOTES = Profile(cands(3), (vote((0, 1, 2)), vote((2, 1, 0)), vote((1, 0, 2
         "order-bool-entries",
         "order-bool-zero",
         "bag-bools",
+        "fine-sp-axis-tuple",
+        "completion-groups-axis-tuple",
+        "linear-extensions-axis-tuple",
+        "cup-sp-axis-tuple",
+        "sp-orders-axis-tuple",
+        "sp-completable-axis-tuple",
+        "candidates-as-labels",
+        "partition-dp-negative",
+        "partition-dp-bools",
     ],
 )
 def test_library_input_raises_a_typed_error(build):
