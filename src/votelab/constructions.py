@@ -95,6 +95,7 @@ def has_equal_partition_dp(numbers: Sequence[int]) -> bool:
     """Equal-sum split by ``_subset_sum_in``, the subset-sum kernel of the
     three-candidate cup, asked for half the total: pseudo-polynomial in it.
     InvalidInstance unless every entry is a positive int, as in a bag."""
+    numbers = tuple(numbers)
     _check_entries(numbers)
     total = sum(numbers)
     return total % 2 == 0 and _subset_sum_in(numbers, total // 2, total // 2, None)

@@ -279,8 +279,8 @@ def _winner_ids(
     there.  The rule and the tie-break are checked once, against ``_base``.
     Each election is the tally of the ballots its scenarios share
     (``rules._fixed_part``) plus its own orders: for a reduction the view's
-    fixed ballots and the assignment, for a scenario given as a profile no
-    ballots and its ``fixed_arrays``."""
+    fixed ballots and the assignment.  A scenario given as a profile shares
+    nothing, and its ``fixed_arrays`` are tallied whole."""
     tb = tb or TieBreak.lex()
     key = (rule, tb)
     kept = dist._column
@@ -294,13 +294,15 @@ def _winner_ids(
     if type(scenarios) is _Completions:
         shared, own = profile.fixed_arrays, scenarios.own_arrays
     else:
-        shared, own = ((), ()), lambda i: scenarios[i][0].fixed_arrays
+        shared, own = None, lambda i: scenarios[i][0].fixed_arrays
     units: dict[Order, list[int]] = {}
     fixed = None  # set with the shared tally at the first undecided scenario
     for i, won in enumerate(column):
         if won is None:
             if fixed is None:
-                base, fixed, fixed_weights = _fixed_part(rule, *shared, m)
+                base, fixed, fixed_weights = (
+                    _fixed_part(rule, *shared, m) if shared is not None else (None, (), ())
+                )
             orders, weights = own(i)
             won = column[i] = _tie_broken_id(
                 rule, fixed + orders, fixed_weights + weights, m, total, tb, favoured, cap,
