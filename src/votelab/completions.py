@@ -129,20 +129,24 @@ def completion_groups(
     options_of: dict[frozenset[tuple[int, int]], tuple[Order, ...]] = {}
     spent = 0  # sum of (length - 1) over the lists in options_of
     grouped: dict[tuple[int, tuple[Order, ...]], list[int]] = {}
-    end = 0
-    for ballot, count in zip(*profile.runs):
-        start, end = end, end + count
-        if isinstance(ballot, WeightedBallot):
-            if axis is not None and not is_single_peaked(ballot.order, axis):
-                raise NotCompletableSP(
-                    f"complete ballot {ballot.order} is not single-peaked on the axis"
-                )
-            continue
-        options = options_of.get(ballot.pairs)
-        if options is None:
-            options = options_of[ballot.pairs] = _options(ballot, m, axis, cap, spent)
-            spent += len(options) - 1
-        grouped.setdefault((ballot.weight, options), []).extend(range(start, end))
+    # each ballot object is looked at once, at its first slot: a complete one
+    # is checked, a partial one finds the slot list of its group
+    slots_of: dict[int, list[int]] = {}
+    for idx, ballot in enumerate(profile.ballots):
+        if id(ballot) not in slots_of:
+            if isinstance(ballot, WeightedBallot):
+                if axis is not None and not is_single_peaked(ballot.order, axis):
+                    raise NotCompletableSP(
+                        f"complete ballot {ballot.order} is not single-peaked on the axis"
+                    )
+                slots_of[id(ballot)] = []  # a complete ballot joins no group
+            else:
+                options = options_of.get(ballot.pairs)
+                if options is None:
+                    options = options_of[ballot.pairs] = _options(ballot, m, axis, cap, spent)
+                    spent += len(options) - 1
+                slots_of[id(ballot)] = grouped.setdefault((ballot.weight, options), [])
+        slots_of[id(ballot)].append(idx)
 
     groups = [
         OptionGroup(weight, len(indices), options, tuple(indices))
@@ -254,14 +258,14 @@ def fixed_view(profile: Profile, free: Collection[int] = ()) -> Profile:
     none, so it is blanked to full freedom.  Every other ballot must be a
     total order, else ModelMismatch, and is cast as that order, so the
     view's ``fixed_arrays`` cover every ballot outside ``free``.  Returns
-    the profile itself, after one look at each run, when nothing is free and
-    every ballot is cast already.
+    the profile itself, after one look at each slot, when nothing is free
+    and every ballot is cast already.
     """
     m = profile.m
-    if not free and all(map(isinstance, profile.runs[0], repeat(WeightedBallot))):
+    if not free and all(map(isinstance, profile.ballots, repeat(WeightedBallot))):
         return profile
-    # one view per (ballot object, free or not), so a run of one object
-    # stays one run wherever its slots are all free or all fixed
+    # one view per (ballot object, free or not): slots sharing an object
+    # share its view, and each free ballot's closure is computed once
     views: dict[tuple[int, bool], Ballot] = {}
     ballots = []
     for idx, ballot in enumerate(profile.ballots):

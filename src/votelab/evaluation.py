@@ -372,7 +372,7 @@ def _unit_split(
     weight-k order cast as k identical unit ballots.
 
     Unit ballots are immutable, so scenarios share one object per order, and
-    ``Profile``'s scan finds each run of a shared unit ballot.
+    ``Profile`` checks each shared unit ballot once.
     """
     slots: list[WeightedBallot] = []
     for order, weight in zip(orders, weights):

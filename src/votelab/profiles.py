@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import is_not, itemgetter, mul, sub
+from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterator, Union
 
 from .errors import InvalidProfile, NotCompletableSP, charge
@@ -29,30 +30,6 @@ DEFAULT_COMPLETION_CAP = 10**6
 MAX_WEIGHT = 2**63 - 1
 
 Pair = tuple[int, int]
-
-
-class cached_attribute:
-    """``functools.cached_property`` without its lock.
-
-    The first read computes the value and stores it in the instance
-    ``__dict__`` under the attribute's name; later reads find it there,
-    before this non-data descriptor.  This is what ``cached_property`` does
-    from Python 3.12 on.  Under 3.11 it takes an ``RLock`` on every first
-    read, which no caller here needs.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
 
 
 @dataclass(frozen=True)
@@ -238,6 +215,9 @@ class Profile:
     With ``strict_odd`` (the default) the total weight must be odd, which
     rules out pairwise ties.  Constructions that deliberately use even
     totals pass ``strict_odd=False``.
+
+    Aggregates read ``ballots`` slot by slot; the constructor checks each
+    distinct ballot object once, however many slots it fills.
     """
 
     candidates: tuple[Candidate, ...]
@@ -261,13 +241,13 @@ class Profile:
             raise InvalidProfile("candidate labels must be unique")
         _check_weight(self.unknown_weight, "unknown_weight", 0)
         universe = set(range(m))
-        # a ballot object filling a run of slots needs only one check; an
-        # order repeats no candidate, so m declared ids are all of them, and
-        # its entries sum to an int only when each is one (1.0 == 1 passes
-        # the other tests); of those, only the entries equal to 0 and 1 may
-        # be bools
+        # a ballot object filling many slots needs only one check, and the
+        # first failing slot still raises; an order repeats no candidate, so
+        # m declared ids are all of them, and its entries sum to an int only
+        # when each is one (1.0 == 1 passes the other tests); of those, only
+        # the entries equal to 0 and 1 may be bools
         try:
-            for ballot in self.runs[0]:
+            for ballot in {id(b): b for b in self.ballots}.values():
                 if isinstance(ballot, WeightedBallot):
                     order = ballot.order
                     if not (
@@ -304,33 +284,15 @@ class Profile:
     # Aggregates are cached in the instance __dict__; the fields they read
     # are frozen, so a cached value never goes stale.
 
-    @cached_attribute
-    def runs(self) -> tuple[Sequence[Ballot], Sequence[int]]:
-        """The ballots as runs, in slot order: (heads, counts).
-
-        ``heads[k]`` is the ballot object that fills ``counts[k]`` adjacent
-        slots, and each run is maximal, so adjacent heads are distinct
-        objects.  Runs are found by identity, not equality.  Without an
-        adjacent repeat the heads are ``ballots`` itself.  Every aggregate
-        reads a run once, as ``counts[k]`` slots of weight ``heads[k].weight``.
-        """
-        b = self.ballots
-        n = len(b)
-        starts = [0, *compress(range(1, n), map(is_not, b[1:], b))] if n else []
-        if len(starts) == n:
-            return b, (1,) * n
-        return [b[i] for i in starts], list(map(sub, starts[1:] + [n], starts))
-
-    @cached_attribute
+    @cached_property
     def total_weight(self) -> int:
-        heads, counts = self.runs
-        return sum(map(mul, [b.weight for b in heads], counts)) + self.unknown_weight
+        return sum([b.weight for b in self.ballots]) + self.unknown_weight
 
-    @cached_attribute
+    @cached_property
     def is_complete(self) -> bool:
         """True when every ballot is a full ranking and nothing is unknown."""
         return self.unknown_weight == 0 and all(
-            map(isinstance, self.runs[0], repeat(WeightedBallot))
+            map(isinstance, self.ballots, repeat(WeightedBallot))
         )
 
     def candidate(self, cand: int | Candidate) -> Candidate:
@@ -356,7 +318,7 @@ class Profile:
             raise InvalidProfile("operation requires a complete profile")
         return self.fixed_arrays
 
-    @cached_attribute
+    @cached_property
     def fixed_arrays(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """(orders, weights) of the complete (``WeightedBallot``) ballots.
 
@@ -367,9 +329,9 @@ class Profile:
         unknown weight are left out.
         """
         merged: dict[tuple[int, ...], int] = {}
-        for b, k in zip(*self.runs):
+        for b in self.ballots:
             if isinstance(b, WeightedBallot):
-                merged[b.order] = merged.get(b.order, 0) + b.weight * k
+                merged[b.order] = merged.get(b.order, 0) + b.weight
         return tuple(merged), tuple(merged.values())
 
 
@@ -425,11 +387,10 @@ def majority_matrix(profile: Profile) -> MajorityMatrix:
     """Aggregate committed pairwise weight; unknown weight is wholly free."""
     m = profile.m
     fixed = pairwise_counts(*profile.fixed_arrays, m)
-    for ballot, k in zip(*profile.runs):
+    for ballot in profile.ballots:
         if isinstance(ballot, PartialBallot):
-            weight = ballot.weight * k
             for a, b in ballot.pairs:
-                fixed[a][b] += weight
+                fixed[a][b] += ballot.weight
     total = profile.total_weight
     free = [
         [0 if i == j else total - fixed[i][j] - fixed[j][i] for j in range(m)]
@@ -673,23 +634,27 @@ def _median_peaks(profile: Profile, axis: Axis) -> tuple[int, int]:
             raise NotCompletableSP(f"complete ballot {order} is not single-peaked on the axis")
         peak = axis.position(order[0])
         spans.append((peak, peak, weight))
-    for ballot, k in zip(*profile.runs):
-        if isinstance(ballot, WeightedBallot):
-            continue
-        below = {b for _, b in ballot.pairs}
+    # ballots with one set of pairs share their peaks: each set is walked
+    # once, in first-seen order, so the first failing slot still raises
+    weight_of: dict[frozenset[Pair], int] = {}
+    for ballot in profile.ballots:
+        if not isinstance(ballot, WeightedBallot):
+            weight_of[ballot.pairs] = weight_of.get(ballot.pairs, 0) + ballot.weight
+    for pairs, weight in weight_of.items():
+        below = {b for _, b in pairs}
         peaks = [
             axis.position(c)
             for c in range(m)
             if c not in below
             and sp_completable(
-                PartialBallot(ballot.pairs | {(c, x) for x in range(m) if x != c}, 1), m, axis
+                PartialBallot(pairs | {(c, x) for x in range(m) if x != c}, 1), m, axis
             )
         ]
         if not peaks:
             raise NotCompletableSP(
-                f"ballot with pairs {sorted(ballot.pairs)} has no single-peaked completion"
+                f"ballot with pairs {sorted(pairs)} has no single-peaked completion"
             )
-        spans.append((min(peaks), max(peaks), ballot.weight * k))
+        spans.append((min(peaks), max(peaks), weight))
 
     def median(side: int) -> int:
         seen = 0  # the spans' weights sum to the total, so this returns

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain, combinations, product
 from typing import Callable, Iterator, Sequence, Union
 
@@ -32,7 +32,6 @@ from .profiles import (
     Candidate,
     Profile,
     _is_int,
-    cached_attribute,
     pairwise_counts,
 )
 
@@ -149,7 +148,7 @@ class Cup(object):
                 f"cup agenda is {depth} levels deep, above the limit of {MAX_AGENDA_DEPTH}"
             )
 
-    @cached_attribute
+    @cached_property
     def leaf_set(self) -> frozenset[int]:
         """The candidate ids at the agenda's leaves."""
         return frozenset(agenda_leaves(self.agenda))

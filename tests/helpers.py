@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from operator import is_
 from typing import Callable, Iterator, Sequence
 
 from votelab import (
@@ -98,7 +97,7 @@ def slot_unit_split(
     cache: dict[Order, WeightedBallot],
 ) -> Profile:
     """Each weight-k order cast as k slots of one shared unit ballot, the
-    slot tuple handed to the public constructor, whose scan finds the runs."""
+    slot tuple handed to the public constructor."""
     slots: list[WeightedBallot] = []
     for order, weight in zip(orders, weights):
         if order not in cache:
@@ -111,16 +110,9 @@ def check_run_built(built: Profile, reference: Profile) -> None:
     """Referee for a profile built by a unit split (``evaluation._unit_split``).
 
     It must equal ``reference``, built by the public constructor from the
-    slot tuple, slot for slot and in every aggregate, and its runs must be
-    exactly the maximal runs a scan of its own slots finds.
+    slot tuple, slot for slot and in every aggregate.
     """
     assert built == reference and hash(built) == hash(reference)
-    heads, counts = built.runs
-    scanned = Profile(built.candidates, built.ballots, strict_odd=built.strict_odd).runs
-    assert len(heads) == len(scanned[0]) and all(map(is_, heads, scanned[0]))
-    assert list(counts) == list(scanned[1])
-    assert list(heads) == list(reference.runs[0])
-    assert list(counts) == list(reference.runs[1])
     assert built.fixed_arrays == reference.fixed_arrays
     assert built.total_weight == reference.total_weight
     assert built.is_complete == reference.is_complete

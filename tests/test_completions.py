@@ -257,14 +257,17 @@ class TestFixedView:
         total = PartialBallot.from_order((2, 0, 1), 1)
         p = Profile(cands(3), (locked,) * 5000 + (total,) * 5000, strict_odd=False)
         view = _preference_view(p)
-        assert list(view.runs[1]) == [5000, 5000]
+        first, last = view.ballots[0], view.ballots[-1]
+        assert first is not last
+        assert all(b is first for b in view.ballots[:5000])
+        assert all(b is last for b in view.ballots[5000:])
         # the same view built slot by slot, one ballot object per slot
         slot_built = Profile(
             cands(3),
             tuple(PartialBallot(b.locked, b.weight, b.locked) for b in p.ballots),
             strict_odd=False,
         )
-        assert len(slot_built.runs[0]) == 10_000
+        assert len({id(b) for b in slot_built.ballots}) == 10_000
         assert view.ballots == slot_built.ballots
         assert completion_groups(view) == completion_groups(slot_built)
 
@@ -273,11 +276,11 @@ class TestFixedView:
         total = PartialBallot.from_order((2, 0, 1), 1)
         p = Profile(cands(3), (cast,) * 6 + (total,))
         view = fixed_view(p, {2, 3})
-        heads, counts = view.runs
-        assert list(counts) == [2, 2, 2, 1]
-        assert heads[0] is heads[2] is cast
-        assert heads[1] == PartialBallot(frozenset(), 1)
-        assert heads[3] == WeightedBallot((2, 0, 1), 1)
+        b = view.ballots
+        assert all(x is cast for x in b[:2] + b[4:6])
+        assert b[2] is b[3]
+        assert b[2] == PartialBallot(frozenset(), 1)
+        assert b[6] == WeightedBallot((2, 0, 1), 1)
         (group,) = completion_groups(view)
         assert (group.count, group.indices) == (2, (2, 3))
 

@@ -44,6 +44,7 @@ from votelab import (
     win_probability,
     winner,
 )
+from votelab import profiles
 from votelab.profiles import _count_extensions
 
 import helpers as H
@@ -205,7 +206,7 @@ class TestProfile:
 
 
 class TestRuns:
-    """Aggregates read each run of one shared ballot object once."""
+    """Aggregates over slots that share ballot objects, adjacent or not."""
 
     @staticmethod
     def _slots(rng: random.Random, m: int) -> list:
@@ -235,22 +236,11 @@ class TestRuns:
             m = rng.randint(2, 4)
             slots = self._slots(rng, m)
             p = Profile(cands(m), tuple(slots), rng.choice([0, 0, 1, 3]), strict_odd=False)
-            heads, counts = p.runs
-            assert sum(counts) == len(slots)
-            assert all(a is not b for a, b in zip(heads, heads[1:]))
-            expanded = [b for b, k in zip(heads, counts) for _ in range(k)]
-            assert all(a is b for a, b in zip(expanded, slots))
             total, complete, arrays, fixed = H.slot_aggregates(p)
             assert p.total_weight == total
             assert p.is_complete == complete
             assert p.fixed_arrays == arrays
             assert majority_matrix(p).fixed == fixed
-
-    def test_distinct_slots_are_their_own_runs(self):
-        ballots = tuple(vote((i % 2, 1 - i % 2), 1) for i in range(5))
-        p = Profile(cands(2), ballots)
-        assert p.runs == (ballots, (1,) * 5)
-        assert Profile(cands(2), unknown_weight=1).runs == ((), ())
 
     @pytest.mark.parametrize(
         "bad", [vote((0, 1), 1), PartialBallot({(0, 3)}, 1)], ids=["short", "undeclared"]
@@ -261,7 +251,7 @@ class TestRuns:
             Profile(cands(3), (unit,) * 10**5 + (bad,), strict_odd=False)
 
     def test_each_aggregate_is_computed_once(self, monkeypatch):
-        names = ("runs", "total_weight", "is_complete", "fixed_arrays")
+        names = ("total_weight", "is_complete", "fixed_arrays")
         calls = []
         for name in names:
             attr = vars(Profile)[name]
@@ -509,6 +499,21 @@ class TestSinglePeaked:
         p = Profile(cands(3), (vote((0, 2, 1), 1),))
         with pytest.raises(NotCompletableSP):
             single_peaked_condorcet_winner(p, self.AXIS)
+
+    def test_median_peaks_walk_each_set_of_pairs_once(self, monkeypatch):
+        # two equal free ballot objects, 300 slots each, answer as one ballot
+        # of their summed weight, and their peaks are found once
+        m, axis = 4, Axis((0, 1, 2, 3))
+        free_a, free_b = PartialBallot(frozenset(), 1), PartialBallot(frozenset(), 1)
+        cast = vote((1, 0, 2, 3), 1)
+        p = Profile(cands(m), (free_a,) * 300 + (free_b,) * 300 + (cast,))
+        merged = Profile(cands(m), (PartialBallot(frozenset(), 600), cast))
+        assert cup_single_peaked_over(p, axis) == cup_single_peaked_over(merged, axis)
+        calls = []
+        walk = profiles.sp_completable
+        monkeypatch.setattr(profiles, "sp_completable", lambda *a: calls.append(a) or walk(*a))
+        cup_single_peaked_over(p, axis)
+        assert len(calls) <= m
 
 
 class TestValidationMessages:
