@@ -79,11 +79,11 @@ def has_equal_partition(numbers: Sequence[int]) -> bool:
     Deliberately naive; this is the referee the generated elections are
     checked against.
     """
-    total = sum(numbers)
+    items = tuple(numbers)  # read once, so an iterator is summed and split alike
+    total = sum(items)
     if total % 2:
         return False
     half = total // 2
-    items = tuple(numbers)
     return any(
         sum(combo) == half
         for r in range(len(items) + 1)

@@ -195,10 +195,21 @@ class ScenarioDistribution:
     _base: Profile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.scenarios:
-            raise InvalidDistribution("a distribution needs at least one scenario")
+        object.__setattr__(self, "_column", None)
+        if type(self.scenarios) is _Completions:
+            # a reduction's scenarios are completions of one view: all are
+            # complete and share its candidates and total weight, and the
+            # shares are equal and positive, so no check is repeated per
+            # scenario
+            count = len(self.scenarios)
+            object.__setattr__(self, "_counts", (1,) * count)
+            object.__setattr__(self, "_denominator", count)
+            object.__setattr__(self, "_base", self.scenarios.view)
+            return
         normalized = []
-        for profile, p in _pairs(self.scenarios, _SCENARIO_SHAPE):
+        # a falsy input reads as empty; emptiness is checked once the
+        # entries are read, so an empty iterator is refused as well
+        for profile, p in _pairs(self.scenarios or (), _SCENARIO_SHAPE):
             if not isinstance(profile, Profile):
                 raise InvalidDistribution(_SCENARIO_SHAPE)
             frac = _as_probability(p)
@@ -207,6 +218,8 @@ class ScenarioDistribution:
             if not profile.is_complete:
                 raise InvalidDistribution("scenario profiles must be complete")
             normalized.append((profile, frac))
+        if not normalized:
+            raise InvalidDistribution("a distribution needs at least one scenario")
         object.__setattr__(self, "scenarios", tuple(normalized))
         first = self.scenarios[0][0]
         for profile, _ in self.scenarios[1:]:
@@ -223,28 +236,7 @@ class ScenarioDistribution:
             )
         object.__setattr__(self, "_counts", counts)
         object.__setattr__(self, "_denominator", denominator)
-        object.__setattr__(self, "_column", None)
         object.__setattr__(self, "_base", first)
-
-    @classmethod
-    def _of_completions(cls, scenarios: _Completions) -> ScenarioDistribution:
-        """The uniform distribution over a reduction's scenarios.
-
-        Every check of ``__post_init__`` holds by construction: each
-        scenario is a completion of one view, so all are complete and share
-        its candidates and total weight, and the shares are equal and
-        positive.  None is repeated per scenario.
-        """
-        dist = cls.__new__(cls)
-        count = len(scenarios)
-        dist.__dict__.update(
-            scenarios=scenarios,
-            _counts=(1,) * count,
-            _denominator=count,
-            _column=None,
-            _base=scenarios.view,
-        )
-        return dist
 
     @property
     def candidates(self) -> tuple[Candidate, ...]:
@@ -407,9 +399,7 @@ def reduction_from_preference_manipulation(
     groups = completion_groups(view, cap=cap)
     count = check_cap(groups, cap)
     charge(count * view.total_weight, cap, "unit ballots of the split")
-    dist = ScenarioDistribution._of_completions(
-        _Completions(view, groups, tuple(iter_assignments(groups)))
-    )
+    dist = ScenarioDistribution(_Completions(view, groups, tuple(iter_assignments(groups))))
     query = EvaluationQuery(
         target=inst.target,
         r=Fraction(0),
@@ -432,21 +422,21 @@ def product_distribution(
     summing to 1.  The scenario count is the product of the marginal sizes
     and is guarded by ``cap``.
     """
-    if not agents:
-        raise InvalidDistribution("need at least one agent")
     size = 1
     options = []
-    for weight, marginal in _pairs(agents, _AGENT_SHAPE):
+    # a falsy input reads as empty, and each marginal is read once, so
+    # iterators answer as sequences do
+    for weight, marginal in _pairs(agents or (), _AGENT_SHAPE):
         if not marginal:
             raise InvalidDistribution("an agent's marginal cannot be empty")
-        probs = [_as_probability(p) for _, p in _pairs(marginal, _AGENT_SHAPE)]
-        mass = sum(probs)
+        entries = [(order, _as_probability(p)) for order, p in _pairs(marginal, _AGENT_SHAPE)]
+        mass = sum(p for _, p in entries)
         if mass != 1:
             raise InvalidDistribution(f"an agent's marginal sums to {_brief(mass)}, not 1")
-        options.append(
-            [(WeightedBallot(order, weight), p) for (order, _), p in zip(marginal, probs)]
-        )
-        size *= len(marginal)
+        options.append([(WeightedBallot(order, weight), p) for order, p in entries])
+        size *= len(entries)
+    if not options:
+        raise InvalidDistribution("need at least one agent")
     charge(size, cap, "scenarios of the product distribution")
     scenarios = []
     for combo in product(*options):

@@ -71,6 +71,9 @@ class TestPartitionOracles:
             bag = [rng.randint(1, 12) for _ in range(rng.randint(1, 8))]
             assert has_equal_partition(bag) == has_equal_partition_dp(bag)
 
+    def test_oracles_agree_on_an_iterator(self):
+        assert has_equal_partition(iter([2, 2])) == has_equal_partition_dp(iter([2, 2])) is True
+
 
 class TestCupElicitationGen:
     def test_two_singletons(self):

@@ -341,6 +341,8 @@ class TestEvaluate:
         lambda: product_distribution(C2, [5]),
         lambda: product_distribution(C2, [(1, 5)]),
         lambda: product_distribution(C2, [(1, [5])]),
+        lambda: ScenarioDistribution(iter(())),
+        lambda: product_distribution(C2, iter(())),
     ],
     ids=[
         "scenario-not-a-profile",
@@ -349,6 +351,8 @@ class TestEvaluate:
         "agent-not-a-pair",
         "marginal-not-a-sequence",
         "marginal-entry-not-a-pair",
+        "scenarios-an-empty-iterator",
+        "agents-an-empty-iterator",
     ],
 )
 def test_malformed_distribution_raises_a_typed_error(build):
@@ -377,6 +381,10 @@ class TestProductDistribution:
     def test_needs_agents(self):
         with pytest.raises(InvalidDistribution):
             product_distribution(C2, [])
+
+    def test_a_marginal_may_be_an_iterator(self):
+        given = product_distribution(C2, [(1, iter([((0, 1), 1)]))])
+        assert given == product_distribution(C2, [(1, [((0, 1), 1)])])
 
     def test_cap_guards_the_product(self):
         agent = (1, [((0, 1), Fraction(1, 2)), ((1, 0), Fraction(1, 2))])
