@@ -502,10 +502,11 @@ class TestSinglePeaked:
 
     def test_median_peaks_walk_each_set_of_pairs_once(self, monkeypatch):
         # two equal free ballot objects, 300 slots each, answer as one ballot
-        # of their summed weight, and their peaks are found once
+        # of their summed weight, and their peaks are found once; the free
+        # weight outweighs the vote only when every slot is counted
         m, axis = 4, Axis((0, 1, 2, 3))
         free_a, free_b = PartialBallot(frozenset(), 1), PartialBallot(frozenset(), 1)
-        cast = vote((1, 0, 2, 3), 1)
+        cast = vote((1, 0, 2, 3), 599)
         p = Profile(cands(m), (free_a,) * 300 + (free_b,) * 300 + (cast,))
         merged = Profile(cands(m), (PartialBallot(frozenset(), 600), cast))
         assert cup_single_peaked_over(p, axis) == cup_single_peaked_over(merged, axis)
