@@ -52,12 +52,14 @@ from .rules import (
     _achievable_ids,
     _fixed_part,
     _hybrid_rounds,
+    _outcome_masks,
     _pair_at,
-    _pairs_sign,
+    _pairs_masks,
     _pairs_tally,
+    _positive_total,
     _reach,
     _rule_bound,
-    achievable_from_sign,
+    achievable_from_masks,
     validate_rule_for,
 )
 
@@ -103,18 +105,22 @@ def _pairwise_possible_ids(
     *,
     target: int | None = None,
 ) -> Iterator[tuple[Assignment | None, frozenset[int]]]:
-    """(assignment or None, achievable ids) per reachable majority sign
-    pattern, in sorted order: the enumeration's stream for a pairwise rule.
+    """(assignment or None, achievable ids) per reachable sign pattern of the
+    open pairs, in sorted order: the enumeration's stream for a pairwise rule.
 
-    Each option's tally at weight 1 is projected onto the pairs open between
-    the least and the most tally (``_list_bounds``), and the projections are
-    summed with deduplication.  Sums only grow, and once a pair's sum
-    reaches ``(total - 2*base)//2 + 1`` its sign is +1 for good, so every
-    running sum is clamped there without losing a reachable sign matrix.  A
-    group of interchangeable ballots stops summing at a fixpoint, when one
-    more ballot adds no new clamped sum.  The setup (options times pairs,
-    charged once) and the summing, each bounded by ``cap``, run before this
-    returns; the rule is decided lazily per pattern.
+    A pair is open when its majority outcome differs between the least and
+    the most tally (``_list_bounds``).  The forced pairs' outcome is kept as
+    the ``rules._pairs_masks`` bitmasks of the least tally with the open
+    pairs' bits cleared; each pattern sets its open pairs' bits in a copy of
+    them (``rules._outcome_masks``), and the rule is decided from those
+    masks.  Each option's tally at weight 1 is projected onto the open
+    pairs, and the projections are summed with deduplication.  Sums only
+    grow, and once a pair's sum reaches ``(total - 2*base)//2 + 1`` its sign
+    is +1 for good, so every running sum is clamped there without losing a
+    reachable pattern.  A group of interchangeable ballots stops summing at
+    a fixpoint, when one more ballot adds no new clamped sum.  The setup
+    (options times pairs, charged once) and the summing, each bounded by
+    ``cap``, run before this returns; the rule is decided lazily per pattern.
 
     A clamped sum is one int with a field of ``width`` bits per open pair,
     the first pair lowest.  A field holds at most twice the largest clamp or
@@ -149,9 +155,13 @@ def _pairwise_possible_ids(
         lo = [s + bulk * v for s, v in zip(lo, least)]
         hi = [s + bulk * v for s, v in zip(hi, most)]
 
-    # a pair whose sign is the same at its least and its most is forced
-    sign_lo, sign_hi = _pairs_sign(lo, m, total), _pairs_sign(hi, m, total)
-    open_pairs = [(i, j) for i, j in combinations(range(m), 2) if sign_lo[i][j] != sign_hi[i][j]]
+    # a pair whose outcome is the same at its least and its most is forced;
+    # each candidate's open rivals are those whose bits differ between the two
+    (beats, holds), (beats_hi, holds_hi) = _pairs_masks(lo, m, total), _pairs_masks(hi, m, total)
+    opened = [(b ^ bh) | (h ^ hh) for b, h, bh, hh in zip(beats, holds, beats_hi, holds_hi)]
+    open_pairs = [(i, j) for i, j in combinations(range(m), 2) if opened[i] >> j & 1]
+    beats = [b & ~o for b, o in zip(beats, opened)]
+    holds = [h & ~o for h, o in zip(holds, opened)]
     coords = [_pair_at(i, j, m) for i, j in open_pairs]  # where the tally keeps them
 
     sat = [(total - 2 * base[k]) // 2 + 1 for k in coords]
@@ -223,10 +233,8 @@ def _pairwise_possible_ids(
 
     def stream():
         for open_signs in sorted(patterns):
-            sign = [row[:] for row in sign_lo]
-            for (i, j), s in zip(open_pairs, open_signs):
-                sign[i][j], sign[j][i] = s, -s
-            ids = achievable_from_sign(rule, sign)
+            masks = _outcome_masks(open_pairs, open_signs, beats[:], holds[:])
+            ids = achievable_from_masks(rule, *masks)
             won = target in ids
             yield (_read_back(groups, trail, patterns[open_signs]) if won else None), ids
 
@@ -428,8 +436,10 @@ def possible_winners(
     completion space (after symmetry merging) is larger than ``cap``, or
     when the STV elimination search of a completion the walk visits reaches
     more than ``cap`` candidate sets; completions in a subtree the rule's
-    bound rules out are not visited.
+    bound rules out are not visited.  An election of total weight 0 raises
+    InvalidProfile, as ``winner`` does.
     """
+    _positive_total(profile.total_weight)
     ids = _possible_ids(rule, profile, cap=cap)
     return frozenset(profile.candidates[i] for i in ids)
 
@@ -439,7 +449,9 @@ def _elicitation_over(rule: Rule, profile: Profile, axis: Axis | None, cap: int 
     answers: the median peak (Cup, Copeland(2), an axis, odd total weight);
     the three-candidate cup (no axis), unless its subset-sum work passes
     ``cap``; the survivor walk (a hybrid, no axis, no genuinely partial
-    ballot); else the engine, stopped at two possible winners."""
+    ballot); else the engine, stopped at two possible winners.  An election
+    of total weight 0 is refused before any row."""
+    _positive_total(profile.total_weight)
     m = profile.m
     if isinstance(rule, PAIRWISE_RULES) and axis is not None and profile.total_weight % 2:
         validate_rule_for(rule, m)

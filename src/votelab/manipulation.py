@@ -31,7 +31,7 @@ from .profiles import (
     _is_int,
     majority_matrix,
 )
-from .rules import Agenda, Cup, Rule, validate_rule_for
+from .rules import Agenda, Cup, Rule, _positive_total, validate_rule_for
 
 Order = tuple[int, ...]
 
@@ -121,9 +121,11 @@ def coalition_manipulate(
     target.  Cup elections use a polynomial bracket argument.  Copeland and
     Copeland2 sum the coalition's pairwise projections, and ``cap`` bounds
     that summing work; other rules search the coalition's joint ballot space,
-    and ``cap`` bounds its merged size.  CapExceeded is raised past the cap.
+    and ``cap`` bounds its merged size.  CapExceeded is raised past the cap,
+    and InvalidProfile on an election of total weight 0.
     """
     probe = _probe_profile(inst)
+    _positive_total(probe.total_weight)
     validate_rule_for(inst.rule, probe.m)
     target = inst.target.id
 
@@ -235,11 +237,13 @@ def preference_manipulate(
     Other rules search the joint completions, heaviest ballots first and
     target-topmost extensions first, so witnesses surface early; exhaustion
     proves impossibility, and ``cap`` bounds the merged space.  Either way a
-    ballot with more than ``cap`` extensions raises CapExceeded.
+    ballot with more than ``cap`` extensions raises CapExceeded.  An election
+    of total weight 0 raises InvalidProfile.
     """
     if inst.is_coalition:
         raise ModelMismatch("this operation needs a preference-model instance")
     view = _preference_view(inst.profile)
+    _positive_total(view.total_weight)
     validate_rule_for(inst.rule, view.m)
     groups, assignment = _witness(inst.rule, view, inst.target.id, cap)
     return None if assignment is None else completed_profile(view, groups, assignment)

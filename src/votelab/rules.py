@@ -24,7 +24,7 @@ from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, combinations, product
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import InvalidProfile, charge
 from .profiles import (
@@ -215,7 +215,7 @@ class Hybrid:
 
 Rule = Union[Scoring, Cup, Copeland, Copeland2, Runoff, Stv, Hybrid]
 
-#: The rules decided by the pairwise majority signs alone.
+#: The rules decided by the pairwise majority outcome alone.
 PAIRWISE_RULES = (Cup, Copeland, Copeland2)
 
 
@@ -394,43 +394,89 @@ def _parse_pairing(text: str, candidates: Sequence[Candidate]) -> Pairing:
 
 # ---------------------------------------------------------------------------
 # Pairwise machinery shared by several rules
+#
+# A majority outcome is two bitmasks per candidate: ``beats[c]`` has bit d
+# set when c strictly beats d, and ``holds[c]`` when c beats or ties d.
+# ``_pairs_masks`` reads them off a ``_pairs_tally``; the pairwise
+# projection builds them from a pattern of pair outcomes.
 
 
-def cup_achievable_from_sign(
-    agenda: Agenda, sign: Sequence[Sequence[int]], branch: bool = True
-) -> frozenset[int]:
-    """Candidates able to win the cup under some resolution of pairwise ties.
+def _outcome_masks(
+    pairs: Iterable[tuple[int, int]], diffs: Iterable[int], beats: list[int], holds: list[int]
+) -> tuple[list[int], list[int]]:
+    """Set each pair (i, j)'s outcome in ``beats`` and ``holds``: i beats j
+    when its diff is positive, j beats i when it is negative, a tie at 0."""
+    for (i, j), d in zip(pairs, diffs):
+        if d > 0:
+            beats[i] |= 1 << j
+            holds[i] |= 1 << j
+        elif d < 0:
+            beats[j] |= 1 << i
+            holds[j] |= 1 << i
+        else:
+            holds[i] |= 1 << j
+            holds[j] |= 1 << i
+    return beats, holds
+
+
+def _bits(mask: int) -> list[int]:
+    """The ids whose bits are set in ``mask``, lowest first."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
+
+
+def _cup_mask(match: tuple, holds: Sequence[int], branch: bool) -> int:
+    """The candidates able to win the cup match ``match`` (an agenda that is
+    not a single leaf) under some resolution of pairwise ties, as a mask.
 
     Without ``branch`` each match keeps only the lowest id among those that
     can win it, which is the lexicographic resolution's single winner.
     """
-
-    def walk(node: Agenda) -> list[int]:
-        if isinstance(node, int):
-            return [node]
-        left, right = walk(node[0]), walk(node[1])
-        # a candidate can win the match iff it beats or ties some rival
-        out = [x for x in left if max(map(sign[x].__getitem__, right)) >= 0]
-        out += [y for y in right if max(map(sign[y].__getitem__, left)) >= 0]
-        return out if branch else [min(out)]
-
-    return frozenset(walk(agenda))
-
-
-def copeland_scores_from_sign(sign: Sequence[Sequence[int]]) -> list[int]:
-    m = len(sign)
-    return [sum(sign[i][j] for j in range(m) if j != i) for i in range(m)]
+    left, right = match
+    left = 1 << left if isinstance(left, int) else _cup_mask(left, holds, branch)
+    right = 1 << right if isinstance(right, int) else _cup_mask(right, holds, branch)
+    # a candidate can win the match iff it beats or ties some rival
+    out = 0
+    for side, rivals in ((left, right), (right, left)):
+        while side:
+            low = side & -side
+            if holds[low.bit_length() - 1] & rivals:
+                out |= low
+            side ^= low
+    return out if branch else out & -out
 
 
-def copeland2_keys_from_sign(sign: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-    """(first-order score, defeated competitors' score sum) per candidate."""
-    m = len(sign)
-    first = copeland_scores_from_sign(sign)
-    keys = []
-    for i in range(m):
-        second = sum(first[j] for j in range(m) if j != i and sign[i][j] > 0)
-        keys.append((first[i], second))
-    return keys
+def _copeland_scores(beats: Sequence[int], holds: Sequence[int]) -> list[int]:
+    """Wins minus losses: a candidate loses to the m - 1 rivals less those
+    it beats or ties."""
+    rivals = len(beats) - 1
+    return [b.bit_count() + h.bit_count() - rivals for b, h in zip(beats, holds)]
+
+
+def achievable_from_masks(
+    rule: Cup | Copeland | Copeland2,
+    beats: Sequence[int],
+    holds: Sequence[int],
+    *,
+    branch: bool = True,
+) -> frozenset[int]:
+    """Winner ids of a pairwise rule from its majority outcome alone."""
+    if isinstance(rule, Cup):
+        agenda = rule.agenda
+        if isinstance(agenda, int):
+            return frozenset((agenda,))
+        return frozenset(_bits(_cup_mask(agenda, holds, branch)))
+    first = _copeland_scores(beats, holds)
+    if isinstance(rule, Copeland2):  # ties broken by the defeated rivals' scores
+        keys = [(f, sum(map(first.__getitem__, _bits(b)))) for f, b in zip(first, beats)]
+    else:
+        keys = first
+    winners = _argmax_set(keys)
+    return winners if branch else frozenset((min(winners),))
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +526,11 @@ def _pairs_tally(rule: Rule, orders: Orders, weights: Weights, m: int) -> list[i
     return tally
 
 
-def _pairs_sign(tally: Sequence[int], m: int, total: int) -> list[list[int]]:
-    """From a ``_pairs_tally``: sign[i][j] = 1 if i strictly beats j, -1 if
-    j does, 0 on a tie."""
-    sign = [[0] * m for _ in range(m)]
-    for (i, j), n in zip(combinations(range(m), 2), tally[m:]):  # as ``_pair_at`` lays them
-        d = 2 * n - total
-        sign[i][j] = s = (d > 0) - (d < 0)
-        sign[j][i] = -s
-    return sign
+def _pairs_masks(tally: Sequence[int], m: int, total: int) -> tuple[list[int], list[int]]:
+    """From a ``_pairs_tally``: per candidate, the rivals it beats and the
+    rivals it beats or ties, as bitmasks."""
+    diffs = [2 * n - total for n in tally[m:]]  # as ``_pair_at`` lays them
+    return _outcome_masks(combinations(range(m), 2), diffs, [0] * m, [0] * m)
 
 
 def _top_tallies(orders: Orders, weights: Weights, m: int, alive: frozenset[int]) -> list[int]:
@@ -515,24 +557,6 @@ def _argmax_set(scores: Sequence) -> frozenset[int]:
     return frozenset(i for i, s in enumerate(scores) if s == best)
 
 
-def achievable_from_sign(
-    rule: Cup | Copeland | Copeland2,
-    sign: Sequence[Sequence[int]],
-    *,
-    branch: bool = True,
-) -> frozenset[int]:
-    """Winner ids of a pairwise rule from its majority sign matrix alone."""
-    if isinstance(rule, Cup):
-        return cup_achievable_from_sign(rule.agenda, sign, branch)
-    keys = (
-        copeland2_keys_from_sign(sign)
-        if isinstance(rule, Copeland2)
-        else copeland_scores_from_sign(sign)
-    )
-    winners = _argmax_set(keys)
-    return winners if branch else frozenset((min(winners),))
-
-
 def _scoring_ids(
     rule: Scoring, tally: list[int], m: int, total: int, branch: bool, cap: int | None
 ) -> frozenset[int]:
@@ -544,7 +568,7 @@ def _pairwise_ids(
     rule: Cup | Copeland | Copeland2, tally: list[int], m: int, total: int, branch: bool,
     cap: int | None,
 ) -> frozenset[int]:
-    return achievable_from_sign(rule, _pairs_sign(tally, m, total), branch=branch)
+    return achievable_from_masks(rule, *_pairs_masks(tally, m, total), branch=branch)
 
 
 def _runoff_ids(
@@ -707,8 +731,10 @@ def _runoff_bound(
 #: The one rule table: each rule type's tally, its decider, called with
 #: (rule, tally, m, total, branch, cap), and its bound.  STV and the hybrid
 #: tally each round afresh, so they have no tally and their deciders take
-#: (rule, orders, weights, m, total, branch, cap).  Cup and Copeland(2) take
-#: the pairwise projection instead of a bound; a hybrid is not bounded.
+#: (rule, orders, weights, m, total, branch, cap).  Cup and Copeland(2)
+#: read the tally's majority outcome as bitmasks (``_pairs_masks``), and
+#: take the pairwise projection, which builds the same masks, instead of a
+#: bound; a hybrid is not bounded.
 _DECIDERS: dict[type, tuple[Callable | None, Callable[..., frozenset[int]], Callable | None]] = {
     Scoring: (_scoring_tally, _scoring_ids, _scoring_bound),
     Cup: (_pairs_tally, _pairwise_ids, None),
@@ -865,8 +891,8 @@ def winner(
 def copeland_score(profile: Profile, candidate: int | Candidate) -> int:
     """Pairwise wins minus losses; ties contribute nothing."""
     orders, weights, m, total = _complete_arrays(profile)
-    sign = _pairs_sign(_pairs_tally(Copeland(), orders, weights, m), m, total)
-    return copeland_scores_from_sign(sign)[profile.candidate(candidate).id]
+    masks = _pairs_masks(_pairs_tally(Copeland(), orders, weights, m), m, total)
+    return _copeland_scores(*masks)[profile.candidate(candidate).id]
 
 
 def cup_winner(agenda: Agenda, profile: Profile, tb: TieBreak | None = None) -> Candidate:

@@ -32,7 +32,7 @@ from votelab import (
     winner,
 )
 from votelab.errors import charge
-from votelab.profiles import _placement_masks
+from votelab.profiles import _placement_masks, pairwise_counts
 
 Order = tuple[int, ...]
 
@@ -531,6 +531,52 @@ def bracket_achievable(
             if 2 * counts[d][c] >= total:
                 out.add(d)
     return out
+
+
+def brute_copeland_scores(profile: Profile) -> list[int]:
+    """Each candidate's wins minus losses, comparing the two sides of every
+    pair's ``profiles.pairwise_counts``."""
+    m = profile.m
+    counts = pairwise_counts(*profile.complete_arrays(), m)
+    return [
+        sum((counts[c][d] > counts[d][c]) - (counts[c][d] < counts[d][c]) for d in range(m))
+        for c in range(m)
+    ]
+
+
+def brute_pairwise_ids(rule: Rule, profile: Profile, *, branch: bool = True) -> set[int]:
+    """The winners of a complete election under Cup, Copeland or Copeland2
+    over every resolution of pairwise ties, or with ``branch`` False the one
+    winner of the lexicographic resolution (each tie toward the lower id),
+    from ``profiles.pairwise_counts`` alone."""
+    m = profile.m
+    counts = pairwise_counts(*profile.complete_arrays(), m)
+
+    def meets(c: int, d: int) -> bool:  # c beats or ties d
+        return counts[c][d] >= counts[d][c]
+
+    def lex(ids: set[int]) -> set[int]:
+        return ids if branch else {min(ids)}
+
+    if type(rule).__name__ == "Cup":
+
+        def match(node) -> set[int]:
+            if isinstance(node, int):
+                return {node}
+            left, right = match(node[0]), match(node[1])
+            survivors = {c for c in left if any(meets(c, d) for d in right)}
+            survivors |= {d for d in right if any(meets(d, c) for c in left)}
+            return lex(survivors)
+
+        return match(rule.agenda)
+    scores = brute_copeland_scores(profile)
+    keys = scores
+    if type(rule).__name__ == "Copeland2":
+        keys = [
+            (scores[c], sum(scores[d] for d in range(m) if counts[c][d] > counts[d][c]))
+            for c in range(m)
+        ]
+    return lex({c for c in range(m) if keys[c] == max(keys)})
 
 
 # ---------------------------------------------------------------------------

@@ -131,14 +131,14 @@ class TestPossibleWinners:
         groups = completion_groups(p)
         items = sum(1 for _ in E._pairwise_possible_ids(Copeland(), p, groups, None))
         calls = 0
-        decide = E.achievable_from_sign
+        decide = E.achievable_from_masks
 
         def counted(*args, **kwargs):
             nonlocal calls
             calls += 1
             return decide(*args, **kwargs)
 
-        monkeypatch.setattr(E, "achievable_from_sign", counted)
+        monkeypatch.setattr(E, "achievable_from_masks", counted)
         assert not fine_elicitation_over(Copeland(), p)
         assert 0 < calls < items
 

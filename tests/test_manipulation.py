@@ -357,6 +357,16 @@ class TestPairwiseWitness:
             out.extend([ballot] * (2 if rng.random() < 0.2 else 1))
         return tuple(out)
 
+    @pytest.mark.parametrize("rule", [Cup(0), Copeland(), Copeland2()], ids=repr)
+    def test_one_candidate_wins_through_the_projection(self, rule):
+        # a lone candidate's cup agenda is a leaf, not a match
+        p = Profile(cands(1), (vote((0,), 1), PartialBallot(frozenset(), 2)))
+        assert preference_manipulate(ManipulationInstance(rule, 0, p)).ballots == (
+            vote((0,), 1),
+            vote((0,), 2),
+        )
+        assert coalition_manipulate(ManipulationInstance(rule, 0, p, frozenset({0}))) == {0: (0,)}
+
     def test_preference_agrees_with_brute_force(self):
         rng = random.Random(137)
         found = tried = 0

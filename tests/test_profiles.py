@@ -14,6 +14,7 @@ from votelab import (
     Candidate,
     CapExceeded,
     Copeland,
+    Cup,
     EvaluationQuery,
     Hybrid,
     InvalidInstance,
@@ -25,17 +26,23 @@ from votelab import (
     PartitionInstance,
     Profile,
     ScenarioDistribution,
+    Stv,
     WeightedBallot,
+    coalition_manipulate,
+    coarse_elicitation_over,
     completion_groups,
     copeland_score,
     cup_single_peaked_over,
     evaluate,
+    fine_elicitation_over,
     fine_sp_elicitation_over,
     has_equal_partition_dp,
     is_single_peaked,
     linear_extensions,
     majority_matrix,
     plurality,
+    possible_winners,
+    preference_manipulate,
     single_peaked_condorcet_winner,
     single_peaked_extensions,
     single_peaked_orders,
@@ -574,6 +581,7 @@ class TestValidationMessages:
 THREE = Profile(cands(3), (vote((0, 1, 2), 1),))
 THREE_DIST = ScenarioDistribution(((THREE, Fraction(1)),))
 THREE_VOTES = Profile(cands(3), (vote((0, 1, 2)), vote((2, 1, 0)), vote((1, 0, 2))))
+EMPTY = Profile(cands(2), (), 0, strict_odd=False)
 
 
 @pytest.mark.parametrize(
@@ -616,6 +624,15 @@ THREE_VOTES = Profile(cands(3), (vote((0, 1, 2)), vote((2, 1, 0)), vote((1, 0, 2
         lambda: Profile(("A", "B")),
         lambda: has_equal_partition_dp([-1, 1]),
         lambda: has_equal_partition_dp([True, True]),
+        lambda: possible_winners(Stv(), EMPTY),
+        lambda: possible_winners(plurality(), EMPTY),
+        lambda: possible_winners(Copeland(), EMPTY),
+        lambda: fine_elicitation_over(Stv(), EMPTY),
+        lambda: fine_elicitation_over(Cup((0, 1)), EMPTY),
+        lambda: coarse_elicitation_over(Stv(), EMPTY),
+        lambda: preference_manipulate(ManipulationInstance(Stv(), 0, EMPTY)),
+        lambda: coalition_manipulate(ManipulationInstance(Stv(), 0, EMPTY, frozenset())),
+        lambda: coalition_manipulate(ManipulationInstance(Cup((0, 1)), 0, EMPTY, frozenset())),
     ],
     ids=[
         "axis-entry",
@@ -655,6 +672,15 @@ THREE_VOTES = Profile(cands(3), (vote((0, 1, 2)), vote((2, 1, 0)), vote((1, 0, 2
         "candidates-as-labels",
         "partition-dp-negative",
         "partition-dp-bools",
+        "possible-winners-stv-empty",
+        "possible-winners-plurality-empty",
+        "possible-winners-copeland-empty",
+        "fine-over-stv-empty",
+        "fine-over-cup-empty",
+        "coarse-over-stv-empty",
+        "preference-stv-empty",
+        "coalition-stv-empty",
+        "coalition-cup-empty",
     ],
 )
 def test_library_input_raises_a_typed_error(build):

@@ -44,10 +44,11 @@ from votelab import (
 )
 from votelab import rules as rules_module
 from votelab.completions import completed_arrays
+from votelab.profiles import MAX_WEIGHT
 from votelab.rules import (
     MAX_AGENDA_DEPTH,
     _achievable_ids,
-    _pairs_sign,
+    _pairs_masks,
     _pairs_tally,
     _rule_bound,
     pairwise_counts,
@@ -282,8 +283,41 @@ class TestPairwiseRules:
         orders, weights = p.complete_arrays()
         counts = pairwise_counts(orders, weights, 3)
         assert counts[0][1] == 4 and counts[1][0] == 3
-        sign = _pairs_sign(_pairs_tally(Copeland(), orders, weights, 3), 3, 7)
-        assert sign[0][1] == 1 and sign[1][0] == -1 and sign[0][0] == 0
+        beats, holds = _pairs_masks(_pairs_tally(Copeland(), orders, weights, 3), 3, 7)
+        # 0 beats 1, 1 loses to 0, and no candidate meets itself
+        assert beats[0] >> 1 & 1 and holds[0] >> 1 & 1
+        assert not beats[1] & 1 and not holds[1] & 1
+        assert not any(mask >> c & 1 for c in range(3) for mask in (beats[c], holds[c]))
+
+    def test_masks_match_the_count_referee(self):
+        # exact ties, weights up to 2**62 and repeated orders, m = 1..12
+        rng = random.Random(30)
+        for trial in range(360):
+            m = trial % 12 + 1
+            pool = [H.rand_order(rng, m) for _ in range(rng.randint(1, 4))]
+            top = rng.choice((1, 3, 2**62))
+            ballots, total = [], 0
+            for _ in range(rng.randint(1, 9)):
+                room = (MAX_WEIGHT - total) // 2  # enough for a mirrored pair
+                if room < 1:
+                    break
+                weight = rng.randint(1, min(top, room))
+                order = rng.choice(pool) if rng.random() < 0.5 else H.rand_order(rng, m)
+                orders = [order, order[::-1]] if rng.random() < 0.4 else [order]
+                ballots += [vote(o, weight) for o in orders]
+                total += weight * len(orders)
+            p = Profile(cands(m), tuple(ballots), strict_odd=False)
+            assert [copeland_score(p, c) for c in range(m)] == H.brute_copeland_scores(p)
+            for rule in (Cup(H.rand_agenda(rng, range(m))), Copeland(), Copeland2()):
+                ids = H.brute_pairwise_ids(rule, p)
+                assert {c.id for c in achievable_winners(rule, p)} == ids, (rule, ballots)
+                (lex,) = H.brute_pairwise_ids(rule, p, branch=False)
+                assert winner(rule, p).id == lex, (rule, ballots)
+                c = rng.randrange(m)
+                favoured = c if c in ids else min(ids)
+                assert winner(rule, p, TieBreak.favor(c)).id == favoured, (rule, ballots, c)
+                against = min(ids - {c}, default=c)
+                assert winner(rule, p, TieBreak.against(c)).id == against, (rule, ballots, c)
 
     def test_copeland_cycle_scores_zero(self):
         p = Profile(cands(3), (vote((0, 1, 2), 1), vote((1, 2, 0), 1), vote((2, 0, 1), 1)))
