@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, compress
+from operator import and_, or_
 from typing import Callable, Collection, Iterator, Sequence
 
 from .completions import (
@@ -50,15 +52,16 @@ from .rules import (
     Pairing,
     Rule,
     _achievable_ids,
+    _bits,
     _fixed_part,
     _hybrid_rounds,
     _outcome_masks,
     _pair_at,
-    _pairs_masks,
     _pairs_tally,
     _positive_total,
     _reach,
     _rule_bound,
+    _won_pairs,
     achievable_from_masks,
     validate_rule_for,
 )
@@ -82,19 +85,27 @@ Assignment = tuple[tuple[Order, ...], ...]
 # Possible winners over joint completions
 
 
-def _list_bounds(
-    tally: Callable, rule: Rule, groups: Sequence[OptionGroup], m: int, units: dict
-) -> list[tuple[list[int], list[int]]]:
-    """Per group, the least and the most of each coordinate of the rule's tally
-    over its option list's orders at weight 1, read once per distinct list
-    from ``units``, where missing tallies are added."""
-    lists: dict[int, tuple[list[int], list[int]]] = {}  # id of an option list -> bounds
-    for key, options in {id(g.options): g.options for g in groups}.items():
-        missing = [order for order in options if order not in units]
-        units.update((order, tally(rule, (order,), (1,), m)) for order in missing)
-        columns = list(zip(*map(units.__getitem__, options)))
-        lists[key] = (list(map(min, columns)), list(map(max, columns)))
-    return [lists[id(group.options)] for group in groups]
+def _pair_bounds(
+    rule: Rule, profile: Profile, groups: Sequence[OptionGroup]
+) -> tuple[list[int], list[int], list[int], list[list[int]]]:
+    """The fixed ballots' ``_pairs_tally``; the least and the most of it over
+    the completions at each pair (the first places stay the fixed ballots');
+    and per group its options' won pairs (``rules._won_pairs``), read once
+    per distinct option list.  A list's least per pair is the AND of its
+    masks, and its most the OR."""
+    m = profile.m
+    base = _pairs_tally(rule, *profile.fixed_arrays, m)
+    lo, hi = base[:], base[:]
+    won: dict[int, list[int]] = {}  # id of an option list -> its orders' masks
+    for group in groups:
+        key = id(group.options)
+        masks = won.get(key) or won.setdefault(key, _won_pairs(group.options, m))
+        bulk = group.weight * group.count
+        for k in _bits(reduce(and_, masks)):
+            lo[m + k] += bulk
+        for k in _bits(reduce(or_, masks)):
+            hi[m + k] += bulk
+    return base, lo, hi, [won[id(g.options)] for g in groups]
 
 
 def _pairwise_possible_ids(
@@ -109,12 +120,13 @@ def _pairwise_possible_ids(
     open pairs, in sorted order: the enumeration's stream for a pairwise rule.
 
     A pair is open when its majority outcome differs between the least and
-    the most tally (``_list_bounds``).  The forced pairs' outcome is kept as
-    the ``rules._pairs_masks`` bitmasks of the least tally with the open
-    pairs' bits cleared; each pattern sets its open pairs' bits in a copy of
-    them (``rules._outcome_masks``), and the rule is decided from those
-    masks.  Each option's tally at weight 1 is projected onto the open
-    pairs, and the projections are summed with deduplication.  Sums only
+    the most tally (``_pair_bounds``, which reads each option list once as
+    one won-pair mask per order).  The forced pairs' outcome at the least
+    tally is kept as bitmasks (``rules._outcome_masks``); each pattern sets
+    its open pairs' bits in a copy of them, and the rule is decided from
+    those masks.  Each order's mask is projected onto the open pairs once
+    per option list, a group's projections are that times its weight, and
+    the projections are summed with deduplication.  Sums only
     grow, and once a pair's sum reaches ``(total - 2*base)//2 + 1`` its sign
     is +1 for good, so every running sum is clamped there without losing a
     reachable pattern.  A group of interchangeable ballots stops summing at
@@ -147,22 +159,19 @@ def _pairwise_possible_ids(
     # every option is placed and projected onto up to every pair before any sum
     options = sum(len(group.options) for group in groups)
     charge(options * (m * (m - 1) // 2), cap, "pairwise projections of options")
-    base = _pairs_tally(rule, *profile.fixed_arrays, m)
-    units: dict[Order, list[int]] = {}
-    lo, hi = base, base
-    for group, (least, most) in zip(groups, _list_bounds(_pairs_tally, rule, groups, m, units)):
-        bulk = group.weight * group.count
-        lo = [s + bulk * v for s, v in zip(lo, least)]
-        hi = [s + bulk * v for s, v in zip(hi, most)]
+    base, lo, hi, won = _pair_bounds(rule, profile, groups)
 
-    # a pair whose outcome is the same at its least and its most is forced;
-    # each candidate's open rivals are those whose bits differ between the two
-    (beats, holds), (beats_hi, holds_hi) = _pairs_masks(lo, m, total), _pairs_masks(hi, m, total)
-    opened = [(b ^ bh) | (h ^ hh) for b, h, bh, hh in zip(beats, holds, beats_hi, holds_hi)]
-    open_pairs = [(i, j) for i, j in combinations(range(m), 2) if opened[i] >> j & 1]
-    beats = [b & ~o for b, o in zip(beats, opened)]
-    holds = [h & ~o for h, o in zip(holds, opened)]
-    coords = [_pair_at(i, j, m) for i, j in open_pairs]  # where the tally keeps them
+    # a pair whose outcome is the same at its least and its most is forced,
+    # and every pattern starts from the forced pairs' outcome
+    pairs = list(combinations(range(m), 2))  # as ``_pair_at`` lays them out
+    diffs = [(2 * a - total, 2 * b - total) for a, b in zip(lo[m:], hi[m:])]
+    forced = [(d > 0) - (d < 0) == (e > 0) - (e < 0) for d, e in diffs]
+    beats, holds = _outcome_masks(
+        compress(pairs, forced), [d for (d, _), f in zip(diffs, forced) if f], [0] * m, [0] * m
+    )
+    opened = [k for k, f in enumerate(forced) if not f]
+    open_pairs = [pairs[k] for k in opened]
+    coords = [m + k for k in opened]  # where the tally keeps them
 
     sat = [(total - 2 * base[k]) // 2 + 1 for k in coords]
     width = (2 * max([*sat, *(g.weight for g in groups), 1])).bit_length() + 1
@@ -173,6 +182,22 @@ def _pairwise_possible_ids(
     G = sum(1 << at for at in guards)
     S1 = S - sum(1 << at for k, at in zip(coords, shifts) if (total - 2 * base[k]) % 2 == 0)
     work = 0
+
+    # per option list, its orders' projections at weight 1 (a one in the
+    # field of each open pair the order wins), the first order of each kept;
+    # orders winning the same open pairs share one, so they are merged first
+    fields = [(1 << (k - m), 1 << at) for k, at in zip(coords, shifts)]
+    select = sum(bit for bit, _ in fields)
+    packed: dict[int, dict[int, Order]] = {}
+    for group, masks in zip(groups, won):
+        if id(group.options) not in packed:
+            firsts: dict[int, Order] = {}
+            for order, mask in zip(group.options, masks):
+                firsts.setdefault(mask & select, order)
+            packed[id(group.options)] = {
+                sum(one for bit, one in fields if mask & bit): order
+                for mask, order in firsts.items()
+            }
 
     def add_clamped(
         vecs: Collection[int], adds: Collection[int], back: dict | None = None
@@ -201,11 +226,9 @@ def _pairwise_possible_ids(
     trail = []
     totals: Collection[int] = {0}
     for group in groups:
-        scaled: dict[int, Order] = {}
-        for order in group.options:
-            unit = units[order]
-            ahead = [at for k, at in zip(coords, shifts) if unit[k]]
-            scaled.setdefault(sum(group.weight << at for at in ahead), order)
+        # a weight fits below each field's guard, so ``weight * one`` holds the
+        # weight in each field where ``one`` holds a one
+        scaled = {group.weight * one: order for one, order in packed[id(group.options)].items()}
         steps: list[dict] = []
         sums: Collection[int] = {0}
         for _ in range(group.count):
@@ -265,8 +288,8 @@ class _Pruner:
     the least and the most the later groups can add.  ``seen`` is the
     stream's own set, read live; armed only after a yield, the pruner finds
     a winner in it.  Until then nothing is built and nothing is pruned;
-    then ``_list_bounds`` reads each option list's least and most from
-    ``units``, the tallies at weight 1 the scorer keeps.  A node with one
+    then ``_build`` reads each option list's least and most from ``units``,
+    the tallies at weight 1 the scorer keeps.  A node with one
     completion below is scored, not bounded.
     """
 
@@ -296,12 +319,21 @@ class _Pruner:
 
     def _build(self) -> None:
         tally, rule, m, groups = self.tally, self.rule, self.profile.m, self.groups
-        bounds = _list_bounds(tally, rule, groups, m, self.units)
+        units = self.units
+        # per option list, the least and the most of each coordinate of its
+        # orders' tallies at weight 1, the missing ones added to units
+        bounds: dict[int, tuple[list[int], list[int]]] = {}
+        for key, options in {id(g.options): g.options for g in groups}.items():
+            missing = [order for order in options if order not in units]
+            units.update((order, tally(rule, (order,), (1,), m)) for order in missing)
+            columns = list(zip(*map(units.__getitem__, options)))
+            bounds[key] = (list(map(min, columns)), list(map(max, columns)))
         # the scorer's base, unless the rule is decided from its orders
         fixed = self.base or tally(rule, *self.profile.fixed_arrays, m)
         # at depth d: the completions below, and the least and most groups d.. add
         self.below, self.lo_rest, self.hi_rest = [1], [[0] * len(fixed)], [[0] * len(fixed)]
-        for group, (least, most) in zip(reversed(groups), reversed(bounds)):
+        for group in reversed(groups):
+            least, most = bounds[id(group.options)]
             bulk = group.weight * group.count
             self.below.append(self.below[-1] * group.size)
             self.lo_rest.append([r + bulk * v for r, v in zip(self.lo_rest[-1], least)])
@@ -525,7 +557,7 @@ def _subset_sum_in(weights: Sequence[int], lo: int, hi: int, cap: int | None) ->
 
 def _two_front_feasible(
     groups: Sequence[OptionGroup],
-    units: dict,
+    won: Sequence[Sequence[int]],
     base: Sequence[int],
     profile: Profile,
     p: tuple[int, int],
@@ -534,20 +566,22 @@ def _two_front_feasible(
 ) -> bool:
     """Can some completion push both pairs ``p`` and ``q`` to at least half?
 
-    Every ballot option is projected to "p holds" and "q holds", read by
-    ``rules._reach`` from its tally in ``units`` (the fixed ballots' from
-    ``base``).  Options satisfying both dominate; ballots that can satisfy
-    either but not both trade one front against the other, and the split of
-    their weights is decided exactly by a subset-sum scan.
+    Every ballot option is projected to "p holds" and "q holds", read from
+    its won pairs in ``won`` (``rules._won_pairs``, per group), and the fixed
+    ballots' by ``rules._reach`` from ``base``.  Options satisfying both
+    dominate; ballots that can satisfy either but not both trade one front
+    against the other, and the split of their weights is decided exactly by
+    a subset-sum scan.
     """
     m, total = profile.m, profile.total_weight
     need = (total + 1) // 2
     fixed = sum(profile.fixed_arrays[1])
     sum_p, sum_q = (_reach(*pair, base, base, m, fixed) for pair in (p, q))
+    # per front, the bit of its pair, and 1 when the front is the pair's loser
+    (kp, fp), (kq, fq) = ((_pair_at(min(c, d), max(c, d), m) - m, int(c > d)) for c, d in (p, q))
     swing: list[int] = []
-    for group in groups:
-        tallies = [units[order] for order in group.options]
-        can = {(_reach(*p, u, u, m, 1), _reach(*q, u, u, m, 1)) for u in tallies}
+    for group, masks in zip(groups, won):
+        can = {((mask >> kp & 1) ^ fp, (mask >> kq & 1) ^ fq) for mask in masks}
         if (1, 1) not in can and {(1, 0), (0, 1)} <= can:  # torn between the fronts
             swing.extend([group.weight] * group.count)
         else:  # every front some option serves is served
@@ -572,8 +606,11 @@ def cup3_fine_over(
     helper, splitting the weight of genuinely torn ballots exactly.
     Elicitation is over iff one possible winner remains.  The cap bounds
     that split's subset-sum work (CapExceeded beyond it); None is unbounded.
-    Each boost is read by ``rules._reach`` from the bounds ``_list_bounds`` gives.
+    Each boost is read by ``rules._reach`` from the pair bounds ``_pair_bounds``
+    gives, and the torn ballots from the same won-pair masks.  An election
+    of total weight 0 raises InvalidProfile, as ``winner`` does.
     """
+    _positive_total(profile.total_weight)
     m = profile.m
     if m > 3:
         raise ModelMismatch(f"the shortcut handles at most 3 candidates, got {m}")
@@ -583,13 +620,7 @@ def cup3_fine_over(
         return True
 
     groups = completion_groups(profile, cap=None)
-    base = _pairs_tally(rule, *profile.fixed_arrays, m)
-    units: dict[Order, list[int]] = {}
-    lo, hi = base, base
-    for group, (least, most) in zip(groups, _list_bounds(_pairs_tally, rule, groups, m, units)):
-        bulk = group.weight * group.count
-        lo = [s + bulk * v for s, v in zip(lo, least)]
-        hi = [s + bulk * v for s, v in zip(hi, most)]
+    base, lo, hi, won = _pair_bounds(rule, profile, groups)
     total = profile.total_weight
     need = (total + 1) // 2
 
@@ -609,7 +640,7 @@ def cup3_fine_over(
         if min(_reach(c, d, lo, hi, m, total) for d in (other, bye)) >= need:
             possible.add(c)
     for helper, rival in ((x, y), (y, x)):
-        if _two_front_feasible(groups, units, base, profile, (bye, helper), (helper, rival), cap):
+        if _two_front_feasible(groups, won, base, profile, (bye, helper), (helper, rival), cap):
             possible.add(bye)
             break
     return len(possible) == 1
@@ -637,10 +668,11 @@ def condorcet_winner_fixed(profile: Profile) -> CondorcetStatus:
     Committed pairwise weight alone decides this: a candidate is the forced
     winner iff its committed support against every rival exceeds half the
     total weight, and no winner can emerge iff every candidate already has
-    half the weight committed against it by someone.
+    half the weight committed against it by someone.  An election of total
+    weight 0 raises InvalidProfile, as ``winner`` does.
     """
     m = profile.m
-    total = profile.total_weight
+    total = _positive_total(profile.total_weight)
     fixed = majority_matrix(profile).fixed
     for c in range(m):  # at m = 1 the lone candidate wins vacuously
         if all(2 * fixed[c][j] > total for j in range(m) if j != c):

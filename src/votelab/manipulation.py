@@ -205,9 +205,11 @@ def condorcet_coalition_manipulate(
     Ranking the target first in every coalition ballot is optimal, so the
     test is a single arithmetic pass: Some iff the fixed support plus the
     whole coalition weight strictly beats half the total against every
-    rival.  Returned orders place the target first, the rest by id.
+    rival.  Returned orders place the target first, the rest by id.  An
+    election of total weight 0 raises InvalidProfile, as ``winner`` does.
     """
     probe = _probe_profile(inst)
+    _positive_total(probe.total_weight)
     m = probe.m
     target = inst.target.id
     mm = majority_matrix(probe)

@@ -510,6 +510,22 @@ def _pair_rows(m: int) -> tuple[int, ...]:
     return tuple(_pair_at(i, 0, m) for i in range(m))
 
 
+def _won_pairs(orders: Iterable[tuple[int, ...]], m: int) -> list[int]:
+    """Per order, the pairs it wins as one int: bit ``_pair_at(i, j, m) - m``
+    is set when the order ranks i over j, for each pair i < j."""
+    # the pairs (a, j) for j > a take the bits from first[a] on, in j order;
+    # rest holds the candidates the order ranks below a
+    first = [row + a + 1 - m for a, row in enumerate(_pair_rows(m))]
+    masks = []
+    for order in orders:
+        rest, mask = (1 << m) - 1, 0
+        for a in order:
+            rest ^= 1 << a
+            mask |= (rest >> (a + 1)) << first[a]
+        masks.append(mask)
+    return masks
+
+
 def _pairs_tally(rule: Rule, orders: Orders, weights: Weights, m: int) -> list[int]:
     """Each candidate's first-place weight, then, at ``_pair_at(i, j, m)``
     for each pair i < j, the weight ranking i over j."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Callable, Iterator, Sequence
 
 from votelab import (
@@ -542,6 +542,14 @@ def brute_copeland_scores(profile: Profile) -> list[int]:
         sum((counts[c][d] > counts[d][c]) - (counts[c][d] < counts[d][c]) for d in range(m))
         for c in range(m)
     ]
+
+
+def brute_won_pairs(order: Order, m: int) -> int:
+    """The pairs one order wins as one int: bit k is set when the order ranks
+    i over j for the k-th pair i < j in lexicographic order, read from that
+    order's ``profiles.pairwise_counts`` at weight 1."""
+    counts = pairwise_counts((order,), (1,), m)
+    return sum(counts[i][j] << k for k, (i, j) in enumerate(combinations(range(m), 2)))
 
 
 def brute_pairwise_ids(rule: Rule, profile: Profile, *, branch: bool = True) -> set[int]:

@@ -167,6 +167,12 @@ class TestElicitationVerbs:
             code, out, _ = run(capsys, "condorcet-fixed", write(text))
             assert (code, out) == (0, expected)
 
+    def test_condorcet_fixed_refuses_an_empty_election(self, capsys, write):
+        path = write("candidates: A B\n")
+        code, out, err = run(capsys, "condorcet-fixed", path, "--no-strict-odd")
+        assert (code, out) == (2, "")
+        assert "positive total weight" in err
+
     def test_possible_winners_sorted(self, capsys, write):
         path = write("candidates: A B C\nvote w=2 A>B>C\nvote w=2 B>A>C\nunknown w=3\n")
         code, out, _ = run(capsys, "possible-winners", path, "--rule", "plurality")

@@ -221,7 +221,45 @@ def _packed_case(rng: random.Random) -> tuple[Profile, set[str]]:
             return p, tags
 
 
+def _shared_list_case(rng: random.Random) -> Profile:
+    """A profile whose partial ballots all share one set of commitments and
+    one locked subset of it, as several ballot objects of different weights,
+    each in one or more slots (one option list, many groups), beside one vote
+    and 0-2 unknown units."""
+    while True:
+        m = rng.choice((2, 3, 3, 4, 4))
+        shape = H.rand_partial(rng, m, 1, lock=True)
+        ballots = [vote(H.rand_order(rng, m), rng.randint(1, 5))]
+        for _ in range(rng.randint(2, 4)):
+            twin = PartialBallot(shape.pairs, rng.randint(1, 6), shape.locked)
+            ballots += [twin] * rng.randint(1, 3)
+        rng.shuffle(ballots)
+        p = Profile(cands(m), tuple(ballots), unknown_weight=rng.randint(0, 2), strict_odd=False)
+        if max(H.completion_count(p), H.completion_count(p, locked_only=True)) <= 400:
+            return p
+
+
 class TestPackedProjection:
+    def test_shared_option_lists_agree_with_brute_force(self):
+        rng = random.Random(3107)
+        seen: set[tuple] = set()
+        for _ in range(90):
+            p = _shared_list_case(rng)
+            m = p.m
+            groups = completion_groups(p)
+            partial = [g for g in groups if g.indices]
+            seen.add((m, len(partial) > len({id(g.options) for g in partial}), p.unknown_weight))
+            for rule in (Cup(H.rand_agenda(rng, range(m))), Copeland(), Copeland2()):
+                assert possible_winners(rule, p, cap=None) == H.brute_possible(rule, p)
+                for target in range(m):
+                    inst = ManipulationInstance(rule, target, p)
+                    found = preference_manipulate(inst, cap=None)
+                    assert (found is not None) == H.brute_preference_possible(rule, p, target)
+                    if found is not None:
+                        assert winner(rule, found, TieBreak.favor(target)).id == target
+        assert {m for m, _, _ in seen} == {2, 3, 4}
+        assert {u for _, many, u in seen if many} == {0, 1, 2}
+
     def test_agrees_with_brute_referees(self):
         rng = random.Random(1507)
         seen: set[str] = set()

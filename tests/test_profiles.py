@@ -31,7 +31,10 @@ from votelab import (
     coalition_manipulate,
     coarse_elicitation_over,
     completion_groups,
+    condorcet_coalition_manipulate,
+    condorcet_winner_fixed,
     copeland_score,
+    cup3_fine_over,
     cup_single_peaked_over,
     evaluate,
     fine_elicitation_over,
@@ -582,6 +585,7 @@ THREE = Profile(cands(3), (vote((0, 1, 2), 1),))
 THREE_DIST = ScenarioDistribution(((THREE, Fraction(1)),))
 THREE_VOTES = Profile(cands(3), (vote((0, 1, 2)), vote((2, 1, 0)), vote((1, 0, 2))))
 EMPTY = Profile(cands(2), (), 0, strict_odd=False)
+EMPTY3 = Profile(cands(3), (), 0, strict_odd=False)
 
 
 @pytest.mark.parametrize(
@@ -633,6 +637,11 @@ EMPTY = Profile(cands(2), (), 0, strict_odd=False)
         lambda: preference_manipulate(ManipulationInstance(Stv(), 0, EMPTY)),
         lambda: coalition_manipulate(ManipulationInstance(Stv(), 0, EMPTY, frozenset())),
         lambda: coalition_manipulate(ManipulationInstance(Cup((0, 1)), 0, EMPTY, frozenset())),
+        lambda: cup3_fine_over(((0, 1), 2), EMPTY3),
+        lambda: condorcet_winner_fixed(EMPTY),
+        lambda: condorcet_coalition_manipulate(
+            ManipulationInstance(Copeland(), 0, EMPTY, frozenset())
+        ),
     ],
     ids=[
         "axis-entry",
@@ -681,6 +690,9 @@ EMPTY = Profile(cands(2), (), 0, strict_odd=False)
         "preference-stv-empty",
         "coalition-stv-empty",
         "coalition-cup-empty",
+        "cup3-fine-over-empty",
+        "condorcet-fixed-empty",
+        "condorcet-coalition-empty",
     ],
 )
 def test_library_input_raises_a_typed_error(build):

@@ -2,7 +2,10 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import reduce
+from itertools import combinations_with_replacement, permutations
+from math import factorial
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +42,7 @@ from votelab import (
     veto,
     completion_groups,
     iter_assignments,
+    linear_extensions,
     single_peaked_orders,
     winner,
 )
@@ -51,6 +55,7 @@ from votelab.rules import (
     _pairs_masks,
     _pairs_tally,
     _rule_bound,
+    _won_pairs,
     pairwise_counts,
 )
 
@@ -726,6 +731,29 @@ class TestPairsTally:
             seen.add((m, len(orders) > len(set(orders)), not orders))
         assert {m for m, _, _ in seen} == set(range(1, 8))
         assert any(repeated for _, repeated, _ in seen) and any(empty for _, _, empty in seen)
+
+    def test_won_pairs_match_the_count_referee(self):
+        # every order of random option lists: each mask against its order's
+        # pairwise counts, and each list's AND and OR against the least and
+        # the most of its orders' tallies over the pair coordinates
+        rng = random.Random(3131)
+        lists = [tuple(permutations(range(m))) for m in range(2, 8)]
+        for _ in range(120):
+            m = rng.randint(2, 6)
+            axis = Axis(H.rand_order(rng, m)) if rng.random() < 0.5 else None
+            ballot = H.rand_sp_partial(rng, m, axis, 1) if axis else H.rand_partial(rng, m, 1)
+            lists.append(tuple(linear_extensions(ballot, m, axis=axis)))
+        kinds = set()
+        for options in lists:
+            m = len(options[0])
+            masks = _won_pairs(options, m)
+            assert masks == [H.brute_won_pairs(order, m) for order in options], options
+            columns = list(zip(*(_pairs_tally(Copeland(), (o,), (1,), m)[m:] for o in options)))
+            assert reduce(and_, masks) == sum(min(col) << k for k, col in enumerate(columns))
+            assert reduce(or_, masks) == sum(max(col) << k for k, col in enumerate(columns))
+            kinds.add((m, len(options) == factorial(m), len(options) == 1))
+        assert {m for m, free, _ in kinds if free} == set(range(2, 8))
+        assert any(one for _, _, one in kinds) and any(not (free or one) for _, free, one in kinds)
 
 
 class TestHybrid:
