@@ -51,6 +51,7 @@ from .rules import (
     Hybrid,
     Pairing,
     Rule,
+    _TallyStack,
     _achievable_ids,
     _bits,
     _fixed_part,
@@ -283,17 +284,21 @@ class _Pruner:
     """``iter_assignments``' hook for a rule with a bound: prune a node when
     the bound of every completion below it lies inside ``seen``.
 
-    ``stats[d]`` is the tally of the fixed ballots and of the multisets the
-    first d groups hold now; the bound of a node at depth d reads it plus
-    the least and the most the later groups can add.  ``seen`` is the
-    stream's own set, read live; armed only after a yield, the pruner finds
-    a winner in it.  Until then nothing is built and nothing is pruned;
-    then ``_build`` reads each option list's least and most from ``units``,
-    the tallies at weight 1 the scorer keeps.  A node with one
-    completion below is scored, not bounded.
+    The bound of a node at depth d reads the tally of the fixed ballots and
+    of the multisets the first d groups hold now, plus the least and the
+    most the later groups can add.  That tally comes from ``stack``, the
+    scorer's ``rules._TallyStack``, so a node's prefix is summed once for
+    the bound and the completions below it; a rule decided from its orders
+    has none, and the pruner stacks the bound's tally on its own.  ``seen``
+    is the stream's own set, read live; armed only after a yield, the
+    pruner finds a winner in it.  Until then nothing is built and nothing
+    is pruned; then ``_build`` reads each option list's least and most from
+    the stack's tallies at weight 1.  A node with one completion below is
+    scored, not bounded.
     """
 
     armed = False
+    below: list[int] | None = None  # set by ``_build``
 
     def __init__(
         self,
@@ -302,36 +307,30 @@ class _Pruner:
         groups: Sequence[OptionGroup],
         seen: Collection[int],
         bound: tuple[Callable, Callable],
-        base: list[int] | None,
-        units: dict,
+        stack: _TallyStack | None,
     ) -> None:
         self.rule, self.profile, self.groups, self.seen = rule, profile, groups, seen
-        (self.tally, self.bound), self.base, self.units = bound, base, units
+        (self.tally, self.bound), self.stack = bound, stack
         self.heads: list[tuple[Order, ...]] = [()] * len(groups)
-        self.stats: list[list[int]] = []
 
     def __call__(self, depth: int, combo: tuple[Order, ...]) -> bool:
         self.heads[depth] = combo
-        if not self.armed:
-            return True
-        del self.stats[depth + 1 :]
-        return not self.useless(depth + 1)
+        return not (self.armed and self.useless(depth + 1))
 
     def _build(self) -> None:
-        tally, rule, m, groups = self.tally, self.rule, self.profile.m, self.groups
-        units = self.units
+        rule, groups = self.rule, self.groups
+        if self.stack is None:  # the rule is decided from its orders
+            fixed = self.tally(rule, *self.profile.fixed_arrays, self.profile.m)
+            self.stack = _TallyStack(rule, fixed, groups, self.tally)
         # per option list, the least and the most of each coordinate of its
-        # orders' tallies at weight 1, the missing ones added to units
+        # orders' tallies at weight 1
         bounds: dict[int, tuple[list[int], list[int]]] = {}
         for key, options in {id(g.options): g.options for g in groups}.items():
-            missing = [order for order in options if order not in units]
-            units.update((order, tally(rule, (order,), (1,), m)) for order in missing)
-            columns = list(zip(*map(units.__getitem__, options)))
+            columns = list(zip(*map(self.stack.unit, options)))
             bounds[key] = (list(map(min, columns)), list(map(max, columns)))
-        # the scorer's base, unless the rule is decided from its orders
-        fixed = self.base or tally(rule, *self.profile.fixed_arrays, m)
+        width = len(self.stack(()))
         # at depth d: the completions below, and the least and most groups d.. add
-        self.below, self.lo_rest, self.hi_rest = [1], [[0] * len(fixed)], [[0] * len(fixed)]
+        self.below, self.lo_rest, self.hi_rest = [1], [[0] * width], [[0] * width]
         for group in reversed(groups):
             least, most = bounds[id(group.options)]
             bulk = group.weight * group.count
@@ -340,23 +339,15 @@ class _Pruner:
             self.hi_rest.append([r + bulk * v for r, v in zip(self.hi_rest[-1], most)])
         for table in (self.below, self.lo_rest, self.hi_rest):
             table.reverse()
-        self.stats.append(fixed)
 
     def useless(self, depth: int) -> bool:
         """Does the bound below the first ``depth`` groups' multisets lie
         inside ``seen``?"""
-        stats = self.stats
-        if not stats:
+        if self.below is None:
             self._build()
         if self.below[depth] == 1:
             return False
-        while len(stats) <= depth:
-            d = len(stats) - 1
-            stat, weight = stats[d], self.groups[d].weight
-            for order in self.heads[d]:
-                stat = [s + weight * v for s, v in zip(stat, self.units[order])]
-            stats.append(stat)
-        stat = stats[depth]
+        stat = self.stack(self.heads[:depth])
         lo = [s + r for s, r in zip(stat, self.lo_rest[depth])]
         hi = [s + r for s, r in zip(stat, self.hi_rest[depth])]
         rule, bound = self.rule, self.bound
@@ -374,10 +365,14 @@ def _winner_stream(
 ) -> tuple[tuple[OptionGroup, ...], Iterator[tuple[Assignment | None, frozenset[int]]]]:
     """The profile's option groups and the (assignment or None, achievable ids)
     stream of the engine that fits the rule: the pairwise projection for Cup
-    and Copeland(2), else the joint completions scored with the rule on top
-    of the fixed ballots' tally (``rules._fixed_part``), target-topmost
-    options first, refused here past ``cap`` and while scoring when an STV
+    and Copeland(2), else the joint completions, target-topmost options
+    first, refused here past ``cap`` and while scoring when an STV
     elimination passes it.  Callers stop the stream once they can answer.
+    A rule with a tally decides each completion from the fixed ballots'
+    tally (``rules._fixed_part``) plus its groups, summed on a
+    ``rules._TallyStack`` from the groups it shares with the completion
+    before; STV and the hybrid are handed the fixed ballots and the
+    completion's orders.
 
     The enumeration is branch and bound where the rule has a bound.  Its own
     set ``seen`` starts as every candidate but the target for a witness, else
@@ -401,7 +396,8 @@ def _winner_stream(
     size = check_cap(groups, cap)
     m, total = profile.m, profile.total_weight
     base, fixed, fixed_weights = _fixed_part(rule, *profile.fixed_arrays, m)
-    units: dict[Order, list[int]] = {}  # each order's tally at weight 1
+    # a rule with a tally is decided from each completion's stacked tally
+    stack = _TallyStack(rule, base, groups) if base is not None else None
     bound = _rule_bound(rule, m)
     # the bound's build reads every order of each option list, at about the
     # cost of scoring a completion per order, so the walk bounds nothing
@@ -410,14 +406,17 @@ def _winner_stream(
     seen = set(range(m)) - {target} if target is not None else set()
     prune = None
     if bound and size > lead:
-        prune = _Pruner(rule, profile, groups, seen, bound, base, units)
+        prune = _Pruner(rule, profile, groups, seen, bound, stack)
 
     def scored():
         weights = fixed_weights + _assigned_weights(groups)
         bounded = None  # the size of seen when the root was last bounded
         for walked, assignment in enumerate(iter_assignments(groups, prune), 1):
-            orders = sum(assignment, fixed)
-            ids = _achievable_ids(rule, orders, weights, m, total, base=base, units=units, cap=cap)
+            if stack is not None:
+                ids = _achievable_ids(rule, (), (), m, total, base=stack(assignment), cap=cap)
+            else:
+                orders = sum(assignment, fixed)
+                ids = _achievable_ids(rule, orders, weights, m, total, cap=cap)
             yield assignment, ids
             seen.update(ids)
             if prune is not None and lead <= walked < size and len(seen) != bounded:

@@ -8,10 +8,13 @@ exact; no floats enter any decision.
 
 The recast of preference manipulation keeps one scenario per joint
 completion as the assignment ``iter_assignments`` yields over one view's
-option groups.  A scan tallies the view's fixed ballots once and decides
-each scenario from that tally plus the assignment's orders.  A scenario is
-cast as a ``Profile``, with each weight-k order as k unit ballots, only
-when a caller reads ``scenarios``.
+option groups.  A scan tallies the view's fixed ballots once and, under a
+rule with a tally, decides each scenario from its full tally, summed from
+the groups it shares with the scenario before (``rules._TallyStack``);
+STV and the hybrid are handed the fixed ballots and the assignment's
+orders.  A scenario is cast as a ``Profile``, with each weight-k order as
+k unit ballots, only when a caller reads ``scenarios``, and that read is
+charged to the reduction's ``cap``.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .rules import (
     Rule,
     TieBreak,
     _checked_tie_break,
+    _TallyStack,
     _fixed_part,
     _positive_total,
     _tie_broken_id,
@@ -117,9 +121,12 @@ class _Completions(Sequence):
 
     ``len`` reads no scenario.  Indexing or iterating builds a scenario's
     ``Profile`` on its first read and keeps it, so every read returns the
-    same object.  Equality, hashing and ``repr`` are those of the tuple of
-    pairs, so a distribution compares, hashes and prints as one built from
-    that tuple.
+    same object.  A first read charges the whole split, the unit ballots a
+    read of every scenario builds (scenarios times total weight), to
+    ``cap`` and raises CapExceeded past it, before it builds anything.
+    Equality, hashing and ``repr`` are those of the tuple of pairs, so a
+    distribution compares, hashes and prints as one built from that tuple;
+    they read every scenario, so they can raise it too.
     """
 
     def __init__(
@@ -127,10 +134,12 @@ class _Completions(Sequence):
         view: Profile,
         groups: tuple[OptionGroup, ...],
         assignments: tuple[tuple[tuple[Order, ...], ...], ...],
+        cap: int | None,
     ) -> None:
         self.view = view
         self.groups = groups
         self.assignments = assignments
+        self.cap = cap
         self.weights = _assigned_weights(groups)
         self.share = Fraction(1, len(assignments))
         self._read: list[tuple[Profile, Fraction] | None] = [None] * len(assignments)
@@ -148,6 +157,7 @@ class _Completions(Sequence):
             return tuple(map(self.__getitem__, range(len(self))[i]))
         pair = self._read[i]
         if pair is None:
+            charge(len(self) * self.view.total_weight, self.cap, "unit ballots of the split")
             arrays = completed_arrays(self.view, self.groups, self.assignments[i])
             pair = self._read[i] = (_unit_split(self.view, *arrays, self._units), self.share)
         return pair
@@ -269,10 +279,14 @@ def _winner_ids(
     ``cap`` never changes a decided winner, so it is not part of the key; a
     scenario refused under it stays undecided, and a later scan resumes
     there.  The rule and the tie-break are checked once, against ``_base``.
-    Each election is the tally of the ballots its scenarios share
-    (``rules._fixed_part``) plus its own orders: for a reduction the view's
-    fixed ballots and the assignment.  A scenario given as a profile shares
-    nothing, and its ``fixed_arrays`` are tallied whole."""
+    A reduction's scenario under a rule with a tally is decided from its
+    full tally: the view's fixed ballots' (``rules._fixed_part``) plus its
+    assignment, stacked per group (``rules._TallyStack``), so a scenario
+    re-adds only the groups it does not share with the one decided before,
+    even when the scan resumes mid-column.  Under STV or the hybrid it is
+    handed the fixed ballots and the assignment's orders.  A scenario given
+    as a profile shares nothing, and its ``fixed_arrays`` are tallied
+    whole."""
     tb = tb or TieBreak.lex()
     key = (rule, tb)
     kept = dist._column
@@ -287,18 +301,22 @@ def _winner_ids(
         shared, own = profile.fixed_arrays, scenarios.own_arrays
     else:
         shared, own = None, lambda i: scenarios[i][0].fixed_arrays
-    units: dict[Order, list[int]] = {}
-    fixed = None  # set with the shared tally at the first undecided scenario
+    fixed = stack = None  # set with the shared tally at the first undecided scenario
     for i, won in enumerate(column):
         if won is None:
             if fixed is None:
                 base, fixed, fixed_weights = (
                     _fixed_part(rule, *shared, m) if shared is not None else (None, (), ())
                 )
-            orders, weights = own(i)
+                if base is not None:  # a reduction under a rule with a tally
+                    stack = _TallyStack(rule, base, scenarios.groups)
+            if stack is not None:
+                base, orders, weights = stack(scenarios.assignments[i]), (), ()
+            else:
+                orders, weights = own(i)
             won = column[i] = _tie_broken_id(
                 rule, fixed + orders, fixed_weights + weights, m, total, tb, favoured, cap,
-                base, units,
+                base,
             )
         yield won
 
@@ -390,16 +408,17 @@ def reduction_from_preference_manipulation(
 
     Each scenario is kept as its assignment over the view's option groups;
     its unit-split ``Profile`` is built only when ``scenarios`` is read.
-    ``cap`` bounds both the scenario count and the unit ballots a read of
-    every scenario builds (scenarios times total weight), charged here.
+    ``cap`` bounds the scenario count, charged here, and the unit ballots a
+    read of every scenario builds (scenarios times total weight), charged
+    at the first read, so a reduction that is only scanned answers however
+    heavy its ballots.
     """
     if inst.is_coalition:
         raise ModelMismatch("the reduction starts from a preference-model instance")
     view = _preference_view(inst.profile)
     groups = completion_groups(view, cap=cap)
-    count = check_cap(groups, cap)
-    charge(count * view.total_weight, cap, "unit ballots of the split")
-    dist = ScenarioDistribution(_Completions(view, groups, tuple(iter_assignments(groups))))
+    check_cap(groups, cap)
+    dist = ScenarioDistribution(_Completions(view, groups, tuple(iter_assignments(groups)), cap))
     query = EvaluationQuery(
         target=inst.target,
         r=Fraction(0),

@@ -24,6 +24,7 @@ from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, combinations, product
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import InvalidProfile, charge
@@ -787,6 +788,65 @@ def _fixed_part(
     return tally(rule, orders, weights, m), (), ()
 
 
+class _TallyStack:
+    """The tallies of a scan's assignments, each summed from the groups it
+    shares with the one before.
+
+    An assignment holds one multiset of orders per group, as
+    ``iter_assignments`` yields it; a call with one returns ``base`` plus
+    each order's tally at weight 1 (``unit``, from ``tally``, the rule's own
+    unless given) times its group's weight.  One tally is kept per depth:
+    for d below ``depth``, ``heads[d]`` is the multiset held at depth d and
+    ``tallies[d + 1]`` is ``base`` plus the multisets through it.  A call
+    re-adds only the groups from the first whose multiset is not (``is``)
+    the one held at that depth, and then holds exactly its own, so an
+    odometer step re-adds its last groups alone, while a jump, a repeat or
+    a shorter prefix (which returns the tally at its depth) is read just as
+    right.  Every multiset compared is held here, so none is freed and
+    reused while it is compared.  Each order's tally, alone and times each
+    group weight, is made once; nothing is kept past the caller's scan.
+    """
+
+    def __init__(
+        self, rule: Rule, base: list[int], groups: Sequence, tally: Callable | None = None
+    ) -> None:
+        self.rule, self.tally = rule, tally or _DECIDERS[type(rule)][0]
+        self.units: dict[tuple[int, ...], list[int]] = {}
+        # per depth: the group's weight, and its orders' tallies times it,
+        # shared by the groups of one weight
+        scaled: dict[int, dict[tuple[int, ...], list[int]]] = {}
+        self.scaled = [(g.weight, scaled.setdefault(g.weight, {})) for g in groups]
+        self.heads: list[tuple[tuple[int, ...], ...]] = [()] * len(groups)
+        self.tallies = [base] * (len(groups) + 1)
+        self.depth = 0
+
+    def unit(self, order: tuple[int, ...]) -> list[int]:
+        """The order's tally at weight 1."""
+        units = self.units
+        return units.get(order) or units.setdefault(
+            order, self.tally(self.rule, (order,), (1,), len(order))
+        )
+
+    def __call__(self, assignment: Sequence[tuple[tuple[int, ...], ...]]) -> list[int]:
+        heads, n = self.heads, len(assignment)
+        same, held = 0, min(self.depth, n)
+        while same < held and heads[same] is assignment[same]:
+            same += 1
+        tallies = self.tallies
+        if same < n:
+            stat, per_depth = tallies[same], self.scaled
+            for d in range(same, n):
+                combo, (weight, scaled) = assignment[d], per_depth[d]
+                for order in combo:
+                    unit = scaled.get(order)
+                    if unit is None:
+                        unit = scaled[order] = [weight * u for u in self.unit(order)]
+                    stat = list(map(add, stat, unit))
+                heads[d], tallies[d + 1] = combo, stat
+            self.depth = n  # the deeper slots held another prefix's multisets
+        return tallies[n]
+
+
 def _achievable_ids(
     rule: Rule,
     orders: Orders,
@@ -795,17 +855,15 @@ def _achievable_ids(
     total: int,
     *,
     base: list[int] | None = None,
-    units: dict | None = None,
     branch: bool = True,
     cap: int | None = DEFAULT_COMPLETION_CAP,
 ) -> frozenset[int]:
     """Winner ids achievable over tie resolutions (or the lex singleton).
 
-    The election is (orders, weights) plus any ballots whose tally the
-    caller summed as ``base`` (``_fixed_part``); each order is then added as
-    its tally at weight 1, kept in the caller's ``units`` once made.
-    ``cap`` bounds the candidate sets that STV's elimination search, or the
-    hybrid's sets of survivors, may tally.
+    The election is (orders, weights), or, for a rule with a tally, the
+    tally ``base`` a caller summed for it (``_TallyStack``), and then no
+    orders are read.  ``cap`` bounds the candidate sets that STV's
+    elimination search, or the hybrid's sets of survivors, may tally.
     """
     if m == 1:
         return frozenset((0,))
@@ -816,10 +874,7 @@ def _achievable_ids(
     if tally is None:
         return decide(rule, orders, weights, m, total, branch, cap)
     if base is None:
-        return decide(rule, tally(rule, orders, weights, m), m, total, branch, cap)
-    for order, w in zip(orders, weights):
-        unit = units.get(order) or units.setdefault(order, tally(rule, (order,), (1,), m))
-        base = [s + w * u for s, u in zip(base, unit)]
+        base = tally(rule, orders, weights, m)
     return decide(rule, base, m, total, branch, cap)
 
 
@@ -855,12 +910,11 @@ def _tie_broken_id(
     favoured: int | None,
     cap: int | None,
     base: list[int] | None = None,
-    units: dict | None = None,
 ) -> int:
     """The winner id of the election that ``_achievable_ids`` reads under
     ``tb``, whose candidate id ``_checked_tie_break`` gave as ``favoured``."""
     ids = _achievable_ids(
-        rule, orders, weights, m, total, base=base, units=units, branch=tb.kind != "lex", cap=cap
+        rule, orders, weights, m, total, base=base, branch=tb.kind != "lex", cap=cap
     )
     if tb.kind != "against":  # lex favours no one: ids is then its one winner
         return favoured if favoured in ids else min(ids)

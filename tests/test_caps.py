@@ -68,6 +68,13 @@ def outcome(call, cap):
         return "error", type(exc)
 
 
+def read_reduction(inst: ManipulationInstance, cap: int | None) -> tuple:
+    """The reduction with every scenario read, so the reads it charges to
+    ``cap`` raise inside the capped call."""
+    dist, query = reduction_from_preference_manipulation(inst, cap=cap)
+    return tuple(dist.scenarios), query
+
+
 def rand_case(rng: random.Random) -> dict:
     """Every capped entry point as a function of ``cap``, on one small input."""
     m = rng.randint(2, 4)
@@ -137,9 +144,7 @@ def rand_case(rng: random.Random) -> dict:
         "hybrid_coarse_over": lambda cap: hybrid_coarse_over(pairing, cast, cap=cap),
         "preference_manipulate": lambda cap: preference_manipulate(pref, cap=cap),
         "coalition_manipulate": lambda cap: coalition_manipulate(coal, cap=cap),
-        "reduction_from_preference_manipulation": (
-            lambda cap: reduction_from_preference_manipulation(split, cap=cap)
-        ),
+        "reduction_from_preference_manipulation": lambda cap: read_reduction(split, cap),
         "product_distribution": lambda cap: product_distribution(
             cands(m), agents, strict_odd=False, cap=cap
         ),

@@ -441,10 +441,33 @@ class TestReduction:
             raise AssertionError("unit ballots built past the cap")
 
         monkeypatch.setattr("votelab.evaluation._unit_split", unexpected)
-        # 3 scenarios fit a cap of 14; their 3 * 5 unit ballots do not
+        # 3 scenarios fit a cap of 14; their 3 * 5 unit ballots do not, so
+        # the reduction answers and its first read of a scenario refuses
+        dist, query = reduction_from_preference_manipulation(inst, cap=14)
+        assert evaluate(dist, query, cap=14) == (preference_manipulate(inst) is not None)
+        for read in (lambda: dist.scenarios[2], lambda: dist.scenarios[0], lambda: hash(dist)):
+            with pytest.raises(CapExceeded) as exc:
+                read()
+            assert exc.value.estimate == 15
+            assert str(exc.value) == "unit ballots of the split: 15, above the cap of 14"
+
+    def test_a_reduction_heavier_than_its_split_cap_answers(self):
+        # the 30th draw from this seed: runoff, m = 4, total weight 80 and
+        # 14,976 scenarios, whose split of 1,198,080 unit ballots passes the
+        # default cap; the scan reads no scenario, so it answers
+        rng = random.Random(2712)
+        for _ in range(30):
+            profile = rand_manipulation_profile(rng)
+            rule = rand_rules(rng, profile.m)[rng.choice(("borda", "cup", "runoff"))]
+            inst = ManipulationInstance(rule, rng.randrange(profile.m), profile)
+        assert (type(rule), profile.m, profile.total_weight) == (Runoff, 4, 80)
+        dist, query = reduction_from_preference_manipulation(inst)
+        assert len(dist.scenarios) == 14976
+        assert evaluate(dist, query) == (preference_manipulate(inst) is not None)
+        assert evaluate(dist, query)
         with pytest.raises(CapExceeded) as exc:
-            reduction_from_preference_manipulation(inst, cap=14)
-        assert exc.value.estimate == 15
+            dist.scenarios[0]
+        assert exc.value.estimate == 14976 * 80
 
     def test_query_decides_exactly_like_the_search(self):
         rng = random.Random(107)
@@ -571,9 +594,9 @@ class TestReduction:
         decided = []
         real = evaluation._tie_broken_id
 
-        def recording(rule, orders, weights, m, total, tb, favoured, cap, base, units):
+        def recording(rule, orders, weights, m, total, tb, favoured, cap, base):
             decided.append((orders, weights, base))
-            return real(rule, orders, weights, m, total, tb, favoured, cap, base, units)
+            return real(rule, orders, weights, m, total, tb, favoured, cap, base)
 
         def unexpected(*args):
             raise AssertionError("a scenario profile was built")
@@ -596,9 +619,10 @@ class TestReduction:
             assert (probability > 0) == answer
             assert len(decided) == count  # the column kept evaluate's decisions
             # the scan hands each scenario's election over whole, or, for a
-            # rule decided from its tally, as the fixed ballots' tally (base)
-            # plus the scenario's own orders; either way it is exactly the
-            # election the scenario read holds
+            # rule decided from its tally, as the scenario's full tally (base,
+            # stacked from the fixed ballots' tally and its groups) and no
+            # orders; either way it is exactly the election the scenario
+            # read holds
             tally, m = _DECIDERS[type(rule)][0], profile.m
             with monkeypatch.context() as patch:
                 patch.setattr(evaluation, "_unit_split", split)
@@ -611,9 +635,7 @@ class TestReduction:
                             merged[order] = merged.get(order, 0) + weight
                         assert (tuple(merged), tuple(merged.values())) == scenario.fixed_arrays
                         continue
-                    for order, weight in zip(orders, weights, strict=True):
-                        unit = tally(rule, (order,), (1,), m)
-                        base = [s + weight * u for s, u in zip(base, unit, strict=True)]
+                    assert orders == weights == ()
                     assert base == tally(rule, *scenario.fixed_arrays, m)
 
     def test_a_scan_tallies_the_fixed_ballots_only_to_decide(self, monkeypatch):

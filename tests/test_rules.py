@@ -47,10 +47,11 @@ from votelab import (
     winner,
 )
 from votelab import rules as rules_module
-from votelab.completions import completed_arrays
+from votelab.completions import OptionGroup, completed_arrays, space_size
 from votelab.profiles import MAX_WEIGHT
 from votelab.rules import (
     MAX_AGENDA_DEPTH,
+    _TallyStack,
     _achievable_ids,
     _pairs_masks,
     _pairs_tally,
@@ -657,7 +658,7 @@ class TestBounds:
 
 class TestSplitTally:
     """A caller deciding many elections that share ballots tallies those
-    once and passes each election's own orders on top."""
+    once and stacks each election's own orders on top (``_TallyStack``)."""
 
     @staticmethod
     def rand_rules(rng, m):
@@ -690,10 +691,13 @@ class TestSplitTally:
                     rule, orders[:cut], weights[:cut], m
                 )
                 rest, rest_weights = fixed + orders[cut:], fixed_weights + weights[cut:]
-                units: dict = {}
+                if base is not None:  # the rest stacked on the shared tally, one per group
+                    groups = [OptionGroup(w, 1, (o,), ()) for o, w in zip(rest, rest_weights)]
+                    base = _TallyStack(rule, base, groups)(tuple((o,) for o in rest))
+                    rest, rest_weights = (), ()
                 for branch in (False, True):  # the branched ids are kept
                     split = _achievable_ids(
-                        rule, rest, rest_weights, m, total, base=base, units=units, branch=branch
+                        rule, rest, rest_weights, m, total, base=base, branch=branch
                     )
                     whole = _achievable_ids(rule, orders, weights, m, total, branch=branch)
                     assert split == whole, (rule, orders, weights, cut)
@@ -701,7 +705,7 @@ class TestSplitTally:
                 for tb in tbs:
                     favoured = None if tb.kind == "lex" else tb.candidate
                     won = rules_module._tie_broken_id(
-                        rule, rest, rest_weights, m, total, tb, favoured, None, base, units
+                        rule, rest, rest_weights, m, total, tb, favoured, None, base
                     )
                     assert won == winner(rule, p, tb).id, (rule, tb)
                 seen.add((type(rule), m, base is None, len(split) > 1))
@@ -710,6 +714,80 @@ class TestSplitTally:
         for kind in (Scoring, Runoff, Cup, Copeland, Copeland2):
             assert {(kind, m, False, True) for m in (3, 4, 5)} <= seen, kind
         assert {(Hybrid, m, True, True) for m in (3, 4, 5)} <= seen
+
+
+class TestTallyStack:
+    """Each stacked tally is the completion's own tally, in any visit order."""
+
+    @staticmethod
+    def rand_space(rng):
+        """A view and its option groups: partial ballots, some sharing
+        commitments (so a group or an option list repeats), weights 1-3,
+        counts 1-3, and an unknown pool, in a space of at most 600."""
+        while True:
+            m = rng.randint(2, 5)
+            pool = [H.rand_partial(rng, m, rng.randint(1, 3)) for _ in range(3)]
+            pool = [b for b in pool if len(b.pairs) >= m * (m - 1) // 2 - 3]  # few options
+            ballots = [vote(H.rand_order(rng, m), rng.randint(1, 3))]
+            ballots += [rng.choice(pool) for _ in range(rng.randint(0, 4)) if pool]
+            unknown = rng.randint(0, 2) if m <= 3 else rng.randint(0, 1)
+            view = Profile(cands(m), tuple(ballots), unknown, strict_odd=False)
+            groups = completion_groups(view)
+            if 1 < space_size(groups) <= 600:
+                return view, groups
+
+    def test_stacked_tallies_equal_the_completions_tallies(self):
+        rng = random.Random(3232)
+        seen = set()
+        for _ in range(120):
+            view, groups = self.rand_space(rng)
+            m = view.m
+            vector = tuple(sorted((rng.randint(0, 9) for _ in range(m - 1)), reverse=True)) + (0,)
+            scoring = Scoring(vector=vector) if vector[0] else borda()
+            rule = rng.choice([scoring, Copeland(), Runoff()])
+            tally = rules_module._DECIDERS[type(rule)][0]
+
+            def referee(prefix):
+                arrays = completed_arrays(view, groups[: len(prefix)], prefix)
+                return tally(rule, *arrays, m)
+
+            fixed = tally(rule, *view.fixed_arrays, m)
+            walk = list(iter_assignments(groups))
+            # the odometer's order
+            stack = _TallyStack(rule, fixed, groups)
+            for a in walk:
+                assert stack(a) == referee(a), (rule, a)
+            # a walk whose hook refuses at random and reads its prefix, as the pruner does
+            stack, heads = _TallyStack(rule, fixed, groups), [()] * len(groups)
+
+            def enter(depth, combo):
+                heads[depth] = combo
+                if rng.random() < 0.5:
+                    assert stack(heads[: depth + 1]) == referee(heads[: depth + 1])
+                return rng.random() < 0.7
+
+            visited = 0
+            for a in iter_assignments(groups, enter):
+                assert stack(a) == referee(a), (rule, a)
+                visited += 1
+            # a shuffled order with repeats, each a new tuple of the same
+            # multisets; now and then a jump back to a shorter prefix that
+            # differs at its last depth, then that prefix with this
+            # assignment's deeper multisets
+            stack = _TallyStack(rule, fixed, groups)
+            shuffled = walk + rng.choices(walk, k=len(walk) // 2 + 1)
+            rng.shuffle(shuffled)
+            for a in shuffled:
+                assert stack(tuple(a)) == referee(a), (rule, a)
+                if rng.random() < 0.3:
+                    d = rng.randrange(len(a))
+                    cut = a[:d] + rng.choice(walk)[d : d + 1]
+                    for b in (cut, cut + a[d + 1 :], ()):
+                        assert stack(b) == referee(b), (rule, b)
+            seen.add((type(rule), m, visited < len(walk), any(g.count > 1 for g in groups)))
+        assert {kind for kind, *_ in seen} == {Scoring, Copeland, Runoff}
+        assert {m for _, m, *_ in seen} == {2, 3, 4, 5}
+        assert {(True, True), (False, True), (True, False)} <= {key[2:] for key in seen}
 
 
 class TestPairsTally:
