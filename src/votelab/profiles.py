@@ -108,13 +108,15 @@ def transitive_closure(pairs: Sequence[Pair]) -> frozenset[Pair]:
     return frozenset(closure)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class WeightedBallot:
     """A complete strict ranking cast with integer weight.
 
     ``order`` is stored as a tuple: a tuple is kept as given, another
-    sequence is converted.  No candidate appears twice in it; ``Profile``
-    relies on this.
+    sequence is converted, so ballots built from one tuple share it.  No
+    candidate appears twice in it; ``Profile`` relies on this.  The two
+    fields live in slots (no instance ``__dict__``), which the constructor
+    fills through their descriptors.
     """
 
     order: tuple[int, ...]
@@ -134,13 +136,18 @@ class WeightedBallot:
             raise InvalidProfile(f"ballot order {order} holds a non-id entry") from exc
         if distinct != len(order):
             raise InvalidProfile(f"ballot order {order} repeats a candidate")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "weight", weight)
+        _set_order(self, order)
+        _set_weight(self, weight)
 
     def pairs(self) -> frozenset[Pair]:
         """All pairwise commitments implied by the ranking."""
         o = self.order
         return frozenset((o[i], o[j]) for i in range(len(o)) for j in range(i + 1, len(o)))
+
+
+# the slot descriptors' setters, which a frozen class's __setattr__ refuses
+_set_order = WeightedBallot.order.__set__  # type: ignore[attr-defined]
+_set_weight = WeightedBallot.weight.__set__  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -216,8 +223,10 @@ class Profile:
     rules out pairwise ties.  Constructions that deliberately use even
     totals pass ``strict_odd=False``.
 
-    Aggregates read ``ballots`` slot by slot; the constructor checks each
-    distinct ballot object once, however many slots it fills.
+    Aggregates read ``ballots`` slot by slot.  The constructor checks each
+    distinct partial ballot object once, however many slots it fills, and
+    each distinct complete-ballot order object once, however many ballots
+    share it; a failure still names the first failing slot.
     """
 
     candidates: tuple[Candidate, ...]
@@ -241,13 +250,18 @@ class Profile:
             raise InvalidProfile("candidate labels must be unique")
         _check_weight(self.unknown_weight, "unknown_weight", 0)
         universe = set(range(m))
-        # a ballot object filling many slots needs only one check, and the
-        # first failing slot still raises; an order repeats no candidate, so
-        # m declared ids are all of them, and its entries sum to an int only
-        # when each is one (1.0 == 1 passes the other tests); of those, only
-        # the entries equal to 0 and 1 may be bools
+        # a partial ballot object filling many slots needs only one check,
+        # and so does an order object shared by many complete ballots (the
+        # check reads only the order): keyed by identity, each sits at its
+        # first slot, so the first failing slot still raises.  An order
+        # repeats no candidate, so m declared ids are all of them, and its
+        # entries sum to an int only when each is one (1.0 == 1 passes the
+        # other tests); of those, only the entries equal to 0 and 1 may be bools
+        distinct = {
+            id(b.order) if isinstance(b, WeightedBallot) else id(b): b for b in self.ballots
+        }
         try:
-            for ballot in {id(b): b for b in self.ballots}.values():
+            for ballot in distinct.values():
                 if isinstance(ballot, WeightedBallot):
                     order = ballot.order
                     if not (

@@ -33,7 +33,7 @@ from .profiles import (
     Candidate,
     Profile,
     _is_int,
-    pairwise_counts,
+    pairwise_counts,  # read by no rule here; still imported as votelab.rules.pairwise_counts
 )
 
 #: Deepest cup agenda accepted; the tree walks recurse once per level.
@@ -675,13 +675,18 @@ def _hybrid_rounds(
     only the lowest id among the winners is kept.  Raises CapExceeded when
     more than ``cap`` sets would be tallied.
     """
-    counts = pairwise_counts(orders, weights, m)
-
-    def survives(c: int, o: int) -> bool:
-        d = 2 * counts[o][c] - total
-        return d < 0 or (d == 0 and (branch or c < o))
-
-    sides = [[c for c, o in ((a, b), (b, a)) if survives(c, o)] for a, b in pairing.pairs]
+    sides = []
+    for a, b in pairing.pairs:
+        ab = ba = 0  # the weight ranking a over b, and b over a
+        for order, w in zip(orders, weights):
+            if order.index(a) < order.index(b):
+                ab += w
+            else:
+                ba += w
+        sides.append([
+            c for c, o, against in ((a, b, ba), (b, a, ab))
+            if 2 * against < total or (2 * against == total and (branch or c < o))
+        ])
     bye = (pairing.bye,) if pairing.bye is not None else ()
     for tallied, picks in enumerate(product(*sides), 1):
         charge(tallied, cap, "hybrid survivor sets")

@@ -9,9 +9,11 @@ Profile format, one directive per line, ``#`` starts a comment:
     unknown w=5
     axis: A B C D
 
-The ``candidates:`` line comes before any line that names candidates.
-``pairs=`` and ``locked=`` are optional; a bare partial line is a wholly
-free single agent.  Repeated ``unknown`` lines accumulate.
+The ``candidates:`` line comes before any line that names candidates.  A
+label is one token without ``#``, ``,`` or ``>``; the candidates line refuses
+any other, and the formatters refuse to write one.  ``pairs=`` and
+``locked=`` are optional; a bare partial line is a wholly free single agent.
+Repeated ``unknown`` lines accumulate.
 
 Distribution format: one shared ``candidates:`` line, then repeated blocks
 ``scenario p=1/3`` each followed by that scenario's ballot lines.
@@ -27,6 +29,12 @@ and the ballot is one validated ``WeightedBallot``.  Each fact about the line
 is checked once, in a fixed order (an open block with candidates, three
 tokens, the weight, the order naming every candidate once, the weight's
 range), and each failure gives the same message as a line parsed alone.
+Whether a block with candidates is open is read from a flag that only a
+directive line changes.  A new order token of m names, for m > 1, becomes its
+ids in one ``itemgetter`` lookup, which names the first unknown label; a token
+of another length is read name by name, so an unknown label is still named
+before the wrong count.  Every line with that token shares the one order
+tuple, so the profile checks the order once however many ballots carry it.
 The ballot's own check finds a repeated candidate, so the order is not
 scanned for repeats a second time.
 Nothing is kept from one parse to the next.
@@ -35,6 +43,7 @@ Nothing is kept from one parse to the next.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import NoReturn, Sequence
 
 from .errors import InvalidProfile, ProfileParseError
@@ -66,6 +75,28 @@ def _parse_weight(token: str, line_no: int) -> int:
 
 
 _RANK_ONCE = "a vote must rank every candidate exactly once"
+
+
+def _label_fault(label: object) -> str | None:
+    """Why ``label`` cannot stand in the line format, or None when it can:
+    a label is one token and holds no comment mark and neither separator of
+    an order (``>``) or of a pair list (``,``)."""
+    if isinstance(label, str) and label.split() == [label] and not any(
+        c in label for c in "#,>"
+    ):
+        return None
+    return (
+        f"candidate label {label!r} does not fit the line format: "
+        "a label is one token without '#', ',' or '>'"
+    )
+
+
+def _check_labels(candidates: Sequence[Candidate]) -> None:
+    """InvalidProfile unless every label can be written and read back."""
+    for c in candidates:
+        fault = _label_fault(c.label)
+        if fault is not None:
+            raise InvalidProfile(fault)
 
 
 def _parse_order(
@@ -154,7 +185,10 @@ class _Reader:
 
     def read(self, text: str) -> None:
         memo, weights, orders = self.memo, self.weights, self.orders
-        ballots = self.ballots
+        ballots, labels = self.ballots, self.labels
+        m = len(labels)
+        # a block with candidates is open; only a directive changes that
+        voting = ballots is not None and self.candidates is not None
         for line_no, line in enumerate(text.splitlines(), start=1):
             if "#" in line:
                 line = line.split("#", 1)[0]
@@ -169,7 +203,8 @@ class _Reader:
                 if tokens[0] == "vote":
                     # Each check runs once, in this order; the weight and
                     # order tokens are parsed once per text.
-                    self._need_block(line_no, "vote")
+                    if not voting:
+                        self._need_block(line_no, "vote")
                     if len(tokens) != 3:
                         _fail(line_no, "expected: vote w=<integer> X>Y>...")
                     _, weight_token, order_token = tokens
@@ -178,9 +213,15 @@ class _Reader:
                         weight = weights[weight_token] = _parse_weight(weight_token, line_no)
                     order = orders.get(order_token)
                     if order is None:
-                        order = orders[order_token] = _parse_order(
-                            order_token.split(">"), self.labels, line_no, _RANK_ONCE
-                        )
+                        names = order_token.split(">")
+                        if len(names) == m > 1:  # one name would give no tuple
+                            try:
+                                order = itemgetter(*names)(labels)
+                            except KeyError as exc:
+                                _fail(line_no, f"unknown candidate {exc.args[0]!r}")
+                        else:  # an unknown label is named before a wrong count
+                            order = _parse_order(names, labels, line_no, _RANK_ONCE)
+                        orders[order_token] = order
                     try:
                         ballot = WeightedBallot(order, weight)
                     except InvalidProfile as exc:
@@ -190,7 +231,9 @@ class _Reader:
                 else:
                     ballot = self._directive(line_no, tokens)
                     if ballot is None:
-                        ballots = self.ballots
+                        ballots, labels = self.ballots, self.labels
+                        m = len(labels)
+                        voting = ballots is not None and self.candidates is not None
                         continue
                 memo[line] = ballot
             ballots.append(ballot)
@@ -240,6 +283,10 @@ class _Reader:
             _fail(line_no, "the candidates line needs at least one label")
         if len(set(names)) != len(names):
             _fail(line_no, "candidate labels must be unique")
+        for name in names:
+            fault = _label_fault(name)
+            if fault is not None:
+                _fail(line_no, fault)
         self.candidates = candidates_from_labels(names)
         self.labels = {name: i for i, name in enumerate(names)}
 
@@ -308,8 +355,12 @@ def _ballot_lines(profile: Profile) -> list[str]:
 
 
 def format_profile(profile: Profile, axis: Axis | None = None) -> str:
-    """Render a profile (and optional axis) in the line format."""
+    """Render a profile (and optional axis) in the line format.
+
+    Raises InvalidProfile when a candidate label cannot be read back.
+    """
     cands = profile.candidates
+    _check_labels(cands)
     lines = ["candidates: " + " ".join(c.label for c in cands)]
     lines += _ballot_lines(profile)
     if axis is not None:
@@ -330,8 +381,12 @@ def parse_distribution(text: str, *, strict_odd: bool = True) -> ScenarioDistrib
 
 
 def format_distribution(dist: ScenarioDistribution) -> str:
-    """Render a scenario distribution in the line format."""
+    """Render a scenario distribution in the line format.
+
+    Raises InvalidProfile when a candidate label cannot be read back.
+    """
     cands = dist.candidates
+    _check_labels(cands)
     lines = ["candidates: " + " ".join(c.label for c in cands)]
     for profile, prob in dist.scenarios:
         lines.append(f"scenario p={prob}")

@@ -395,12 +395,7 @@ def brute_winners(rule: Rule, orders: Sequence[Order], weights: Sequence[int], m
             if a != b and all(tally[x] <= cut for x in range(m) if x not in (a, b)):
                 out |= {c for c, d in ((a, b), (b, a)) if beats_or_ties(c, d)}
         return out
-    sides = [[c for c, d in ((a, b), (b, a)) if beats_or_ties(c, d)] for a, b in rule.pairing.pairs]
-    bye = () if rule.pairing.bye is None else (rule.pairing.bye,)
-    out = set()
-    for picks in product(*sides):
-        out |= best(tops(set(picks + bye)), picks + bye)
-    return out
+    return brute_hybrid_ids(rule.pairing, orders, weights, m)
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +580,34 @@ def brute_pairwise_ids(rule: Rule, profile: Profile, *, branch: bool = True) -> 
             for c in range(m)
         ]
     return lex({c for c in range(m) if keys[c] == max(keys)})
+
+
+def brute_hybrid_ids(
+    pairing, orders: Sequence[Order], weights: Sequence[int], m: int, *, branch: bool = True
+) -> set[int]:
+    """The winners of a complete election under ``Hybrid(pairing)``, from
+    ``profiles.pairwise_counts`` alone: a side survives its pair when at most
+    half the weight ranks its rival above it (at exactly half, only the lower
+    id unless ``branch``), and among each way the round ends, plurality over
+    the survivors elects every leader, or with ``branch`` False the lowest."""
+    total = sum(weights)
+    counts = pairwise_counts(orders, weights, m)
+
+    def survives(c: int, rival: int) -> bool:
+        against = 2 * counts[rival][c]
+        return against < total or (against == total and (branch or c < rival))
+
+    sides = [[c for c, rival in ((a, b), (b, a)) if survives(c, rival)] for a, b in pairing.pairs]
+    bye = () if pairing.bye is None else (pairing.bye,)
+    out: set[int] = set()
+    for picks in product(*sides):
+        alive = picks + bye
+        tops = dict.fromkeys(alive, 0)
+        for order, w in zip(orders, weights):
+            tops[next(c for c in order if c in tops)] += w
+        leaders = sorted(c for c in alive if tops[c] == max(tops.values()))
+        out.update(leaders if branch else leaders[:1])
+    return out
 
 
 # ---------------------------------------------------------------------------

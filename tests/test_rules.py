@@ -858,6 +858,34 @@ class TestHybrid:
         with pytest.raises(InvalidProfile):
             hybrid_winner(Pairing(((0, 1),)), p)
 
+    def test_head_to_head_weights_match_the_pairwise_counts_referee(self):
+        # few orders at small even totals tie many pairs at exactly half
+        rng = random.Random(20261021)
+        seen = set()
+        for m in range(2, 10):
+            for _ in range(40):
+                ids = rng.sample(range(m), m)
+                bye = ids.pop() if m % 2 else None
+                pairing = Pairing(tuple(zip(ids[::2], ids[1::2])), bye)
+                orders = [H.rand_order(rng, m) for _ in range(rng.randint(1, 6))]
+                weights = [rng.randint(1, 3) for _ in orders]
+                if rng.random() < 0.5:  # mirrored halves: every pair ties
+                    orders += [o[::-1] for o in orders]
+                    weights += weights
+                total = sum(weights)
+                got = {}
+                for branch in (True, False):
+                    got[branch] = rules_module._hybrid_ids(
+                        Hybrid(pairing), tuple(orders), tuple(weights), m, total, branch, None
+                    )
+                    assert got[branch] == H.brute_hybrid_ids(
+                        pairing, orders, weights, m, branch=branch
+                    ), (m, pairing, orders, weights, branch)
+                seen.add((m, bye is not None, total % 2 == 0, got[True] != got[False]))
+        assert {m for m, *_ in seen} == set(range(2, 10))
+        assert {(has_bye, even) for _, has_bye, even, _ in seen} >= {(False, True), (True, True)}
+        assert any(branched for *_, branched in seen)
+
 
 class TestRuleValidationAtCall:
     def test_unknown_rule_is_refused_by_the_table(self):

@@ -1,5 +1,8 @@
 """Text round trips for profiles and scenario distributions."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -14,16 +17,22 @@ from votelab import (
     PartialBallot,
     Profile,
     ProfileParseError,
+    ScenarioDistribution,
+    WeightedBallot,
+    candidates_from_labels,
     format_distribution,
     format_profile,
     parse_distribution,
     parse_profile,
     win_probability,
+    winner,
     plurality,
 )
 
 import helpers as H
 from helpers import cands, vote
+
+RANK_ONCE = "a vote must rank every candidate exactly once"
 
 FULL = """\
 # staged election
@@ -184,6 +193,121 @@ class TestLineMemo:
         for profile, prob in rest:
             assert profile == first and prob == Fraction(1, 3)
             assert all(a is b for a, b in zip(profile.ballots, first.ballots))
+
+
+class TestVoteLines:
+    """The vote-line path: one lookup per new order token, shared order
+    tuples, slotted ballots, and one profile check per distinct order."""
+
+    def test_one_candidate(self):
+        profile, _ = parse_profile("candidates: A\nvote w=3 A\nvote w=2 A\n")
+        assert [b.order for b in profile.ballots] == [(0,), (0,)]
+        assert winner(plurality(), profile).label == "A"
+        for bad, message in [("A>A", RANK_ONCE), ("B", "unknown candidate 'B'"),
+                             ("A>B", "unknown candidate 'B'")]:
+            with pytest.raises(ProfileParseError) as info:
+                parse_profile(f"candidates: A\nvote w=1 {bad}\n")
+            assert str(info.value) == f"line 2: {message}"
+
+    @pytest.mark.parametrize(
+        "order,message",
+        [
+            ("A>Z>C", "unknown candidate 'Z'"),  # too short: the label comes first
+            ("A>Z>C>Y", "unknown candidate 'Z'"),  # full length: the first unknown
+            ("A>B>C>D>Z", "unknown candidate 'Z'"),  # too long
+            ("A>B>C>", "unknown candidate ''"),
+            ("A>B>C", RANK_ONCE),
+            ("A>B>C>D>A", RANK_ONCE),
+            ("A>A>C>D", RANK_ONCE),  # a repeat, at full length
+        ],
+    )
+    def test_order_errors_keep_their_messages(self, order, message):
+        for weight in ("w=1", "w=0"):  # the order is checked before the weight's range
+            text = f"candidates: A B C D\nvote w=1 D>C>B>A\nvote {weight} {order}\n"
+            with pytest.raises(ProfileParseError) as info:
+                parse_profile(text, strict_odd=False)
+            assert str(info.value) == f"line 3: {message}"
+
+    def test_lines_with_one_order_token_share_one_order(self):
+        text = "candidates: A B C\nvote w=1 C>A>B\nvote w=2 C>A>B\nvote w=4 C>A>B # again\n"
+        profile, _ = parse_profile(text)
+        first, second, third = profile.ballots
+        assert first is not second and first.order is second.order is third.order
+
+    def test_a_ballot_is_slotted_and_frozen(self):
+        profile, _ = parse_profile("candidates: A B C\nvote w=3 C>A>B\n")
+        ballot = profile.ballots[0]
+        assert not hasattr(ballot, "__dict__")
+        for again in (pickle.loads(pickle.dumps(ballot)), copy.deepcopy(ballot)):
+            assert again == ballot and hash(again) == hash(ballot)
+        assert dataclasses.replace(ballot, weight=5) == vote((2, 0, 1), 5)
+        with pytest.raises(InvalidProfile, match="repeats"):
+            dataclasses.replace(ballot, order=(2, 2, 1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ballot.weight = 4
+        # no slot takes it; some CPython versions refuse with TypeError instead
+        with pytest.raises((AttributeError, TypeError)):
+            ballot.note = "x"
+
+    def test_a_shared_bad_order_raises_at_its_first_slot(self):
+        bad = (0, 1, 5)
+        first, later = WeightedBallot(bad, 1), WeightedBallot(bad, 2)
+        stray = PartialBallot(((0, 7),), 1)
+        good = vote((0, 1, 2))
+        order_message = f"ballot {bad} must rank exactly the declared candidates"
+        partial_message = "partial ballot mentions undeclared candidates"
+        for ballots, message in [
+            ((good, first, stray, later), order_message),
+            ((good, stray, first, later), partial_message),
+            ((good, later, stray, first, later), order_message),
+        ]:
+            with pytest.raises(InvalidProfile) as info:
+                Profile(cands(3), ballots, strict_odd=False)
+            assert str(info.value) == message
+
+    def test_an_equal_but_distinct_order_is_still_checked(self):
+        order = (0, 1, 2)
+        for twin in ((0, 1.0, 2), (0, True, 2), (False, 1, 2)):
+            assert twin == order and twin is not order
+            pair = (WeightedBallot(order, 1), WeightedBallot(twin, 2))
+            for ballots in (pair, pair[::-1]):
+                with pytest.raises(InvalidProfile) as info:
+                    Profile(cands(3), ballots)
+                assert str(info.value) == (
+                    f"ballot {twin} must rank exactly the declared candidates"
+                )
+
+
+class TestLabels:
+    """A label the line format cannot carry is refused, not written or read."""
+
+    @pytest.mark.parametrize("line", ["candidates: A>B C", "candidates: A B,C D"])
+    def test_the_candidates_line_refuses_a_separator(self, line):
+        label = next(name for name in line.split()[1:] if ">" in name or "," in name)
+        with pytest.raises(ProfileParseError) as info:
+            parse_profile(f"# a comment\n{line}\nvote w=1 C>A>B\n")
+        assert str(info.value) == (
+            f"line 2: candidate label {label!r} does not fit the line format: "
+            "a label is one token without '#', ',' or '>'"
+        )
+
+    @pytest.mark.parametrize("label", ["A>B", "A B", "A\tB", "", "#", "x,y", "a#b", "A\u2028B"])
+    def test_format_refuses_a_label_it_cannot_write(self, label):
+        candidates = candidates_from_labels([label, "C", "D"])
+        profile = Profile(candidates, (vote((0, 1, 2)),))
+        dist = ScenarioDistribution(((profile, Fraction(1)),))
+        for write, what in ((format_profile, profile), (format_distribution, dist)):
+            with pytest.raises(InvalidProfile) as info:
+                write(what)
+            assert not isinstance(info.value, ProfileParseError)
+            assert str(info.value).startswith(f"candidate label {label!r} does not fit")
+
+    def test_labels_that_fit_round_trip(self):
+        candidates = candidates_from_labels(["A=1", "b-2", "(c)", "\u00e9", "w=3"])
+        profile = Profile(
+            candidates, (vote((4, 0, 1, 2, 3)), PartialBallot(((0, 4),), 2, ((0, 4),)))
+        )
+        assert parse_profile(format_profile(profile))[0] == profile
 
 
 class TestFormatProfile:
