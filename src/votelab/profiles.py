@@ -145,7 +145,9 @@ class WeightedBallot:
         return frozenset((o[i], o[j]) for i in range(len(o)) for j in range(i + 1, len(o)))
 
 
-# the slot descriptors' setters, which a frozen class's __setattr__ refuses
+# the slot descriptors' setters, which a frozen class's __setattr__ refuses;
+# the reader builds one ballot per distinct vote line, and these cost about
+# a third less than two object.__setattr__ calls
 _set_order = WeightedBallot.order.__set__  # type: ignore[attr-defined]
 _set_weight = WeightedBallot.weight.__set__  # type: ignore[attr-defined]
 

@@ -29,12 +29,10 @@ and the ballot is one validated ``WeightedBallot``.  Each fact about the line
 is checked once, in a fixed order (an open block with candidates, three
 tokens, the weight, the order naming every candidate once, the weight's
 range), and each failure gives the same message as a line parsed alone.
-Whether a block with candidates is open is read from a flag that only a
-directive line changes.  A new order token of m names, for m > 1, becomes its
-ids in one ``itemgetter`` lookup, which names the first unknown label; a token
-of another length is read name by name, so an unknown label is still named
-before the wrong count.  Every line with that token shares the one order
-tuple, so the profile checks the order once however many ballots carry it.
+A new order token becomes its ids in one ``itemgetter`` lookup, which names
+the first unknown label before any wrong count is reported.  Every line
+with that token shares the one order tuple, so the profile checks the order
+once however many ballots carry it.
 The ballot's own check finds a repeated candidate, so the order is not
 scanned for repeats a second time.
 Nothing is kept from one parse to the next.
@@ -103,11 +101,15 @@ def _parse_order(
     names: Sequence[str], labels: dict[str, int], line_no: int, message: str
 ) -> tuple[int, ...]:
     """The ids of ``names``, one per candidate, else ``message``; a repeated
-    candidate is the caller's to refuse, with the same message."""
+    candidate is the caller's to refuse, with the same message.  An unknown
+    label is named before a wrong count."""
     try:
-        order = tuple(map(labels.__getitem__, names))
+        # one lookup, which stops at the first unknown label
+        order = itemgetter(*names)(labels) if names else ()
     except KeyError as exc:
         _fail(line_no, f"unknown candidate {exc.args[0]!r}")
+    if len(names) == 1:  # itemgetter of one name gives the id, not a tuple
+        order = (order,)
     if len(order) != len(labels):
         _fail(line_no, message)
     return order
@@ -185,10 +187,7 @@ class _Reader:
 
     def read(self, text: str) -> None:
         memo, weights, orders = self.memo, self.weights, self.orders
-        ballots, labels = self.ballots, self.labels
-        m = len(labels)
-        # a block with candidates is open; only a directive changes that
-        voting = ballots is not None and self.candidates is not None
+        ballots = self.ballots
         for line_no, line in enumerate(text.splitlines(), start=1):
             if "#" in line:
                 line = line.split("#", 1)[0]
@@ -203,8 +202,7 @@ class _Reader:
                 if tokens[0] == "vote":
                     # Each check runs once, in this order; the weight and
                     # order tokens are parsed once per text.
-                    if not voting:
-                        self._need_block(line_no, "vote")
+                    self._need_block(line_no, "vote")
                     if len(tokens) != 3:
                         _fail(line_no, "expected: vote w=<integer> X>Y>...")
                     _, weight_token, order_token = tokens
@@ -213,15 +211,9 @@ class _Reader:
                         weight = weights[weight_token] = _parse_weight(weight_token, line_no)
                     order = orders.get(order_token)
                     if order is None:
-                        names = order_token.split(">")
-                        if len(names) == m > 1:  # one name would give no tuple
-                            try:
-                                order = itemgetter(*names)(labels)
-                            except KeyError as exc:
-                                _fail(line_no, f"unknown candidate {exc.args[0]!r}")
-                        else:  # an unknown label is named before a wrong count
-                            order = _parse_order(names, labels, line_no, _RANK_ONCE)
-                        orders[order_token] = order
+                        order = orders[order_token] = _parse_order(
+                            order_token.split(">"), self.labels, line_no, _RANK_ONCE
+                        )
                     try:
                         ballot = WeightedBallot(order, weight)
                     except InvalidProfile as exc:
@@ -231,9 +223,7 @@ class _Reader:
                 else:
                     ballot = self._directive(line_no, tokens)
                     if ballot is None:
-                        ballots, labels = self.ballots, self.labels
-                        m = len(labels)
-                        voting = ballots is not None and self.candidates is not None
+                        ballots = self.ballots
                         continue
                 memo[line] = ballot
             ballots.append(ballot)

@@ -586,12 +586,12 @@ def brute_hybrid_ids(
     pairing, orders: Sequence[Order], weights: Sequence[int], m: int, *, branch: bool = True
 ) -> set[int]:
     """The winners of a complete election under ``Hybrid(pairing)``, from
-    ``profiles.pairwise_counts`` alone: a side survives its pair when at most
+    the pairwise counts of ``counts_of`` alone: a side survives its pair when at most
     half the weight ranks its rival above it (at exactly half, only the lower
     id unless ``branch``), and among each way the round ends, plurality over
     the survivors elects every leader, or with ``branch`` False the lowest."""
     total = sum(weights)
-    counts = pairwise_counts(orders, weights, m)
+    counts = counts_of(orders, weights, m)
 
     def survives(c: int, rival: int) -> bool:
         against = 2 * counts[rival][c]

@@ -228,6 +228,18 @@ class TestVoteLines:
                 parse_profile(text, strict_odd=False)
             assert str(info.value) == f"line 3: {message}"
 
+    def test_axis_lines_share_the_lookup(self):
+        _, axis = parse_profile("candidates: A\nvote w=1 A\naxis: A\n")
+        assert axis == Axis((0,))
+        for line, message in [
+            ("axis:", "the axis must order every candidate exactly once"),
+            ("axis: B", "the axis must order every candidate exactly once"),
+            ("axis: Z A", "unknown candidate 'Z'"),  # the label before the count
+        ]:
+            with pytest.raises(ProfileParseError) as info:
+                parse_profile(f"candidates: A B\n{line}\n")
+            assert str(info.value) == f"line 2: {message}"
+
     def test_lines_with_one_order_token_share_one_order(self):
         text = "candidates: A B C\nvote w=1 C>A>B\nvote w=2 C>A>B\nvote w=4 C>A>B # again\n"
         profile, _ = parse_profile(text)
