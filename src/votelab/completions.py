@@ -26,7 +26,8 @@ and prunes with the rule's bound through the hook; the projection sums each
 option's tally on the open pairs, for Cup and Copeland(2).
 Possible winners, the termination planner's engine and both manipulation
 models differ only in when they stop the stream and in which ballots they
-leave free, which ``fixed_view`` alone decides.
+leave free, which ``fixed_view`` alone decides; its view shares every ballot
+it does not change, and is the input profile when it changes none.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import chain, combinations_with_replacement, permutations, repeat
+from operator import is_
 from typing import Callable, Collection, Iterator, Sequence
 
 from .errors import ModelMismatch, NotCompletableSP, charge, within
@@ -254,12 +256,12 @@ def fixed_view(profile: Profile, free: Collection[int] = ()) -> Profile:
     """The profile under one uncertainty model: only the ballots at ``free``
     indices stay open.
 
-    A free ballot is cut back to its locked pairs; a coalition ballot has
-    none, so it is blanked to full freedom.  Every other ballot must be a
-    total order, else ModelMismatch, and is cast as that order, so the
-    view's ``fixed_arrays`` cover every ballot outside ``free``.  Returns
-    the profile itself, after one look at each slot, when nothing is free
-    and every ballot is cast already.
+    A free ballot is cut back to its locked pairs (``locked_only``); a
+    coalition ballot has none, so it is blanked to full freedom.  Every
+    other ballot must be a total order, else ModelMismatch, and is cast as
+    that order, so ``fixed_arrays`` cover every ballot outside ``free``.
+    The view shares every ballot it does not change, and is the profile
+    itself when no slot changes.
     """
     m = profile.m
     if not free and all(map(isinstance, profile.ballots, repeat(WeightedBallot))):
@@ -272,9 +274,10 @@ def fixed_view(profile: Profile, free: Collection[int] = ()) -> Profile:
         key = (id(ballot), idx in free)
         if key in views:
             ballot = views[key]
+        elif key[1] and isinstance(ballot, PartialBallot):
+            ballot = ballot.locked_only()
         elif key[1]:
-            locked = ballot.locked if isinstance(ballot, PartialBallot) else frozenset()
-            ballot = PartialBallot(locked, ballot.weight, locked)
+            ballot = PartialBallot(frozenset(), ballot.weight)
         elif isinstance(ballot, PartialBallot):
             if not ballot.is_total(m):
                 raise ModelMismatch(
@@ -283,7 +286,8 @@ def fixed_view(profile: Profile, free: Collection[int] = ()) -> Profile:
                 )
             ballot = WeightedBallot(ballot.to_order(m), ballot.weight)
         ballots.append(views.setdefault(key, ballot))
-    return replace(profile, ballots=tuple(ballots))
+    shared = all(map(is_, ballots, profile.ballots))
+    return profile if shared else replace(profile, ballots=tuple(ballots))
 
 
 def completed_profile(

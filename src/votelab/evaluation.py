@@ -406,8 +406,9 @@ def reduction_from_preference_manipulation(
     ties favouring the target, the query is true exactly when some
     completion elects the target, i.e. when the manipulation succeeds.
 
-    Each scenario is kept as its assignment over the view's option groups;
-    its unit-split ``Profile`` is built only when ``scenarios`` is read.
+    Each scenario is kept as its assignment over the view's option groups
+    (the view may be the instance's own profile: see ``fixed_view``); its
+    unit-split ``Profile`` is built only when ``scenarios`` is read.
     ``cap`` bounds the scenario count, charged here, and the unit ballots a
     read of every scenario builds (scenarios times total weight), charged
     at the first read, so a reduction that is only scanned answers however

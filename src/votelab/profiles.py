@@ -15,7 +15,7 @@ All structures are immutable after construction.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
@@ -114,9 +114,8 @@ class WeightedBallot:
 
     ``order`` is stored as a tuple: a tuple is kept as given, another
     sequence is converted, so ballots built from one tuple share it.  No
-    candidate appears twice in it; ``Profile`` relies on this.  The two
-    fields live in slots (no instance ``__dict__``), which the constructor
-    fills through their descriptors.
+    candidate appears twice in it; ``Profile`` relies on this.  The
+    constructor fills the two slots through their descriptors.
     """
 
     order: tuple[int, ...]
@@ -145,9 +144,9 @@ class WeightedBallot:
         return frozenset((o[i], o[j]) for i in range(len(o)) for j in range(i + 1, len(o)))
 
 
-# the slot descriptors' setters, which a frozen class's __setattr__ refuses;
-# the reader builds one ballot per distinct vote line, and these cost about
-# a third less than two object.__setattr__ calls
+# the slot descriptors' setters get past the refusing __setattr__; the reader
+# builds one ballot per distinct vote line, and these cost about a third less
+# than two object.__setattr__ calls
 _set_order = WeightedBallot.order.__set__  # type: ignore[attr-defined]
 _set_weight = WeightedBallot.weight.__set__  # type: ignore[attr-defined]
 
@@ -204,7 +203,9 @@ class PartialBallot:
         return tuple(sorted(range(m), key=lambda c: above[c]))
 
     def locked_only(self) -> "PartialBallot":
-        """The ballot with every unlocked commitment erased (manipulation view)."""
+        """The ballot cut back to its locked pairs (manipulation view); itself if all are."""
+        if self.pairs == self.locked:
+            return self
         return PartialBallot(self.locked, self.weight, self.locked)
 
     @staticmethod
@@ -213,6 +214,15 @@ class PartialBallot:
         pairs = ballot.pairs()
         return PartialBallot(pairs, weight, pairs if locked_all else ())
 
+
+def _refuse(self: Ballot, name: str, *value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+
+# a frozen slotted dataclass refuses a name that is not a field with a bare
+# TypeError (its __setattr__ closes over the class that slots=True replaces)
+WeightedBallot.__setattr__ = WeightedBallot.__delattr__ = _refuse  # type: ignore[method-assign]
+PartialBallot.__setattr__ = PartialBallot.__delattr__ = _refuse  # type: ignore[method-assign]
 
 Ballot = Union[WeightedBallot, PartialBallot]
 

@@ -11,26 +11,49 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 from votelab import (
+    REDUCTION_KINDS,
     Axis,
     Candidate,
+    CapExceeded,
+    Copeland,
+    Copeland2,
+    Cup,
+    Hybrid,
     InvalidProfile,
+    ManipulationInstance,
+    Pairing,
     PartialBallot,
+    PartitionInstance,
     Profile,
     Rule,
+    Runoff,
     ScenarioDistribution,
+    Stv,
     TieBreak,
+    VotelabError,
     WeightedBallot,
     achievable_winners,
+    borda,
     candidates_from_labels,
+    coalition_manipulate,
+    evaluate,
     format_distribution,
+    format_profile,
+    format_rule,
     is_single_peaked,
     linear_extensions,
+    plurality,
+    preference_manipulate,
+    reduction_from_preference_manipulation,
     single_peaked_orders,
+    veto,
+    win_probability,
     winner,
 )
+from votelab.constructions import reduction_instance
 from votelab.errors import charge
 from votelab.profiles import _placement_masks, pairwise_counts
 
@@ -644,6 +667,18 @@ def rand_sp_partial(
     return PartialBallot(frozenset(rng.sample(implied, take)), weight)
 
 
+def rand_rules(rng: random.Random, m: int) -> dict[str, Rule]:
+    """Every rule family over m candidates, by name."""
+    ids = rand_order(rng, m)
+    pairing = Pairing(tuple(zip(ids[0::2], ids[1::2])), ids[-1] if m % 2 else None)
+    return {
+        "plurality": plurality(), "borda": borda(), "veto": veto(),
+        "copeland": Copeland(), "copeland2": Copeland2(),
+        "cup": Cup(rand_agenda(rng, range(m))), "stv": Stv(), "runoff": Runoff(),
+        "hybrid": Hybrid(pairing),
+    }
+
+
 def rand_agenda(rng: random.Random, ids: Sequence[int]):
     """A random binary agenda tree over the given candidate ids."""
     nodes: list = list(ids)
@@ -776,3 +811,139 @@ def rand_distribution_lines(
         built.append((Profile(cands(m), ballots, strict_odd=False),
                       Fraction(mass, sum(masses))))
     return lines, ScenarioDistribution(tuple(built)), keys
+
+
+# ---------------------------------------------------------------------------
+# Views and the manipulation layer's committed golden
+
+
+def brute_view(profile: Profile, free: Collection[int]) -> Profile:
+    """``completions.fixed_view`` rebuilt afresh, slot by slot, without
+    ``locked_only``: a free partial ballot keeps only its locked pairs, a
+    free complete one none, and a total partial ballot outside ``free`` is
+    cast as the order its pairs rank."""
+    m = profile.m
+    ballots: list[WeightedBallot | PartialBallot] = []
+    for idx, b in enumerate(profile.ballots):
+        if idx in free and isinstance(b, PartialBallot):
+            ballots.append(PartialBallot(b.locked, b.weight, b.locked))
+        elif idx in free:
+            ballots.append(PartialBallot(frozenset(), b.weight))
+        elif isinstance(b, PartialBallot):
+            assert len(b.pairs) == m * (m - 1) // 2, "a genuinely partial ballot outside free"
+            wins = [sum(1 for a, _ in b.pairs if a == c) for c in range(m)]
+            ballots.append(WeightedBallot(sorted(range(m), key=lambda c: -wins[c]), b.weight))
+        else:
+            ballots.append(b)
+    return Profile(profile.candidates, tuple(ballots), profile.unknown_weight, profile.strict_odd)
+
+
+def _outcome(call: Callable[[], object], show: Callable[[object], str]) -> str:
+    """``show`` of what ``call`` returns, or its typed error with any estimate."""
+    try:
+        return show(call())
+    except CapExceeded as exc:
+        return f"CapExceeded: {exc} (estimate {exc.estimate})"
+    except VotelabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _profile_text(profile: Profile | None) -> str:
+    """A profile's text on one line, or None."""
+    return "None" if profile is None else format_profile(profile).rstrip("\n").replace("\n", " | ")
+
+
+def _reduction_text(inst: ManipulationInstance, cap: int | None) -> str:
+    dist, query = reduction_from_preference_manipulation(inst, cap=cap)
+    probability = win_probability(dist, query.rule, query.target, query.tb, cap=cap)
+    return f"{len(dist.scenarios)} {evaluate(dist, query, cap=cap)} {probability}"
+
+
+def _golden_inputs(seed: int, size: int) -> Iterator[tuple[str, ManipulationInstance]]:
+    """(tag, instance) for every input of ``manipulation_golden``."""
+    rng = random.Random(seed)
+    for k in range(size):
+        # preference model: votes and locked partial ballots, some ballot
+        # objects in several slots, a total partial, unknown units
+        m = 2 + k % 4
+        pool: list[WeightedBallot | PartialBallot] = [
+            vote(rand_order(rng, m), rng.randint(1, 9)) for _ in range(2)
+        ]
+        pool += [rand_partial(rng, m, rng.randint(1, 9), lock=True) for _ in range(2)]
+        if rng.random() < 0.3:
+            pool.append(PartialBallot.from_order(rand_order(rng, m), rng.randint(1, 9), True))
+        ballots = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4 if m < 5 else 3)))
+        unknown = rng.randint(0, 1) if m < 5 else 0
+        profile = Profile(cands(m), ballots, unknown_weight=unknown, strict_odd=False)
+        for rule in rng.sample(list(rand_rules(rng, m).values()), 3):
+            yield f"seed {k}", ManipulationInstance(rule, rng.randrange(m), profile)
+        # coalition model: a coalition of one or two ballots without locks,
+        # cast or partial, and cast votes outside it, one maybe a total partial
+        members = [
+            rng.choice((vote(rand_order(rng, m), rng.randint(1, 9)), rand_partial(rng, m, 2)))
+            for _ in range(rng.randint(1, 2 if m < 5 else 1))
+        ]
+        cast = [vote(rand_order(rng, m), rng.randint(1, 9)) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            cast.append(PartialBallot.from_order(rand_order(rng, m), rng.randint(1, 9)))
+        profile = Profile(cands(m), tuple(members + cast), strict_odd=False)
+        coalition = frozenset(range(len(members)))
+        for rule in rng.sample(list(rand_rules(rng, m).values()), 3):
+            target = rng.randrange(m)
+            yield f"seed {k}", ManipulationInstance(rule, target, profile, coalition)
+    for kind in REDUCTION_KINDS:
+        for n in range(1, 6):
+            for bag in combinations_with_replacement(range(1, 4), n):
+                if sum(bag) % 2:
+                    continue
+                rule, profile, _, target = reduction_instance(kind, PartitionInstance(bag))
+                if target is not None:
+                    yield f"{kind} {bag}", ManipulationInstance(rule, target, profile)
+                else:  # an elicitation profile: its partial ballots as a coalition
+                    coalition = frozenset(
+                        i for i, b in enumerate(profile.ballots) if isinstance(b, PartialBallot)
+                    )
+                    yield f"{kind} {bag}", ManipulationInstance(rule, 0, profile, coalition)
+
+
+def manipulation_golden(seed: int = 34, size: int = 60) -> list[str]:
+    """One canonical line per (entry point, input) of the manipulation layer.
+
+    The inputs are ``size`` seeded rounds of random profiles over 2 to 5
+    candidates, each asked three preference-model and three coalition-model
+    questions, then the four generators' even bags of 1 to 5 values up to 3.
+    Each input first gets a line naming it: the rule, the target, the
+    coalition and the profile text.  A preference-model input then gets its
+    ``preference_manipulate`` witness as profile text (or None), and its
+    reduction's scenario count, ``evaluate`` answer and ``win_probability``;
+    a coalition input gets its ``coalition_manipulate`` mapping.  Each call
+    is made again under a small cap.  A typed error is written as its type
+    and message, with the estimate of a CapExceeded.
+
+    ``tests/golden/manipulation.txt`` holds the default call's lines; from
+    the repository root, rewrite it with::
+
+        PYTHONPATH=src:tests python -c "import helpers; \\
+            print(*helpers.manipulation_golden(), sep=chr(10))" > tests/golden/manipulation.txt
+    """
+    lines = []
+    for i, (tag, inst) in enumerate(_golden_inputs(seed, size)):
+        profile = inst.profile
+        coalition = "prefs" if inst.coalition is None else sorted(inst.coalition)
+        lines.append(
+            f"input {i} ({tag}): {format_rule(inst.rule, profile.candidates)}"
+            f" target={inst.target.label} {coalition} | {_profile_text(profile)}"
+        )
+        for cap in (None, 5 + 37 * (i % 3)):
+            if inst.coalition is None:
+                witness = _outcome(lambda: preference_manipulate(inst, cap=cap), _profile_text)
+                reduction = _outcome(lambda: _reduction_text(inst, cap), str)
+                lines.append(f"preference {i} cap={cap}: {witness}")
+                lines.append(f"reduction {i} cap={cap}: {reduction}")
+            else:
+                mapping = _outcome(
+                    lambda: coalition_manipulate(inst, cap=cap),
+                    lambda found: str(found and sorted(found.items())),
+                )
+                lines.append(f"coalition {i} cap={cap}: {mapping}")
+    return lines

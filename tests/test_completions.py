@@ -1,5 +1,6 @@
 """Joint-completion groups, assignment streams, and caps."""
 
+import functools
 import itertools
 import random
 import tracemalloc
@@ -13,12 +14,15 @@ from votelab import (
     ModelMismatch,
     NotCompletableSP,
     PartialBallot,
+    PartitionInstance,
     Profile,
     WeightedBallot,
     borda,
     candidates_from_labels,
     completion_groups,
     completed_profile,
+    gen_copeland_preference_manipulation,
+    gen_cup_preference_manipulation,
     iter_assignments,
     possible_winners,
     space_size,
@@ -262,11 +266,7 @@ class TestFixedView:
         assert all(b is first for b in view.ballots[:5000])
         assert all(b is last for b in view.ballots[5000:])
         # the same view built slot by slot, one ballot object per slot
-        slot_built = Profile(
-            cands(3),
-            tuple(PartialBallot(b.locked, b.weight, b.locked) for b in p.ballots),
-            strict_odd=False,
-        )
+        slot_built = H.brute_view(p, range(len(p.ballots)))
         assert len({id(b) for b in slot_built.ballots}) == 10_000
         assert view.ballots == slot_built.ballots
         assert completion_groups(view) == completion_groups(slot_built)
@@ -283,6 +283,65 @@ class TestFixedView:
         assert b[6] == WeightedBallot((2, 0, 1), 1)
         (group,) = completion_groups(view)
         assert (group.count, group.indices) == (2, (2, 3))
+
+    def test_seeded_views_match_the_referee_and_share_what_they_keep(self):
+        rng = random.Random(3404)
+        seen = dict.fromkeys(
+            ("kept", "equal but rebuilt", "free and fixed", "total free", "total cast", "unknown"),
+            0,
+        )
+        w = functools.partial(rng.randint, 1, 9)
+        for _ in range(600):
+            m = rng.randint(2, 5)
+            some = H.rand_partial(rng, m, w())
+            order = H.rand_order(rng, m)
+            chain = tuple(zip(order, order[1:]))  # not closed; its closure ranks all
+            pool = [
+                vote(H.rand_order(rng, m), w()),
+                H.rand_partial(rng, m, w(), lock=True),  # locked within pairs
+                PartialBallot(some.pairs, w(), some.pairs),  # locked == pairs
+                PartialBallot(chain, w(), chain),
+                PartialBallot.from_order(H.rand_order(rng, m), w(), rng.random() < 0.5),
+            ]
+            ballots = tuple(rng.choice(pool) for _ in range(rng.randint(1, 6)))
+            p = Profile(cands(m), ballots, unknown_weight=rng.randint(0, 2), strict_odd=False)
+            # a genuinely partial ballot must be free; any other slot may be
+            free = {
+                i for i, b in enumerate(ballots)
+                if isinstance(b, PartialBallot) and not b.is_total(m) or rng.random() < 0.5
+            }
+            view = fixed_view(p, free)
+            assert view == H.brute_view(p, free)
+            # a slot keeps its object when it is a free partial ballot whose
+            # pairs are all locked, or a cast vote outside free
+            keeps = [
+                (isinstance(b, PartialBallot) and b.pairs == b.locked)
+                if i in free
+                else isinstance(b, WeightedBallot)
+                for i, b in enumerate(ballots)
+            ]
+            for i, (b, v, keep) in enumerate(zip(ballots, view.ballots, keeps)):
+                assert (v is b) == keep
+                seen["kept"] += keep and isinstance(b, PartialBallot)
+                seen["equal but rebuilt"] += v == b and not keep
+                if isinstance(b, PartialBallot) and b.is_total(m):
+                    seen["total free" if i in free else "total cast"] += 1
+            assert (view is p) == all(keeps)
+            fixed = set(range(len(ballots))) - free
+            seen["free and fixed"] += any(ballots[i] is ballots[j] for i in free for j in fixed)
+            seen["unknown"] += p.unknown_weight > 0
+            for b in pool[1:]:
+                assert (b.locked_only() is b) == (b.pairs == b.locked)
+        assert min(seen.values()) > 20, seen
+
+    def test_a_reduction_instance_is_its_own_preference_view(self):
+        for n in range(1, 6):
+            for bag in itertools.combinations_with_replacement(range(1, 5), n):
+                if sum(bag) % 2:
+                    continue
+                for gen in (gen_cup_preference_manipulation, gen_copeland_preference_manipulation):
+                    inst = gen(PartitionInstance(bag))
+                    assert _preference_view(inst.profile) is inst.profile
 
     def test_partial_ballot_outside_free_raises(self):
         b = PartialBallot({(0, 1)}, 1, locked={(0, 1)})

@@ -11,7 +11,6 @@ import pytest
 from votelab import (
     CapExceeded,
     Copeland,
-    Copeland2,
     Cup,
     EvaluationQuery,
     Hybrid,
@@ -36,7 +35,6 @@ from votelab import (
     preference_manipulate,
     product_distribution,
     reduction_from_preference_manipulation,
-    veto,
     win_probability,
     winner,
 )
@@ -52,18 +50,6 @@ from helpers import cands, vote
 C2 = cands(2)
 A_WINS = Profile(C2, (vote((0, 1), 3),))
 B_WINS = Profile(C2, (vote((1, 0), 3),))
-
-
-def rand_rules(rng: random.Random, m: int) -> dict:
-    """Every rule family over m candidates, by name."""
-    ids = H.rand_order(rng, m)
-    pairing = Pairing(tuple(zip(ids[0::2], ids[1::2])), ids[-1] if m % 2 else None)
-    return {
-        "plurality": plurality(), "borda": borda(), "veto": veto(),
-        "copeland": Copeland(), "copeland2": Copeland2(),
-        "cup": Cup(H.rand_agenda(rng, range(m))), "stv": Stv(), "runoff": Runoff(),
-        "hybrid": Hybrid(pairing),
-    }
 
 
 def rand_manipulation_profile(rng: random.Random) -> Profile:
@@ -458,7 +444,7 @@ class TestReduction:
         rng = random.Random(2712)
         for _ in range(30):
             profile = rand_manipulation_profile(rng)
-            rule = rand_rules(rng, profile.m)[rng.choice(("borda", "cup", "runoff"))]
+            rule = H.rand_rules(rng, profile.m)[rng.choice(("borda", "cup", "runoff"))]
             inst = ManipulationInstance(rule, rng.randrange(profile.m), profile)
         assert (type(rule), profile.m, profile.total_weight) == (Runoff, 4, 80)
         dist, query = reduction_from_preference_manipulation(inst)
@@ -565,7 +551,7 @@ class TestReduction:
                 continue
             done += 1
             asked = []
-            for name, rule in rand_rules(rng, m).items():
+            for name, rule in H.rand_rules(rng, m).items():
                 kind = rng.choice(("lex", "favor", "against"))
                 tb = TieBreak.lex() if kind == "lex" else getattr(TieBreak, kind)(rng.randrange(m))
                 target = rng.randrange(m)
@@ -607,7 +593,7 @@ class TestReduction:
         rng = random.Random(2511)
         for _ in range(30):
             profile = rand_manipulation_profile(rng)
-            rule = rand_rules(rng, profile.m)[rng.choice(("borda", "stv", "cup"))]
+            rule = H.rand_rules(rng, profile.m)[rng.choice(("borda", "stv", "cup"))]
             inst = ManipulationInstance(rule, rng.randrange(profile.m), profile)
             dist, query = reduction_from_preference_manipulation(inst)
             count = len(dist.scenarios)
@@ -656,7 +642,7 @@ class TestReduction:
         idle = 0
         for _ in range(40):
             profile = rand_manipulation_profile(rng)
-            rule = rand_rules(rng, profile.m)[rng.choice(("borda", "cup", "runoff"))]
+            rule = H.rand_rules(rng, profile.m)[rng.choice(("borda", "cup", "runoff"))]
             inst = ManipulationInstance(rule, rng.randrange(profile.m), profile)
             dist, query = reduction_from_preference_manipulation(inst, cap=None)
             # evaluate, then win_probability under the same rule and tie-break

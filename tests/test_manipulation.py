@@ -1,6 +1,7 @@
 """Coalition and preference manipulation searches."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -443,3 +444,13 @@ class TestPairwiseWitness:
         assert (witness is not None) == has_equal_partition_dp(bag)
         if witness is not None:
             assert winner(inst.rule, witness, TieBreak.favor(inst.target)) == inst.target
+
+
+class TestGolden:
+    def test_the_committed_golden_is_recomputed(self):
+        # witnesses, coalition mappings, reduction answers and capped
+        # refusals, byte for byte as committed in tests/golden
+        golden = Path(__file__).parent / "golden" / "manipulation.txt"
+        lines = golden.read_text(encoding="ascii").splitlines()
+        assert len(lines) > 1500
+        assert H.manipulation_golden() == lines
