@@ -382,7 +382,7 @@ def _unit_split(
     weight-k order cast as k identical unit ballots.
 
     Unit ballots are immutable, so scenarios share one object per order, and
-    ``Profile`` checks each shared unit ballot once.
+    each order is checked once, when its unit ballot is built.
     """
     slots: list[WeightedBallot] = []
     for order, weight in zip(orders, weights):

@@ -112,10 +112,12 @@ def transitive_closure(pairs: Sequence[Pair]) -> frozenset[Pair]:
 class WeightedBallot:
     """A complete strict ranking cast with integer weight.
 
-    ``order`` is stored as a tuple: a tuple is kept as given, another
-    sequence is converted, so ballots built from one tuple share it.  No
-    candidate appears twice in it; ``Profile`` relies on this.  The
-    constructor fills the two slots through their descriptors.
+    ``order`` ranks the ids 0..k-1 once each, as ints that are not bools,
+    where k is its length; the constructor refuses any other order, so a
+    profile over m candidates needs only ``len(order) == m``.  It is stored
+    as a tuple: a tuple is kept as given, another sequence is converted, so
+    ballots built from one tuple share it.  The constructor fills the two
+    slots through their descriptors.
     """
 
     order: tuple[int, ...]
@@ -130,11 +132,26 @@ class WeightedBallot:
                 raise InvalidProfile(f"a ballot order is a sequence of ids, got {order!r}")
             order = tuple(order)
         try:
-            distinct = len(set(order))
+            ids = set(order)
         except TypeError as exc:  # an unhashable entry
             raise InvalidProfile(f"ballot order {order} holds a non-id entry") from exc
-        if distinct != len(order):
+        k = len(order)
+        if len(ids) != k:
             raise InvalidProfile(f"ballot order {order} repeats a candidate")
+        # k distinct entries equal to 0..k-1 are those ids; they sum to an int
+        # only when each is one (1.0 == 1 passes the other tests), and of
+        # those, only the entries equal to 0 and 1 may be bools
+        try:
+            ranking = k == 0 or (
+                ids.issuperset(range(k))
+                and type(sum(order)) is int
+                and type(order[order.index(0)]) is not bool
+                and (k == 1 or type(order[order.index(1)]) is not bool)
+            )
+        except TypeError:  # the sum of entries whose types do not add (Decimal, float)
+            ranking = False
+        if not ranking:
+            raise InvalidProfile(f"ballot {order} must rank exactly the declared candidates")
         _set_order(self, order)
         _set_weight(self, weight)
 
@@ -144,11 +161,20 @@ class WeightedBallot:
         return frozenset((o[i], o[j]) for i in range(len(o)) for j in range(i + 1, len(o)))
 
 
-# the slot descriptors' setters get past the refusing __setattr__; the reader
-# builds one ballot per distinct vote line, and these cost about a third less
-# than two object.__setattr__ calls
+# the slot descriptors' setters get past the refusing __setattr__, and cost
+# about a third less than two object.__setattr__ calls
 _set_order = WeightedBallot.order.__set__  # type: ignore[attr-defined]
 _set_weight = WeightedBallot.weight.__set__  # type: ignore[attr-defined]
+
+
+def _checked_ballot(order: tuple[int, ...], weight: int) -> WeightedBallot:
+    """A ballot whose order and weight the caller has already checked as the
+    constructor would: the text reader, which checks each order token once
+    and builds one ballot per distinct vote line."""
+    ballot = object.__new__(WeightedBallot)
+    _set_order(ballot, order)
+    _set_weight(ballot, weight)
+    return ballot
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -210,6 +236,9 @@ class PartialBallot:
 
     @staticmethod
     def from_order(order: Sequence[int], weight: int, locked_all: bool = False) -> "PartialBallot":
+        """The total ballot of a ranking, all of its pairs locked with
+        ``locked_all``; the order must be one a ``WeightedBallot`` takes, so
+        a sub-order such as (2, 0) is refused."""
         ballot = WeightedBallot(tuple(order), weight)
         pairs = ballot.pairs()
         return PartialBallot(pairs, weight, pairs if locked_all else ())
@@ -235,10 +264,12 @@ class Profile:
     rules out pairwise ties.  Constructions that deliberately use even
     totals pass ``strict_odd=False``.
 
-    Aggregates read ``ballots`` slot by slot.  The constructor checks each
-    distinct partial ballot object once, however many slots it fills, and
-    each distinct complete-ballot order object once, however many ballots
-    share it; a failure still names the first failing slot.
+    ``candidates`` and ``ballots`` are stored as tuples, each read once, so
+    an iterator gives what its items would.  Aggregates read ``ballots`` slot
+    by slot.  A complete ballot ranks the ids 0..k-1 by construction, so the
+    constructor checks only that k is m; each distinct set of partial-ballot
+    pairs is checked once against the candidates.  The first failing slot
+    raises, and a slot holding anything but a ballot is refused by number.
     """
 
     candidates: tuple[Candidate, ...]
@@ -247,6 +278,10 @@ class Profile:
     strict_odd: bool = True
 
     def __post_init__(self) -> None:
+        # tuple() keeps a tuple as given, reads an iterator once, and copies
+        # a list, which its owner could change under the cached aggregates
+        object.__setattr__(self, "candidates", tuple(self.candidates))
+        object.__setattr__(self, "ballots", tuple(self.ballots))
         m = len(self.candidates)
         if m == 0:
             raise InvalidProfile("a profile needs at least one candidate")
@@ -262,38 +297,24 @@ class Profile:
             raise InvalidProfile("candidate labels must be unique")
         _check_weight(self.unknown_weight, "unknown_weight", 0)
         universe = set(range(m))
-        # a partial ballot object filling many slots needs only one check,
-        # and so does an order object shared by many complete ballots (the
-        # check reads only the order): keyed by identity, each sits at its
-        # first slot, so the first failing slot still raises.  An order
-        # repeats no candidate, so m declared ids are all of them, and its
-        # entries sum to an int only when each is one (1.0 == 1 passes the
-        # other tests); of those, only the entries equal to 0 and 1 may be bools
-        distinct = {
-            id(b.order) if isinstance(b, WeightedBallot) else id(b): b for b in self.ballots
-        }
-        try:
-            for ballot in distinct.values():
-                if isinstance(ballot, WeightedBallot):
-                    order = ballot.order
-                    if not (
-                        len(order) == m
-                        and universe.issuperset(order)
-                        and type(sum(order)) is int
-                        and type(order[order.index(0)]) is not bool
-                        and (m == 1 or type(order[order.index(1)]) is not bool)
-                    ):
-                        raise InvalidProfile(
-                            f"ballot {order} must rank exactly the declared candidates"
-                        )
-                else:
-                    mentioned = {c for pair in ballot.pairs for c in pair}
-                    if not mentioned <= universe:
+        # the partial check reads only the pairs, so each set of them is
+        # checked once however many slots carry it
+        checked: set[frozenset[Pair]] = set()
+        for ballot in self.ballots:
+            if isinstance(ballot, WeightedBallot):
+                if len(ballot.order) != m:
+                    raise InvalidProfile(
+                        f"ballot {ballot.order} must rank exactly the declared candidates"
+                    )
+            elif isinstance(ballot, PartialBallot):
+                pairs = ballot.pairs
+                if pairs not in checked:
+                    if not universe.issuperset(chain.from_iterable(pairs)):
                         raise InvalidProfile("partial ballot mentions undeclared candidates")
-        except TypeError:  # the sum of entries whose types do not add (Decimal, float)
-            raise InvalidProfile(
-                f"ballot {order} must rank exactly the declared candidates"
-            ) from None
+                    checked.add(pairs)
+            else:
+                slot = next(i for i, b in enumerate(self.ballots) if b is ballot)
+                raise InvalidProfile(f"ballot slot {slot} holds {ballot!r}, not a ballot")
         total = self.total_weight
         if total > MAX_WEIGHT:
             raise InvalidProfile("total weight exceeds the 64-bit bound")

@@ -23,18 +23,16 @@ Within one parsed text, a repeated ballot line (the same ``vote`` or
 once and yields the same immutable ballot object each time it appears, in
 every scenario block of a distribution.
 
-A ``vote`` line seen for the first time is split once; its weight token and
-its order token are each parsed once per text and then looked up in a memo,
-and the ballot is one validated ``WeightedBallot``.  Each fact about the line
-is checked once, in a fixed order (an open block with candidates, three
-tokens, the weight, the order naming every candidate once, the weight's
-range), and each failure gives the same message as a line parsed alone.
-A new order token becomes its ids in one ``itemgetter`` lookup, which names
-the first unknown label before any wrong count is reported.  Every line
-with that token shares the one order tuple, so the profile checks the order
-once however many ballots carry it.
-The ballot's own check finds a repeated candidate, so the order is not
-scanned for repeats a second time.
+A ``vote`` line seen for the first time is split once, and each fact about
+it is checked once, in a fixed order: an open block with candidates, three
+tokens, the weight's syntax, the order naming every candidate once, the
+weight's range.  Each failure gives the same message as a line parsed alone.
+The weight and order tokens are each parsed and checked once per text, as
+they enter a memo: a new order token becomes its ids in one ``itemgetter``
+lookup, which names the first unknown label before a wrong count or a
+repeat.  The weight's range is checked on each new line, and the ballot is
+then built without being checked again.  Every line with one order token
+shares the one order tuple.
 Nothing is kept from one parse to the next.
 """
 
@@ -47,12 +45,15 @@ from typing import NoReturn, Sequence
 from .errors import InvalidProfile, ProfileParseError
 from .evaluation import ScenarioDistribution, parse_rational
 from .profiles import (
+    MAX_WEIGHT,
     Axis,
     Ballot,
     Candidate,
     PartialBallot,
     Profile,
     WeightedBallot,
+    _check_weight,
+    _checked_ballot,
     candidates_from_labels,
 )
 
@@ -100,9 +101,8 @@ def _check_labels(candidates: Sequence[Candidate]) -> None:
 def _parse_order(
     names: Sequence[str], labels: dict[str, int], line_no: int, message: str
 ) -> tuple[int, ...]:
-    """The ids of ``names``, one per candidate, else ``message``; a repeated
-    candidate is the caller's to refuse, with the same message.  An unknown
-    label is named before a wrong count."""
+    """The ids of ``names``, each candidate once, else ``message``.  An
+    unknown label is named before a wrong count or a repeat."""
     try:
         # one lookup, which stops at the first unknown label
         order = itemgetter(*names)(labels) if names else ()
@@ -110,7 +110,7 @@ def _parse_order(
         _fail(line_no, f"unknown candidate {exc.args[0]!r}")
     if len(names) == 1:  # itemgetter of one name gives the id, not a tuple
         order = (order,)
-    if len(order) != len(labels):
+    if len(order) != len(labels) or len(set(order)) != len(order):
         _fail(line_no, message)
     return order
 
@@ -201,7 +201,7 @@ class _Reader:
                 tokens = line.split()
                 if tokens[0] == "vote":
                     # Each check runs once, in this order; the weight and
-                    # order tokens are parsed once per text.
+                    # order tokens are parsed and checked once per text.
                     self._need_block(line_no, "vote")
                     if len(tokens) != 3:
                         _fail(line_no, "expected: vote w=<integer> X>Y>...")
@@ -214,12 +214,12 @@ class _Reader:
                         order = orders[order_token] = _parse_order(
                             order_token.split(">"), self.labels, line_no, _RANK_ONCE
                         )
-                    try:
-                        ballot = WeightedBallot(order, weight)
-                    except InvalidProfile as exc:
-                        # a repeat in the order comes before the weight's range
-                        repeats = len(set(order)) < len(order)
-                        _fail(line_no, _RANK_ONCE if repeats else str(exc))
+                    if not 0 < weight <= MAX_WEIGHT:  # with the ballot's message
+                        try:
+                            _check_weight(weight)
+                        except InvalidProfile as exc:
+                            _fail(line_no, str(exc))
+                    ballot = _checked_ballot(order, weight)
                 else:
                     ballot = self._directive(line_no, tokens)
                     if ballot is None:
@@ -247,10 +247,7 @@ class _Reader:
             if self.axis is not None:
                 _fail(line_no, "duplicate axis line")
             message = "the axis must order every candidate exactly once"
-            order = _parse_order(tokens[1:], self.labels, line_no, message)
-            if len(set(order)) < len(order):
-                _fail(line_no, message)
-            self.axis = Axis(order)
+            self.axis = Axis(_parse_order(tokens[1:], self.labels, line_no, message))
         elif head == "candidates:":
             self._set_candidates(tokens[1:], line_no)
         elif head == "scenario" and self.scenarios is not None:

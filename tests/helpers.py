@@ -70,6 +70,17 @@ def vote(order: Sequence[int], weight: int = 1) -> WeightedBallot:
     return WeightedBallot(tuple(order), weight)
 
 
+def is_ranking(order: Sequence[object], m: int) -> bool:
+    """Does ``order`` rank the ids 0..m-1 once each, as ints that are not
+    bools?  What ``WeightedBallot`` and ``Profile`` accept together over m
+    candidates, decided without the library."""
+    entries = list(order)
+    return (
+        all(isinstance(x, int) and not isinstance(x, bool) for x in entries)
+        and sorted(entries) == list(range(m))
+    )
+
+
 def counts_of(orders: Sequence[Order], weights: Sequence[int], m: int) -> list[list[int]]:
     """Pairwise preference counts, computed directly from the orders."""
     counts = [[0] * m for _ in range(m)]

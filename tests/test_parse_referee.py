@@ -44,6 +44,14 @@ CORRUPTIONS = [
      f"weight {2**63} exceeds the 64-bit bound"),
     ("w=abc", lambda rng, w, o: f"vote w=abc {o}", "bad weight 'abc'"),
     ("w=1.5", lambda rng, w, o: f"vote w=1.5 {o}", "bad weight '1.5'"),
+    # two faults on one line: the weight's syntax comes before the order,
+    # and the order before the weight's range
+    ("w=0 and a repeated label",
+     lambda rng, w, o: f"vote w=0 {_names(o, rng, 'repeated')}", RANK_ONCE),
+    ("w=abc and an unknown label",
+     lambda rng, w, o: f"vote w=abc {_names(o, rng, 'unknown')}", "bad weight 'abc'"),
+    ("w=2**63 and a missing label",
+     lambda rng, w, o: f"vote w={2**63} {_names(o, rng, 'missing')}", RANK_ONCE),
 ]
 
 

@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -133,6 +135,11 @@ class TestPartialBallot:
         b = PartialBallot.from_order((1, 0), 1, locked_all=True)
         assert b.locked == b.pairs
 
+    @pytest.mark.parametrize("order", [(2, 0), (1,), (0, 2, 3)])
+    def test_from_order_refuses_a_sub_order(self, order):
+        with pytest.raises(InvalidProfile, match="must rank exactly the declared candidates"):
+            PartialBallot.from_order(order, 1)
+
     def test_repr_hash_frozen_and_replace(self):
         b = PartialBallot({(0, 1), (1, 2)}, 3, locked={(0, 1)})
         assert repr(b) == (
@@ -213,6 +220,96 @@ class TestProfile:
     def test_unknown_weight_must_be_an_in_range_int(self, unknown):
         with pytest.raises(InvalidProfile, match="unknown_weight"):
             Profile(cands(2), (vote((0, 1), 1),), unknown_weight=unknown, strict_odd=False)
+
+    def test_an_iterator_of_ballots_is_read_once(self):
+        ballots = (vote((0, 1, 2), 2), vote((2, 1, 0), 1))
+        p = Profile(cands(3), iter(ballots))
+        assert p.ballots == ballots and p.total_weight == 3
+        q = Profile(cands(3), iter(ballots), strict_odd=False)
+        assert q.ballots == ballots and q.total_weight == 3
+
+    def test_lists_are_stored_as_tuples(self):
+        ballots = [vote((0, 1, 2), 2), vote((2, 1, 0), 1)]
+        p = Profile(list(cands(3)), ballots)
+        assert type(p.candidates) is tuple and type(p.ballots) is tuple
+        assert p == Profile(cands(3), tuple(ballots))
+        assert hash(p) == hash(Profile(cands(3), tuple(ballots)))
+        ballots.append(vote((1, 0, 2), 4))  # the caller's list is not the profile's
+        assert len(p.ballots) == 2 and p.total_weight == 3
+        with pytest.raises(AttributeError):
+            p.ballots.append(vote((1, 0, 2), 4))
+
+    @pytest.mark.parametrize("stray", ["x", None, 5, (0, 1, 2)], ids=repr)
+    def test_a_slot_that_is_not_a_ballot_is_refused(self, stray):
+        good = vote((0, 1, 2))
+        for ballots, slot in (((good, good, stray), 2), ((stray, good, stray), 0)):
+            with pytest.raises(InvalidProfile) as info:
+                Profile(cands(3), ballots)
+            assert str(info.value) == f"ballot slot {slot} holds {stray!r}, not a ballot"
+
+    def test_ballot_and_profile_accept_exactly_the_rankings(self):
+        """Seeded orders, well and badly formed, in shared and fresh objects:
+        a profile over m candidates takes one exactly when ``is_ranking``
+        does, and otherwise the ballot or the profile raises InvalidProfile."""
+
+        class Id(int):
+            pass
+
+        def probe(rng: random.Random, m: int, kind: str) -> list:
+            o: list = list(H.rand_order(rng, m))
+            i = rng.randrange(m)
+            if kind == "subclass":
+                o = [Id(x) if rng.random() < 0.5 else x for x in o]
+            elif kind == "bool":
+                at = o.index(rng.randrange(min(m, 2)))
+                o[at] = bool(o[at])
+            elif kind == "float":
+                o[i] = float(o[i])
+            elif kind == "decimal":
+                o[i] = Decimal(o[i])
+            elif kind == "float and decimal":  # their sum raises TypeError
+                o[i], o[i - 1] = Decimal(o[i]), float(o[i - 1])
+            elif kind == "negative":
+                o[i] = -1 - o[i]
+            elif kind == "off-range":
+                o[i] += m
+            elif kind == "repeated" and m == 1:
+                o.append(0)
+            elif kind == "repeated":
+                o[i] = o[i - 1]
+            elif kind == "short":
+                o.pop(i)
+            elif kind == "long":
+                o.append(rng.choice([m, o[i]]))
+            return o
+
+        kinds = ("ints", "subclass", "bool", "float", "decimal", "float and decimal",
+                 "negative", "off-range", "repeated", "short", "long")
+        rng = random.Random(20261022)
+        seen: Counter = Counter()
+        for _ in range(1500):
+            m = rng.randint(1, 5)
+            kind = rng.choice(kinds)
+            order = probe(rng, m, kind)
+            order = tuple(order) if rng.random() < 0.7 else order
+            expected = H.is_ranking(order, m)
+            shared = rng.random() < 0.5
+            seen[kind, expected, shared] += 1
+            copies = [order if shared else tuple(list(order)) for _ in range(rng.randint(1, 3))]
+            try:
+                ballots = [vote(H.rand_order(rng, m), 2) for _ in range(rng.randint(0, 2))]
+                for copy in copies:
+                    ballots.insert(rng.randint(0, len(ballots)), WeightedBallot(copy, 1))
+                p = Profile(cands(m), ballots, strict_odd=False)
+            except InvalidProfile:
+                assert not expected, (kind, order)
+            else:
+                assert expected, (kind, order)
+                assert sum(b.order == tuple(order) for b in p.ballots) >= len(copies)
+        for kind in kinds:
+            for shared in (False, True):
+                assert sum(n for (k, _, s), n in seen.items() if (k, s) == (kind, shared)) > 30
+        assert seen["ints", True, True] > 30 and seen["subclass", True, False] > 30
 
 
 class TestRuns:

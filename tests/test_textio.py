@@ -268,7 +268,7 @@ class TestVoteLines:
                     delattr(b, name)
 
     def test_a_shared_bad_order_raises_at_its_first_slot(self):
-        bad = (0, 1, 5)
+        bad = (1, 0)  # a valid ballot, one candidate short of the profile
         first, later = WeightedBallot(bad, 1), WeightedBallot(bad, 2)
         stray = PartialBallot(((0, 7),), 1)
         good = vote((0, 1, 2))
@@ -284,16 +284,15 @@ class TestVoteLines:
             assert str(info.value) == message
 
     def test_an_equal_but_distinct_order_is_still_checked(self):
+        # the ballot refuses a twin of a ranking, so no profile can hold one
         order = (0, 1, 2)
         for twin in ((0, 1.0, 2), (0, True, 2), (False, 1, 2)):
             assert twin == order and twin is not order
-            pair = (WeightedBallot(order, 1), WeightedBallot(twin, 2))
-            for ballots in (pair, pair[::-1]):
-                with pytest.raises(InvalidProfile) as info:
-                    Profile(cands(3), ballots)
-                assert str(info.value) == (
-                    f"ballot {twin} must rank exactly the declared candidates"
-                )
+            with pytest.raises(InvalidProfile) as info:
+                WeightedBallot(twin, 2)
+            assert str(info.value) == (
+                f"ballot {twin} must rank exactly the declared candidates"
+            )
 
 
 class TestLabels:
