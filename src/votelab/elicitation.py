@@ -40,13 +40,14 @@ from .profiles import (
     DEFAULT_COMPLETION_CAP,
     Axis,
     Candidate,
+    PartialBallot,
     Profile,
     _median_peaks,
-    majority_matrix,
 )
 from .rules import (
     PAIRWISE_RULES,
     Agenda,
+    Copeland,
     Cup,
     Hybrid,
     Pairing,
@@ -58,6 +59,7 @@ from .rules import (
     _hybrid_rounds,
     _outcome_masks,
     _pair_at,
+    _pair_rows,
     _pairs_tally,
     _positive_total,
     _reach,
@@ -107,6 +109,31 @@ def _pair_bounds(
         for k in _bits(reduce(or_, masks)):
             hi[m + k] += bulk
     return base, lo, hi, [won[id(g.options)] for g in groups]
+
+
+def _committed_bounds(profile: Profile) -> tuple[list[int], list[int]]:
+    """The least and the most ``_pairs_tally`` at each pair over every
+    completion, from the committed pairs alone: the fixed ballots' tally,
+    plus each partial ballot's pairs i < j at its weight in the least; in
+    the most, plus the weight that is not fixed, less each partial ballot's
+    pairs j > i.  The first places stay the fixed ballots'.
+    ``_reach(c, d, lo, hi, m, total)`` is then the most weight that may rank
+    c over d, and the total less ``_reach(d, c, ...)`` the least."""
+    m = profile.m
+    orders, weights = profile.fixed_arrays
+    lo = _pairs_tally(Copeland(), orders, weights, m)
+    free = profile.total_weight - sum(weights)
+    hi = lo[:m] + [n + free for n in lo[m:]]
+    rows = _pair_rows(m)
+    for ballot in profile.ballots:
+        if isinstance(ballot, PartialBallot):
+            w = ballot.weight
+            for a, b in ballot.pairs:
+                if a < b:
+                    lo[rows[a] + b] += w
+                else:
+                    hi[rows[b] + a] -= w
+    return lo, hi
 
 
 def _pairwise_possible_ids(
@@ -664,20 +691,21 @@ class CondorcetStatus:
 def condorcet_winner_fixed(profile: Profile) -> CondorcetStatus:
     """Is the existence (and identity) of a Condorcet winner already settled?
 
-    Committed pairwise weight alone decides this: a candidate is the forced
-    winner iff its committed support against every rival exceeds half the
-    total weight, and no winner can emerge iff every candidate already has
-    half the weight committed against it by someone.  An election of total
-    weight 0 raises InvalidProfile, as ``winner`` does.
+    Committed pairwise weight alone decides this (``_committed_bounds``): a
+    candidate is the forced winner iff no rival may reach half the total
+    weight against it, and no winner can emerge iff every candidate may
+    reach at most half against some rival.  An election of total weight 0
+    raises InvalidProfile, as ``winner`` does.
     """
     m = profile.m
     total = _positive_total(profile.total_weight)
-    fixed = majority_matrix(profile).fixed
+    lo, hi = _committed_bounds(profile)
     for c in range(m):  # at m = 1 the lone candidate wins vacuously
-        if all(2 * fixed[c][j] > total for j in range(m) if j != c):
+        if all(2 * _reach(j, c, lo, hi, m, total) < total for j in range(m) if j != c):
             return CondorcetStatus("true", profile.candidates[c])
     blocked = all(
-        any(2 * fixed[j][c] >= total for j in range(m) if j != c) for c in range(m)
+        any(2 * _reach(c, j, lo, hi, m, total) <= total for j in range(m) if j != c)
+        for c in range(m)
     )
     if blocked:
         return CondorcetStatus("false")

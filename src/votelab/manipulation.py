@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .completions import completed_profile, fixed_view
-from .elicitation import _witness
+from .elicitation import _committed_bounds, _witness
 from .errors import InvalidInstance, InvalidProfile, ModelMismatch
 from .profiles import (
     DEFAULT_COMPLETION_CAP,
@@ -29,9 +29,8 @@ from .profiles import (
     PartialBallot,
     Profile,
     _is_int,
-    majority_matrix,
 )
-from .rules import Agenda, Cup, Rule, _positive_total, validate_rule_for
+from .rules import Agenda, Cup, Rule, _positive_total, _reach, validate_rule_for
 
 Order = tuple[int, ...]
 
@@ -86,8 +85,9 @@ def _probe_profile(inst: ManipulationInstance) -> Profile:
     """Check the coalition model; the view with coalition ballots blanked.
 
     Outside the coalition every ballot of the probe is a ``WeightedBallot``
-    and nothing is unknown, so in its ``majority_matrix`` ``fixed`` is the
-    fixed side of the election and ``free[i][j]`` the coalition's weight.
+    and nothing is unknown, so the most weight ``rules._reach`` reads off its
+    ``elicitation._committed_bounds`` for i over j is the fixed side's plus
+    the whole coalition's.
     """
     if not inst.is_coalition:
         raise ModelMismatch("this operation needs a coalition-model instance")
@@ -154,7 +154,8 @@ def _cup_coalition_order(agenda: Agenda, probe: Profile, target: int) -> Order |
     simultaneously, and all coalition members can cast it identically.
     """
     m = probe.m
-    mm = majority_matrix(probe)
+    total = probe.total_weight
+    lo, hi = _committed_bounds(probe)
 
     witness: dict[tuple, dict[int, tuple[int, int]]] = {}
 
@@ -166,7 +167,7 @@ def _cup_coalition_order(agenda: Agenda, probe: Profile, target: int) -> Order |
         for mine, theirs, side in ((left, right, 1), (right, left, 0)):
             for c in mine:
                 for d in sorted(theirs):
-                    if 2 * (mm.fixed[c][d] + mm.free[c][d]) >= mm.total:
+                    if 2 * _reach(c, d, lo, hi, m, total) >= total:
                         table[c] = (d, side)
                         break
         witness[node] = table
@@ -209,12 +210,12 @@ def condorcet_coalition_manipulate(
     election of total weight 0 raises InvalidProfile, as ``winner`` does.
     """
     probe = _probe_profile(inst)
-    _positive_total(probe.total_weight)
+    total = _positive_total(probe.total_weight)
     m = probe.m
     target = inst.target.id
-    mm = majority_matrix(probe)
+    lo, hi = _committed_bounds(probe)
     for j in range(m):
-        if j != target and 2 * (mm.fixed[target][j] + mm.free[target][j]) <= mm.total:
+        if j != target and 2 * _reach(target, j, lo, hi, m, total) <= total:
             return None
     order = (target,) + tuple(c for c in range(m) if c != target)
     return {idx: order for idx in sorted(inst.coalition)}

@@ -390,33 +390,6 @@ def candidates_from_labels(labels: Sequence[str]) -> tuple[Candidate, ...]:
 # Pairwise tallies
 
 
-@dataclass(frozen=True)
-class MajorityMatrix:
-    """Committed and free pairwise mass of a (possibly incomplete) profile.
-
-    ``fixed[i][j]`` is the weight already committed to preferring i over j;
-    ``free[i][j]`` is the weight whose i-versus-j preference is still open
-    (symmetric).  For every pair, fixed[i][j] + fixed[j][i] + free[i][j]
-    equals the total weight.
-    """
-
-    fixed: tuple[tuple[int, ...], ...]
-    free: tuple[tuple[int, ...], ...]
-    total: int
-
-    @property
-    def m(self) -> int:
-        return len(self.fixed)
-
-    def forced_winner(self, i: int, j: int) -> int | None:
-        """The candidate certain to win the pairwise contest, if any."""
-        if 2 * self.fixed[i][j] > self.total:
-            return i
-        if 2 * self.fixed[j][i] > self.total:
-            return j
-        return None
-
-
 def pairwise_counts(
     orders: Sequence[Sequence[int]], weights: Sequence[int], m: int
 ) -> list[list[int]]:
@@ -428,26 +401,6 @@ def pairwise_counts(
             for b in order[i + 1 :]:
                 row[b] += w
     return n
-
-
-def majority_matrix(profile: Profile) -> MajorityMatrix:
-    """Aggregate committed pairwise weight; unknown weight is wholly free."""
-    m = profile.m
-    fixed = pairwise_counts(*profile.fixed_arrays, m)
-    for ballot in profile.ballots:
-        if isinstance(ballot, PartialBallot):
-            for a, b in ballot.pairs:
-                fixed[a][b] += ballot.weight
-    total = profile.total_weight
-    free = [
-        [0 if i == j else total - fixed[i][j] - fixed[j][i] for j in range(m)]
-        for i in range(m)
-    ]
-    return MajorityMatrix(
-        tuple(tuple(row) for row in fixed),
-        tuple(tuple(row) for row in free),
-        total,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .profiles import (
     Candidate,
     Profile,
     _is_int,
-    pairwise_counts,  # read by no rule here; still imported as votelab.rules.pairwise_counts
+    pairwise_counts,  # read by no rule here; the benchmark tracer wraps rules.pairwise_counts
 )
 
 #: Deepest cup agenda accepted; the tree walks recurse once per level.

@@ -39,6 +39,8 @@ from votelab import (
     borda,
     candidates_from_labels,
     coalition_manipulate,
+    condorcet_coalition_manipulate,
+    condorcet_winner_fixed,
     evaluate,
     format_distribution,
     format_profile,
@@ -55,7 +57,7 @@ from votelab import (
 )
 from votelab.constructions import reduction_instance
 from votelab.errors import charge
-from votelab.profiles import _placement_masks, pairwise_counts
+from votelab.profiles import _placement_masks
 
 Order = tuple[int, ...]
 
@@ -103,7 +105,8 @@ def raw_arrays(profile: Profile) -> tuple[tuple[Order, ...], tuple[int, ...]]:
 def slot_aggregates(profile: Profile):
     """(total_weight, is_complete, fixed_arrays, committed pairwise weight) of
     a profile, computed one ballot slot at a time with no run or identity
-    shortcut.  The committed weight is ``majority_matrix(profile).fixed``."""
+    shortcut.  The committed weight of i over j is the total less
+    ``rules._reach(j, i, ...)`` over ``elicitation._committed_bounds``."""
     m = profile.m
     total = profile.unknown_weight
     complete = profile.unknown_weight == 0
@@ -564,9 +567,9 @@ def bracket_achievable(
 
 def brute_copeland_scores(profile: Profile) -> list[int]:
     """Each candidate's wins minus losses, comparing the two sides of every
-    pair's ``profiles.pairwise_counts``."""
+    pair's ``counts_of``."""
     m = profile.m
-    counts = pairwise_counts(*profile.complete_arrays(), m)
+    counts = counts_of(*profile.complete_arrays(), m)
     return [
         sum((counts[c][d] > counts[d][c]) - (counts[c][d] < counts[d][c]) for d in range(m))
         for c in range(m)
@@ -576,8 +579,8 @@ def brute_copeland_scores(profile: Profile) -> list[int]:
 def brute_won_pairs(order: Order, m: int) -> int:
     """The pairs one order wins as one int: bit k is set when the order ranks
     i over j for the k-th pair i < j in lexicographic order, read from that
-    order's ``profiles.pairwise_counts`` at weight 1."""
-    counts = pairwise_counts((order,), (1,), m)
+    order's ``counts_of`` at weight 1."""
+    counts = counts_of((order,), (1,), m)
     return sum(counts[i][j] << k for k, (i, j) in enumerate(combinations(range(m), 2)))
 
 
@@ -585,9 +588,9 @@ def brute_pairwise_ids(rule: Rule, profile: Profile, *, branch: bool = True) -> 
     """The winners of a complete election under Cup, Copeland or Copeland2
     over every resolution of pairwise ties, or with ``branch`` False the one
     winner of the lexicographic resolution (each tie toward the lower id),
-    from ``profiles.pairwise_counts`` alone."""
+    from ``counts_of`` alone."""
     m = profile.m
-    counts = pairwise_counts(*profile.complete_arrays(), m)
+    counts = counts_of(*profile.complete_arrays(), m)
 
     def meets(c: int, d: int) -> bool:  # c beats or ties d
         return counts[c][d] >= counts[d][c]
@@ -928,8 +931,10 @@ def manipulation_golden(seed: int = 34, size: int = 60) -> list[str]:
     ``preference_manipulate`` witness as profile text (or None), and its
     reduction's scenario count, ``evaluate`` answer and ``win_probability``;
     a coalition input gets its ``coalition_manipulate`` mapping.  Each call
-    is made again under a small cap.  A typed error is written as its type
-    and message, with the estimate of a CapExceeded.
+    is made again under a small cap.  Every input then gets its profile's
+    ``condorcet_winner_fixed``, and a coalition input its
+    ``condorcet_coalition_manipulate`` mapping.  A typed error is written as
+    its type and message, with the estimate of a CapExceeded.
 
     ``tests/golden/manipulation.txt`` holds the default call's lines; from
     the repository root, rewrite it with::
@@ -957,4 +962,12 @@ def manipulation_golden(seed: int = 34, size: int = 60) -> list[str]:
                     lambda found: str(found and sorted(found.items())),
                 )
                 lines.append(f"coalition {i} cap={cap}: {mapping}")
+        status = condorcet_winner_fixed(profile)
+        lines.append(f"condorcet {i}: {status.kind} {status.winner and status.winner.label}")
+        if inst.coalition is not None:
+            mapping = _outcome(
+                lambda: condorcet_coalition_manipulate(inst),
+                lambda found: str(found and sorted(found.items())),
+            )
+            lines.append(f"condorcet-coalition {i}: {mapping}")
     return lines

@@ -396,8 +396,8 @@ class TestCondorcetFixed:
 
     def test_agrees_with_brute_classification(self):
         rng = random.Random(53)
-        kinds = set()
-        for t in range(150):
+        kinds, parities = set(), set()
+        for t in range(300):
             # every third profile is complete, so decided outcomes appear too
             complete_only = t % 3 == 0
             m = rng.randint(3, 4) if complete_only else rng.randint(2, 4)
@@ -409,14 +409,19 @@ class TestCondorcetFixed:
                     ballots.append(H.rand_partial(rng, m, rng.randint(1, 3)))
             unknown = 0 if complete_only else rng.randint(0, 1)
             total = sum(b.weight for b in ballots) + unknown
-            if total == 0 or total % 2 == 0:
+            # every other profile may keep an even total, so ties on the
+            # forced and the blocked boundaries are met too
+            strict_odd = t % 2 == 0
+            if total == 0 or strict_odd and total % 2 == 0:
                 ballots.append(vote(H.rand_order(rng, m), 1 + total % 2))
-            p = Profile(cands(m), tuple(ballots), unknown_weight=unknown)
+            p = Profile(cands(m), tuple(ballots), unknown_weight=unknown, strict_odd=strict_odd)
             status = condorcet_winner_fixed(p)
             got = (status.kind, status.winner.id if status.winner else None)
-            assert got == H.brute_condorcet_classify(p)
+            assert got == H.brute_condorcet_classify(p), p
             kinds.add(status.kind)
+            parities.add(p.total_weight % 2)
         assert kinds == {"true", "false", "not-determined"}
+        assert parities == {0, 1}
 
 
 class TestSinglePeakedFine:

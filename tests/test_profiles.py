@@ -44,7 +44,6 @@ from votelab import (
     has_equal_partition_dp,
     is_single_peaked,
     linear_extensions,
-    majority_matrix,
     plurality,
     possible_winners,
     preference_manipulate,
@@ -57,7 +56,9 @@ from votelab import (
     winner,
 )
 from votelab import profiles
+from votelab.elicitation import _committed_bounds
 from votelab.profiles import _count_extensions
+from votelab.rules import _reach
 
 import helpers as H
 from helpers import cands, vote
@@ -347,7 +348,9 @@ class TestRuns:
             assert p.total_weight == total
             assert p.is_complete == complete
             assert p.fixed_arrays == arrays
-            assert majority_matrix(p).fixed == fixed
+            lo, hi = _committed_bounds(p)
+            for i, j in itertools.permutations(range(m), 2):
+                assert total - _reach(j, i, lo, hi, m, total) == fixed[i][j]
 
     @pytest.mark.parametrize(
         "bad", [vote((0, 1), 1), PartialBallot({(0, 3)}, 1)], ids=["short", "undeclared"]
@@ -373,8 +376,18 @@ class TestRuns:
         assert sorted(calls) == sorted(names)
 
 
-class TestMajorityMatrix:
-    def test_fixed_free_partition_the_total(self):
+class TestCommittedBounds:
+    @staticmethod
+    def least_most(p):
+        """The least and the most weight that may rank i over j."""
+        lo, hi = _committed_bounds(p)
+        m, total = p.m, p.total_weight
+        return (
+            lambda i, j: total - _reach(j, i, lo, hi, m, total),
+            lambda i, j: _reach(i, j, lo, hi, m, total),
+        )
+
+    def test_least_and_most_partition_the_total(self):
         p = Profile(
             cands(3),
             (
@@ -383,23 +396,25 @@ class TestMajorityMatrix:
             ),
             unknown_weight=1,
         )
-        mm = majority_matrix(p)
-        assert mm.total == 5
-        assert mm.fixed[0][1] == 2 and mm.fixed[1][0] == 0
-        assert mm.fixed[1][2] == 4  # complete ballot plus the committed pair
-        assert mm.free[0][1] == 3
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    assert mm.fixed[i][j] + mm.fixed[j][i] + mm.free[i][j] == 5
+        least, most = self.least_most(p)
+        assert p.total_weight == 5
+        assert least(0, 1) == 2 and least(1, 0) == 0
+        assert least(1, 2) == 4  # complete ballot plus the committed pair
+        assert most(0, 1) - least(0, 1) == 3
+        assert most(2, 1) == 1
+        for i, j in itertools.permutations(range(3), 2):
+            free = most(i, j) - least(i, j)
+            assert free == most(j, i) - least(j, i)
+            assert least(i, j) + least(j, i) + free == 5
 
-    def test_forced_winner(self):
+    def test_forced_pair(self):
         p = Profile(cands(2), (vote((0, 1), 3),), unknown_weight=2)
-        mm = majority_matrix(p)
-        assert mm.forced_winner(0, 1) == 0
-        assert mm.forced_winner(1, 0) == 0
+        least, _ = self.least_most(p)
+        assert 2 * least(0, 1) > p.total_weight
+        assert not 2 * least(1, 0) > p.total_weight
         q = Profile(cands(2), (vote((0, 1), 2), vote((1, 0), 2)), unknown_weight=1)
-        assert majority_matrix(q).forced_winner(0, 1) is None
+        least, _ = self.least_most(q)
+        assert not any(2 * least(i, j) > q.total_weight for i, j in ((0, 1), (1, 0)))
 
 
 class TestLinearExtensions:
